@@ -235,10 +235,21 @@ def _cmd_selfcheck(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and precisions: a bad value exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--prec",
-        type=int,
+        type=_positive_int,
         default=argparse.SUPPRESS,
         help=f"working precision for truncated series (default {DEFAULT_WORKING_PREC})",
     )
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="canonical representatives for a given n")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--level", default="0", help="level attached to each label")
     p.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p)

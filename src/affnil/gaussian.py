@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 _RatLike = Union[int, Fraction]
 

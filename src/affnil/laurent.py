@@ -346,21 +346,6 @@ class LaurentElement:
             {e - 1: c * e for e, c in self.coeffs.items() if e != 0}, prec
         )
 
-    def content(self) -> Tuple[GaussianRational, int]:
-        """A scalar c and exponent e with self = (c t^e) * primitive part.
-
-        Real positive rational c; meaningful for exact nonzero elements.
-        """
-        if not self.coeffs:
-            return GR_ONE, 0
-        e0 = min(self.coeffs)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs.values():
-            num_gcd = math.gcd(num_gcd, c.a, c.b)
-            den_lcm = den_lcm * c.d // math.gcd(den_lcm, c.d)
-        return GaussianRational(Fraction(num_gcd, den_lcm)), e0
-
 
 L_ZERO = LaurentElement.zero()
 L_ONE = LaurentElement.one()

@@ -2,9 +2,12 @@
 
 Matrices whose entries are all exact are handled by fraction-free (Bareiss)
 elimination, so determinants, ranks and kernels of exact matrices come out
-exact, never truncated.  Matrices carrying truncated entries fall back to
-ordinary division-based elimination with tracked precision; an undetermined
-pivot decision raises :class:`PrecisionExhausted` rather than guessing.
+exact, never truncated.  An exact inverse comes from one fraction-free
+Gauss–Jordan pass on [A | I], which yields d·A⁻¹ and d = ±det A together;
+only the final scaling by d⁻¹ can truncate, when d is not a monomial.
+Matrices carrying truncated entries fall back to ordinary division-based
+elimination with tracked precision; an undetermined pivot decision raises
+:class:`PrecisionExhausted` rather than guessing.
 
 Pivoting rule everywhere: the eligible entry of least valuation in the current
 column, ties broken by the lowest row index.
@@ -218,12 +221,17 @@ class MatK:
         return _det_division([list(r) for r in self.rows], working_prec)
 
     def inv(self, working_prec: int = DEFAULT_WORKING_PREC) -> "MatK":
+        """Inverse; exact entries whenever the input is exact with a monomial det.
+
+        Exact input goes through one fraction-free Gauss–Jordan pass on
+        [A | I], which yields d·A⁻¹ and d = ±det A together; only the final
+        scaling by d⁻¹ can truncate.  Truncated input uses division-based
+        Gauss–Jordan at ``working_prec``.  Raises :class:`Singular` when the
+        matrix is exactly singular.
+        """
         if self.all_exact():
-            d = _det_bareiss([list(r) for r in self.rows])
-            if d.is_zero_3v() is True:
-                raise Singular("matrix is exactly singular")
-            adj = _adjugate(self)
-            return adj.scale(d.inv(working_prec))
+            d, scaled = _inv_bareiss(self)
+            return scaled.scale(d.inv(working_prec))
         return _inv_division(self, working_prec)
 
     def rank(self) -> int:
@@ -400,25 +408,43 @@ def _det_division(
     return acc if sign == 1 else -acc
 
 
-def _minor(mat: MatK, drop_i: int, drop_j: int) -> List[List[LaurentElement]]:
-    return [
-        [mat.rows[i][j] for j in range(mat.n) if j != drop_j]
-        for i in range(mat.n)
-        if i != drop_i
-    ]
+def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
+    """Fraction-free Gauss–Jordan on [A | I] for exact A (Bareiss 1968).
 
-
-def _adjugate(mat: MatK) -> MatK:
-    """Adjugate via cofactor determinants (exact input)."""
+    Returns (d, d·A⁻¹) with d = ±det A, the last pivot.  Every intermediate
+    entry is a minor of [A | I], so each division by the previous pivot is
+    exact and the entries stay bounded.
+    """
     n = mat.n
-    if n == 1:
-        return MatK([[_L_ONE]])
-    out = [[_L_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = _det_bareiss(_minor(mat, i, j))
-            out[j][i] = c if (i + j) % 2 == 0 else -c
-    return MatK(out)
+    left = [list(r) for r in mat.rows]
+    right = [
+        [_L_ONE if i == j else _L_ZERO for j in range(n)] for i in range(n)
+    ]
+    prev = _L_ONE
+    for k in range(n):
+        idx = _pick_pivot([(i, left[i][k]) for i in range(k, n)])
+        if idx is None:
+            raise Singular("matrix is exactly singular")
+        if idx != k:
+            left[k], left[idx] = left[idx], left[k]
+            right[k], right[idx] = right[idx], right[k]
+        p = left[k][k]
+        divide = not prev.is_one()
+        for i in range(n):
+            if i == k:
+                continue
+            f = left[i][k]
+            # left columns <= k now hold p on the diagonal and zero elsewhere;
+            # they are never read again, so only columns > k are updated
+            for dst, src, start in ((left[i], left[k], k + 1), (right[i], right[k], 0)):
+                for j in range(start, n):
+                    x = dst[j]
+                    num = p * x if x.coeffs else _L_ZERO
+                    if f.coeffs and src[j].coeffs:
+                        num = num - f * src[j]
+                    dst[j] = num.exact_div(prev) if divide and num.coeffs else num
+        prev = p
+    return prev, MatK(right)
 
 
 def _inv_division(mat: MatK, working_prec: int) -> MatK:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import affnil.laurent
 from affnil import parse_laurent, parse_scalar
 from affnil.cli import main
@@ -142,6 +144,21 @@ def test_enumerate_json(capsys):
 
 def test_enumerate_bad_level_exits_2(capsys):
     assert main(["enumerate", "-n", "2", "--level", "t+1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["enumerate", "-n", "0"], "-n"),
+        (["--prec", "0", "enumerate", "-n", "2"], "--prec"),
+        (["enumerate", "-n", "2", "--prec", "-3"], "--prec"),
+    ],
+)
+def test_nonpositive_n_or_prec_exits_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
 
 # -- act / bracket ---------------------------------------------------------------

@@ -13,8 +13,9 @@ from affnil import (
     Singular,
     gr,
 )
+from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil.matk import det_and_adj_trace
-from affnil.selfcheck import random_traceless
+from affnil.selfcheck import random_laurent, random_shear, random_traceless
 
 from conftest import lp, mat
 
@@ -129,6 +130,89 @@ def test_inv_exact_when_det_is_monomial():
     inv = g.inv()
     assert all(e.prec is None for row in inv.rows for e in row)
     assert g * inv == MatK.identity(3)
+
+
+def _cofactor_inverse(m: MatK) -> MatK:
+    """Oracle: adj(A) * det(A)^-1 with every cofactor by expansion."""
+    n = m.n
+
+    def cofactor(i, j):
+        minor = MatK(
+            [[m.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        )
+        c = _cofactor_det(minor)
+        return c if (i + j) % 2 == 0 else -c
+
+    adj = [[cofactor(j, i) for j in range(n)] for i in range(n)] if n > 1 else [[lp("1")]]
+    return MatK(adj).scale(_cofactor_det(m).inv(DEFAULT_WORKING_PREC))
+
+
+def _shear_product(rng: random.Random, n: int, shears: int) -> MatK:
+    g = MatK.identity(n)
+    for _ in range(shears):
+        g = g * random_shear(rng, n).g
+    return g
+
+
+def _scale_row(m: MatK, i: int, factor: LaurentElement) -> MatK:
+    rows = [list(r) for r in m.rows]
+    rows[i] = [e * factor for e in rows[i]]
+    return MatK(rows)
+
+
+def test_inv_matches_cofactor_oracle():
+    for entry in ("2*t^3", "1 + t"):
+        g = mat([[entry]])
+        assert g.inv() == _cofactor_inverse(g)
+    rng = random.Random(77)
+    one_plus_t = lp("1 + t")
+    for n in range(2, 7):
+        for trial in range(3):
+            g = _shear_product(rng, n, rng.randint(1, 4))
+            if trial == 1:
+                g = _scale_row(g, rng.randrange(n), one_plus_t)
+            elif trial == 2:
+                g = random_traceless(rng, n) + MatK.identity(n)
+                if _cofactor_det(g).is_zero_3v() is True:
+                    continue
+            assert g.inv() == _cofactor_inverse(g), (n, trial)
+
+
+def test_inv_oracle_with_row_swap_and_non_monomial_det():
+    # least valuation of the first column sits off the diagonal: a swap is forced
+    swap_unimodular = mat([["1", "t"], ["t^-1", "0"]])
+    swap_generic = mat([["t", "1", "0"], ["t^-1", "1", "t"], ["2", "0", "1"]])
+    for g in (swap_unimodular, swap_generic):
+        first_col = [row[0].order() for row in g.rows]
+        assert first_col.index(min(first_col)) != 0
+        assert g.inv() == _cofactor_inverse(g)
+    assert swap_unimodular.inv().all_exact()
+    assert len(swap_generic.det().coeffs) > 1
+    truncated = swap_generic.inv()
+    assert not truncated.all_exact()
+    assert (swap_generic * truncated - MatK.identity(3)).is_zero_3v() is not False
+
+
+def test_inv_raises_singular_at_rank_n_minus_one():
+    rng = random.Random(19)
+    for n in (2, 3, 5):
+        rows = [
+            [random_laurent(rng, nonzero=True) for _ in range(n)] for _ in range(n - 1)
+        ]
+        f = random_laurent(rng, nonzero=True)
+        rows.append([a + f * b for a, b in zip(rows[0], rows[-1])])
+        m = MatK(rows)
+        assert m.rank() == n - 1
+        with pytest.raises(Singular):
+            m.inv()
+
+
+def test_inv_of_wide_shear_product_is_exact():
+    g = _shear_product(random.Random(12), 12, 8)
+    assert g.det() == lp("1")
+    inv = g.inv()
+    assert inv.all_exact()
+    assert g * inv == MatK.identity(12)
 
 
 # -- rank -------------------------------------------------------------------------
