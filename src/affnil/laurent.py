@@ -243,20 +243,38 @@ class LaurentElement:
         lc_inv = lc.inverse()
         if len(self.coeffs) == 1 and self.prec is None:
             return LaurentElement.monomial(-m, lc_inv)
-        # s = lc t^m (1 + u); invert the unit part by a geometric series
-        u = self.shift(-m).scale(lc_inv) - LaurentElement.one()
+        # s = lc t^m (1 + u) with u = sum_(j>0) u_j t^j.  The coefficients of
+        # s^-1 t^m = sum_k b_k t^k satisfy b_0 = 1/lc and b_k = -sum_j u_j b_(k-j):
+        # one product per known term of u and coefficient.  Each b_k is summed
+        # over one common denominator as an (a, b, d) triple and reduced once.
         terms = working_prec
         if self.prec is not None:
             terms = min(terms, self.prec - m)
-        acc = LaurentElement.one()
-        term = LaurentElement.one()
-        for _ in range(1, terms):
-            term = (term * (-u)).truncated(terms)
-            if not term.coeffs:
-                break
-            acc = acc + term
-        acc = LaurentElement(acc.coeffs, _min_prec(acc.prec, terms))
-        return acc.shift(-m).scale(lc_inv)
+        u = []
+        for e, c in sorted(self.coeffs.items()):
+            if 0 < e - m < terms:
+                c = c * lc_inv
+                u.append((e - m, c.a, c.b, c.d))
+        b = [(lc_inv.a, lc_inv.b, lc_inv.d)]
+        for k in range(1, terms):
+            sa = sb = 0
+            sd = 1
+            for j, ua, ub, ud in u:
+                if j > k:
+                    break
+                ba, bb, bd = b[k - j]
+                if not (ba or bb):
+                    continue
+                pd = ud * bd
+                g = math.gcd(sd, pd)
+                to_s, to_p = pd // g, sd // g
+                sa = sa * to_s + (ua * ba - ub * bb) * to_p
+                sb = sb * to_s + (ua * bb + ub * ba) * to_p
+                sd *= to_s
+            g = math.gcd(sa, sb, sd)
+            b.append((-sa // g, -sb // g, sd // g))
+        out = {k - m: GaussianRational._raw(*c) for k, c in enumerate(b[:max(terms, 0)])}
+        return LaurentElement(out, terms - m)
 
     def exact_div(self, other: "LaurentElement") -> "LaurentElement":
         """Exact quotient in the Laurent-polynomial ring (both operands exact)."""

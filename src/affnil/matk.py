@@ -9,8 +9,10 @@ Matrices carrying truncated entries fall back to ordinary division-based
 elimination with tracked precision; an undetermined pivot decision raises
 :class:`PrecisionExhausted` rather than guessing.
 
-Pivoting rule everywhere: the eligible entry of least valuation in the current
-column, ties broken by the lowest row index.
+Pivoting rule: the eligible entry of least valuation in the current column,
+ties broken by the lowest row index.  The exact inverse is the one exception:
+its result does not depend on the pivots, so it takes the entry with the
+fewest terms, which keeps its exact divisions cheap.
 """
 
 from __future__ import annotations
@@ -307,6 +309,18 @@ def _pick_pivot(
     return None
 
 
+def _pick_short_pivot(entries: List[Tuple[int, LaurentElement]]) -> Optional[int]:
+    """Index of the nonzero exact entry with the fewest terms, ties broken by
+    least valuation and then by position; None when all are zero."""
+    best = None
+    for idx, e in entries:
+        if e.coeffs:
+            key = (len(e.coeffs), min(e.coeffs), idx)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[2]
+
+
 def normalize_vector(v: Vector) -> Vector:
     """Divide an exact vector by its scalar-times-monomial content."""
     if any(e.prec is not None for e in v):
@@ -413,7 +427,10 @@ def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
 
     Returns (d, d·A⁻¹) with d = ±det A, the last pivot.  Every intermediate
     entry is a minor of [A | I], so each division by the previous pivot is
-    exact and the entries stay bounded.
+    exact and the entries stay bounded.  The pivot order only flips the sign
+    of d and d·A⁻¹ together, so the pivots are picked by _pick_short_pivot:
+    a monomial pivot makes the next division a shift instead of a long
+    division.
     """
     n = mat.n
     left = [list(r) for r in mat.rows]
@@ -422,7 +439,7 @@ def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
     ]
     prev = _L_ONE
     for k in range(n):
-        idx = _pick_pivot([(i, left[i][k]) for i in range(k, n)])
+        idx = _pick_short_pivot([(i, left[i][k]) for i in range(k, n)])
         if idx is None:
             raise Singular("matrix is exactly singular")
         if idx != k:
@@ -470,9 +487,12 @@ def _inv_division(mat: MatK, working_prec: int) -> MatK:
             f = left[i][k]
             if f.is_zero_3v() is True:
                 continue
-            left[i] = [left[i][j] - f * left[k][j] for j in range(n)]
+            # an exactly zero pivot-row entry leaves the entry unchanged
+            left[i] = [x - f * y if y.coeffs or y.prec is not None else x
+                       for x, y in zip(left[i], left[k])]
             left[i][k] = _L_ZERO
-            right[i] = [right[i][j] - f * right[k][j] for j in range(n)]
+            right[i] = [x - f * y if y.coeffs or y.prec is not None else x
+                        for x, y in zip(right[i], right[k])]
     return MatK(right)
 
 

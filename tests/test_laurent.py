@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from affnil import (
     parse_laurent,
     parse_scalar,
 )
+from affnil.selfcheck import random_laurent
 
 from conftest import lp
 
@@ -199,6 +201,35 @@ def test_inv_series_multiplies_back():
     assert prod.prec == 16 and prod.coeffs == {0: gr(1)}
     geometric = LaurentElement({k: gr(1) for k in range(16)}, 16)
     assert inv == geometric
+
+
+def _geometric_inverse(s: LaurentElement, working_prec: int) -> LaurentElement:
+    """Oracle: s = lc t^m (1 + u) inverted as lc^-1 t^-m sum (-u)^k."""
+    m = s.order()
+    lc_inv = s.coeffs[m].inverse()
+    terms = working_prec if s.prec is None else min(working_prec, s.prec - m)
+    u = s.shift(-m).scale(lc_inv) - LaurentElement.one()
+    acc = term = LaurentElement.one()
+    for _ in range(1, terms):
+        term = (term * (-u)).truncated(terms)
+        acc = acc + term
+    return LaurentElement(acc.coeffs, terms).shift(-m).scale(lc_inv)
+
+
+def test_inv_matches_geometric_series_oracle():
+    rng = random.Random(31)
+    for trial in range(120):
+        s = random_laurent(rng, max_terms=5, nonzero=True)
+        if trial % 3 == 1:
+            s = s.truncated(max(s.coeffs) + rng.randint(1, 12))
+        if len(s.coeffs) == 1 and s.prec is None:
+            continue
+        for w in (1, 2, 9, 40):
+            assert s.inv(w) == _geometric_inverse(s, w), (format_laurent(s), w)
+    # a dense truncated input: the inverse of a series with 24 known terms
+    dense = lp("(2-i)*t^-2 + 3/2*t^-1 - t^3").inv(24)
+    assert len(dense.coeffs) > 20
+    assert dense.inv(24) == _geometric_inverse(dense, 24)
 
 
 def test_inv_errors():

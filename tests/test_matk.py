@@ -14,7 +14,7 @@ from affnil import (
     gr,
 )
 from affnil.laurent import DEFAULT_WORKING_PREC
-from affnil.matk import det_and_adj_trace
+from affnil.matk import _pick_pivot, _pick_short_pivot, det_and_adj_trace
 from affnil.selfcheck import random_laurent, random_shear, random_traceless
 
 from conftest import lp, mat
@@ -191,6 +191,66 @@ def test_inv_oracle_with_row_swap_and_non_monomial_det():
     truncated = swap_generic.inv()
     assert not truncated.all_exact()
     assert (swap_generic * truncated - MatK.identity(3)).is_zero_3v() is not False
+
+
+def test_exact_inverse_takes_the_shortest_pivot():
+    # the least-valuation entry of column 0 is a binomial, the shortest is 1
+    column = [(0, lp("t^-2 + 1")), (1, lp("0")), (2, lp("3*t")), (3, lp("t^-1 + t"))]
+    assert _pick_pivot(column) == 0
+    assert _pick_short_pivot(column) == 2
+    assert _pick_short_pivot([(0, lp("t + 1")), (1, lp("t^-1 + 1"))]) == 1
+    assert _pick_short_pivot([(0, lp("0")), (1, lp("0"))]) is None
+    for g in (
+        mat([["t^-2 + 1", "1", "0"], ["1", "0", "t"], ["0", "t^-1", "1"]]),
+        mat([["t^-2 + 1", "1", "0"], ["3*t", "1 + t", "0"], ["t^-1 + t", "0", "2"]]),
+    ):
+        assert g.inv() == _cofactor_inverse(g)
+
+
+def _inv_full_rows(m: MatK, working_prec: int) -> MatK:
+    """Oracle: division-based Gauss-Jordan updating every entry of every row."""
+    n = m.n
+    left = [list(r) for r in m.rows]
+    right = [list(r) for r in MatK.identity(n).rows]
+    for k in range(n):
+        idx = _pick_pivot([(i, left[i][k]) for i in range(k, n)])
+        if idx is None:
+            raise Singular("matrix is exactly singular")
+        left[k], left[idx] = left[idx], left[k]
+        right[k], right[idx] = right[idx], right[k]
+        pinv = left[k][k].inv(working_prec)
+        left[k] = [e * pinv for e in left[k]]
+        left[k][k] = lp("1")
+        right[k] = [e * pinv for e in right[k]]
+        for i in range(n):
+            f = left[i][k]
+            if i == k or f.is_zero_3v() is True:
+                continue
+            left[i] = [left[i][j] - f * left[k][j] for j in range(n)]
+            left[i][k] = lp("0")
+            right[i] = [right[i][j] - f * right[k][j] for j in range(n)]
+    return MatK(right)
+
+
+def test_truncated_inverse_matches_full_row_elimination():
+    rng = random.Random(23)
+    checked = 0
+    for trial in range(40):
+        n = rng.randint(2, 6)
+        rows = [list(r) for r in _shear_product(rng, n, rng.randint(1, 4)).rows]
+        i, j = rng.randrange(n), rng.randrange(n)
+        top = max(rows[i][j].coeffs, default=0)
+        rows[i][j] = rows[i][j].truncated(top + rng.choice([1, 6, 20]))
+        g = MatK(rows)
+        try:
+            expected = _inv_full_rows(g, 24)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                g.inv(24)
+            continue
+        assert g.inv(24) == expected, trial
+        checked += 1
+    assert checked >= 30
 
 
 def test_inv_raises_singular_at_rank_n_minus_one():
