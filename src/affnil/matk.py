@@ -321,23 +321,36 @@ def _pick_short_pivot(entries: List[Tuple[int, LaurentElement]]) -> Optional[int
     return None if best is None else best[2]
 
 
-def normalize_vector(v: Vector) -> Vector:
-    """Divide an exact vector by its scalar-times-monomial content."""
-    if any(e.prec is not None for e in v):
-        return v
+def vector_content(v: Vector) -> Optional[Tuple[GaussianRational, int]]:
+    """(c, e) with v = c·t^e·w, where the real and imaginary parts of w's
+    coefficients are integers with gcd 1 and w's least exponent is 0.
+
+    None when v is zero or carries a truncated entry.
+    """
     num_gcd = 0
     den_lcm = 1
     min_exp = None
     for el in v:
+        if el.prec is not None:
+            return None
         for exp, c in el.coeffs.items():
             num_gcd = math.gcd(num_gcd, c.a, c.b)
             den_lcm = den_lcm * c.d // math.gcd(den_lcm, c.d)
             if min_exp is None or exp < min_exp:
                 min_exp = exp
-    if min_exp is None or num_gcd == 0:
+    if min_exp is None:
+        return None
+    return GaussianRational(Fraction(num_gcd, den_lcm)), min_exp
+
+
+def normalize_vector(v: Vector) -> Vector:
+    """Divide an exact vector by its content (see :func:`vector_content`)."""
+    content = vector_content(v)
+    if content is None:
         return v
-    scalar = GaussianRational(Fraction(den_lcm, num_gcd))
-    return tuple(el.shift(-min_exp).scale(scalar) for el in v)
+    scalar, exp = content
+    inv = scalar.inverse()
+    return tuple(el.shift(-exp).scale(inv) for el in v)
 
 
 def _echelon(

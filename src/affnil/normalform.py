@@ -11,15 +11,23 @@ never taken: the determinant certificate is carried instead, which loses
 nothing because scalar matrices act trivially by conjugation and contribute
 nothing to the level of trace-zero elements.
 
-Everything here is exact when the input matrix is exact: the chain algorithm
-uses only fraction-free elimination and exact divisions.
+Everything here is exact when the input matrix is exact.  The kernels of the
+powers come from fraction-free elimination with exact divisions.  Choosing
+the chain tops only needs yes/no independence answers, and for exact input
+those are taken at a point, t = t0 and i = sqrt(-1) in F_p, where an
+independent set stays independent over K.  A false dependence there is rare
+(Schwartz-Zippel) and can only mis-steer the choice, so the chains are kept
+only under a certificate: the heights sum to n, the chain vectors have rank n
+at the point (so det P != 0), and x P = P J holds exactly.  Otherwise the next
+point is tried.  When no point certifies, when p divides a denominator, and
+for truncated input, the tops are chosen by exact elimination over K.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from typing import List, NamedTuple, Optional, Tuple
 
 from .affine import DetMode, GroupElement
@@ -31,7 +39,7 @@ from .errors import (
 )
 from .gaussian import GR_ONE, GaussianRational
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
-from .matk import MatK, Vector, normalize_vector
+from .matk import MatK, Vector, normalize_vector, vector_content
 
 _L_ZERO = LaurentElement.zero()
 _L_ONE = LaurentElement.one()
@@ -244,22 +252,118 @@ class ChainData(NamedTuple):
     j_mat: MatK
 
 
-def _vector_content(v: Vector) -> Optional[Tuple[GaussianRational, int]]:
-    """Scalar-and-exponent content of an exact vector (None for zero)."""
-    num_gcd = 0
-    den_lcm = 1
-    min_exp = None
+# Independence tests at a point: t -> t0 and i -> a square root of -1 in F_p.
+# The points are arbitrary large residues, so that the structured factors of
+# small inputs (t - 1, 2t + 1, ...) do not vanish at them.
+_P = 998244353  # prime, p = 1 mod 4
+_I_MOD_P = pow(3, (_P - 1) // 4, _P)  # 3 generates F_p^*, so this squares to -1
+_POINTS = (314159265, 271828182, 161803398)
+
+
+def _at_point(v: Vector, t0: int) -> Optional[List[int]]:
+    """v at t = t0 in F_p; None when p divides a coefficient's denominator."""
+    out = []
     for el in v:
-        if el.prec is not None:
-            return None
+        num, den = 0, 1
         for exp, c in el.coeffs.items():
-            num_gcd = math.gcd(num_gcd, c.a, c.b)
-            den_lcm = den_lcm * c.d // math.gcd(den_lcm, c.d)
-            if min_exp is None or exp < min_exp:
-                min_exp = exp
-    if min_exp is None:
-        return None
-    return GaussianRational(Fraction(num_gcd, den_lcm)), min_exp
+            d = c.d % _P
+            if d == 0:
+                return None
+            num = (num * d + (c.a + c.b * _I_MOD_P) * pow(t0, exp, _P) * den) % _P
+            den = den * d % _P
+        out.append(num * pow(den, -1, _P) % _P)
+    return out
+
+
+class _ModEchelon:
+    """Incremental independence test over F_p (leftmost-pivot echelon)."""
+
+    def __init__(self):
+        self.rows: List[Tuple[int, List[int]]] = []
+
+    def add(self, v: List[int]) -> bool:
+        """Reduce v; if independent of the stored rows, insert and return True."""
+        vec = v
+        for col, row in self.rows:
+            e = vec[col]
+            if e:
+                vec = [(a - e * b) % _P for a, b in zip(vec, row)]
+        pivot = next((j for j, e in enumerate(vec) if e), None)
+        if pivot is None:
+            return False
+        inv = pow(vec[pivot], -1, _P)
+        self.rows.append((pivot, [e * inv % _P for e in vec]))
+        self.rows.sort(key=lambda item: item[0])
+        return True
+
+
+def _greedy_tops(kernels: list, apply, echelon) -> List[Tuple[int, int]]:
+    """(height j, index in kernels[j - 1]) of each chain top, tallest first.
+
+    Tops at height j are the vectors of ker x^j independent of ker x^(j-1)
+    together with the once-applied images of all taller chains.  The vectors
+    are exact or evaluated at a point; ``apply`` is x on the same kind of
+    vector and ``echelon()`` a fresh independence test for it.
+    """
+    chains: List[list] = []  # [height, index, image of the top under x^(height - j)]
+    for j in range(len(kernels), 0, -1):
+        ech = echelon()
+        if j >= 2:
+            for v in kernels[j - 2]:
+                ech.add(v)
+        for ch in chains:
+            ech.add(ch[2])
+        for idx, v in enumerate(kernels[j - 1]):
+            if ech.add(v):
+                chains.append([j, idx, v])
+        if j > 1:
+            for ch in chains:
+                ch[2] = apply(ch[2])
+    return [(height, idx) for height, idx, _ in chains]
+
+
+def _modular_tops(
+    x: MatK, kernels: List[List[Vector]]
+) -> Optional[List[Tuple[int, int]]]:
+    """Chain tops chosen by independence tests at a point, certified.
+
+    A set independent at the point is independent over K, but a false
+    dependence at the point can change later choices; so the result is kept
+    only when the heights sum to n and the chain vectors x^i v at the point
+    have rank n.  They are the columns of P up to nonzero scalar-times-monomial
+    factors, so det P != 0, and with the exact check x P = P J (done by the
+    caller) P^-1 x P = J holds exactly.  None when no point certifies or p
+    divides a denominator; the caller then runs the exact pass.
+    """
+    for t0 in _POINTS:
+        x_p = [_at_point(row, t0) for row in x.rows]
+        kernels_p = [[_at_point(v, t0) for v in ker] for ker in kernels]
+        if None in x_p or any(None in ker for ker in kernels_p):
+            return None  # the same denominator fails at every point
+        apply = partial(_apply_mod_p, x_p)
+        tops = _greedy_tops(kernels_p, apply, _ModEchelon)
+        if _chains_form_basis(tops, kernels_p, apply, x.n):
+            return tops
+    return None
+
+
+def _apply_mod_p(x_p: List[List[int]], v: List[int]) -> List[int]:
+    return [sum(a * b for a, b in zip(row, v)) % _P for row in x_p]
+
+
+def _chains_form_basis(tops, kernels_p, apply, n: int) -> bool:
+    """Whether the chain vectors x^i v (0 <= i < height) of the tops are a
+    basis of F_p^n."""
+    if sum(height for height, _ in tops) != n:
+        return False
+    basis = _ModEchelon()
+    for height, idx in tops:
+        v = kernels_p[height - 1][idx]
+        for _ in range(height):
+            if not basis.add(v):
+                return False
+            v = apply(v)
+    return True
 
 
 def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainData:
@@ -279,30 +383,21 @@ def _chains_from_powers(
     n = x.n
     m = len(powers) - 1
     kernels = [powers[j].kernel_basis(working_prec) for j in range(1, m + 1)]
-    chains: List[dict] = []
-    for j in range(m, 0, -1):
-        ech = _Echelon(n)
-        if j >= 2:
-            for v in kernels[j - 2]:
-                ech.add(v)
-        for ch in chains:
-            ech.add(ch["cur"])
-        for v in kernels[j - 1]:
-            if ech.add(v):
-                chains.append({"top": v, "level": j, "cur": v})
-        for ch in chains:
-            ch["cur"] = x.apply(ch["cur"])
-    sigma = tuple(ch["level"] for ch in chains)
+    tops = None
+    if x.all_exact():  # then so are its powers and their kernel vectors
+        tops = _modular_tops(x, kernels)
+    if tops is None:
+        tops = _greedy_tops(kernels, x.apply, lambda: _Echelon(n))
+    sigma = tuple(height for height, _ in tops)
     if sum(sigma) != n:
         raise PrecisionExhausted("chain construction did not span the space")
     columns: List[Vector] = []
-    for ch in chains:
-        size = ch["level"]
-        seq = [ch["top"]]
-        for _ in range(size - 1):
+    for height, idx in tops:
+        seq = [kernels[height - 1][idx]]
+        for _ in range(height - 1):
             seq.append(x.apply(seq[-1]))
         seq.reverse()  # kernel end first
-        content = _vector_content(seq[0])
+        content = vector_content(seq[0])
         if content is not None:
             scalar, exp = content
             inv = scalar.inverse()

@@ -27,7 +27,6 @@ from .affine import AffineElement, DetMode, GroupElement, killing_coef
 from .errors import (
     NotConjugate,
     NotNilpotent,
-    PrecisionExhausted,
     ShapeMismatch,
 )
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
@@ -44,16 +43,6 @@ from .normalform import (
 _L_ONE = LaurentElement.one()
 
 
-def _require_nilpotent(a: AffineElement):
-    if not a.d_coef.is_zero:
-        raise NotNilpotent("element has nonzero derivation component")
-    z = (a.mat ** a.n).is_zero_3v()
-    if z is None:
-        raise PrecisionExhausted("nilpotency undetermined at current precision")
-    if z is False:
-        raise NotNilpotent("matrix component is not nilpotent")
-
-
 def classify(
     a: AffineElement,
     working_prec: int = DEFAULT_WORKING_PREC,
@@ -64,7 +53,10 @@ def classify(
     k is the multiplicity valuation of the reduced form mod gcd(sigma); the
     level is lambda plus the c-correction of the reducing conjugator.
     """
-    _require_nilpotent(a)
+    if not a.d_coef.is_zero:
+        raise NotNilpotent("element has nonzero derivation component")
+    # the matrix part is checked by the reduction, which raises NotNilpotent
+    # or PrecisionExhausted while computing its powers
     kappa = killing_coef(a.n) if kappa_coef is None else kappa_coef
     data = reduce_to_quasi_jordan(a.mat, working_prec)
     sigma = data.form.sizes()

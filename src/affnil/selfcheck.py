@@ -65,6 +65,8 @@ def random_traceless(rng: random.Random, n: int) -> MatK:
 
 
 def random_shear(rng: random.Random, n: int) -> GroupElement:
+    if n < 2:
+        raise ValueError(f"a shear needs two distinct indices, n = {n}")
     i = rng.randrange(n)
     j = rng.randrange(n)
     while j == i:
@@ -246,8 +248,17 @@ def _suite_ad_matrix_homomorphism(rng: random.Random, cases: int, prec: int) -> 
     for _ in range(cases):
         n = rng.randint(2, 3)
         g = random_group(rng, n)
-        x = AffineElement(random_traceless(rng, n), random_gaussian(rng))
-        y = AffineElement(random_traceless(rng, n), random_gaussian(rng))
+        # d-parts in {-1, 0, 1} exercise the derivation terms of adjoint_act
+        x = AffineElement(
+            random_traceless(rng, n),
+            random_gaussian(rng),
+            GaussianRational(rng.randint(-1, 1)),
+        )
+        y = AffineElement(
+            random_traceless(rng, n),
+            random_gaussian(rng),
+            GaussianRational(rng.randint(-1, 1)),
+        )
         lhs = adjoint_act(g, bracket(x, y), prec)
         rhs = bracket(adjoint_act(g, x, prec), adjoint_act(g, y, prec))
         diff = lhs - rhs

@@ -185,6 +185,24 @@ def test_adjoint_preserves_trace_zero_and_derivation():
         assert out.d_coef == gr(0)
 
 
+class _BoundedRandom(random.Random):
+    """Fails instead of looping when a generator keeps redrawing."""
+
+    def randrange(self, *args, **kwargs):
+        self.draws = getattr(self, "draws", 0) + 1
+        if self.draws > 100:
+            raise RuntimeError("generator keeps redrawing")
+        return super().randrange(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_shear_needs_two_indices(n):
+    with pytest.raises(ValueError):
+        random_shear(_BoundedRandom(0), n)
+    with pytest.raises(ValueError):
+        random_group(_BoundedRandom(0), n)
+
+
 def test_adjoint_group_law_on_shears():
     rng = random.Random(7)
     for _ in range(15):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,6 +12,7 @@ from affnil import (
     GroupElement,
     InvalidPartition,
     InvalidShift,
+    LaurentElement,
     MatK,
     NotNilpotent,
     QuasiJordanForm,
@@ -27,8 +30,9 @@ from affnil import (
     rank_profile_partition,
     read_quasi_jordan,
 )
-from affnil.normalform import jordan_chains
-from affnil.selfcheck import random_group
+from affnil import normalform
+from affnil.normalform import jordan_chains, nilpotent_powers
+from affnil.selfcheck import random_group, random_orbit_case
 
 from conftest import lp, mat
 
@@ -266,3 +270,91 @@ def test_k_label_over_refines_orbits_at_gcd_partitions():
     assert h.det_mode is DetMode.EXACT_ONE
     assert h.g == w  # the Bezout witness is exact, not truncated
     assert h.g * d1 == d0 * h.g
+
+
+# -- chain tops by independence tests at a point, certified ---------------------------------
+
+
+def _kernels(x):
+    return [power.kernel_basis() for power in nilpotent_powers(x)[1:]]
+
+
+def _exact_tops(x, kernels):
+    return normalform._greedy_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
+
+
+def _without_modular_pass(monkeypatch):
+    monkeypatch.setattr(normalform, "_modular_tops", lambda x, kernels: None)
+
+
+def test_modular_pass_matches_exact_pass_on_random_conjugates(monkeypatch):
+    rng = random.Random("modular-vs-exact")
+    cases = []
+    for n in range(2, 7):
+        for _ in range(3):
+            sigma, k, level, elem, g = random_orbit_case(rng, n)
+            x = adjoint_act(g, elem).mat
+            kernels = _kernels(x)
+            assert normalform._modular_tops(x, kernels) == _exact_tops(x, kernels)
+            cases.append((x, sigma, jordan_chains(x)))
+    _without_modular_pass(monkeypatch)
+    for x, sigma, chains in cases:
+        exact = jordan_chains(x)
+        assert chains.sigma == exact.sigma == sigma
+        assert chains.p_mat == exact.p_mat
+
+
+def _rank_one_nilpotent():
+    """x = a b^T with b^T a = 0, sigma = (2, 1).  ker x is spanned by
+    v1 = (-1, t - t0, 0) and v2 = (-1, 0, t - t0), which coincide at the first
+    point t0, and x e0 = (t - t0) a is a multiple of v1."""
+    t0 = normalform._POINTS[0]
+    a = [lp("1"), lp(f"{t0} - t"), lp("0")]
+    b = [lp(f"t - {t0}"), lp("1"), lp("1")]
+    return MatK([[ai * bj for bj in b] for ai in a])
+
+
+def test_modular_pass_moves_on_when_kernel_vectors_degenerate_at_the_point(monkeypatch):
+    # at t0 the greedy pass takes two tops of height 2 and the certificate
+    # fails; the next point certifies the tops of the exact pass
+    t0 = normalform._POINTS[0]
+    x = _rank_one_nilpotent()
+    kernels = _kernels(x)
+    at_t0 = [normalform._at_point(v, t0) for v in kernels[0]]
+    ech = normalform._ModEchelon()
+    assert [ech.add(v) for v in at_t0] == [True, False]
+    exact = _exact_tops(x, kernels)
+    assert normalform._modular_tops(x, kernels) == exact
+    with monkeypatch.context() as patch:
+        patch.setattr(normalform, "_POINTS", normalform._POINTS[:1])
+        assert normalform._modular_tops(x, kernels) is None
+    elem = AffineElement(x, gr(1))
+    label = classify(elem)
+    assert (label.partition, label.k) == ((2, 1), 0)
+    _without_modular_pass(monkeypatch)
+    assert classify(elem) == label
+
+
+def test_certificate_rejects_dependent_chains_whose_heights_sum_to_n():
+    x = _rank_one_nilpotent()
+    kernels = _kernels(x)
+    assert kernels[1][0] == (lp("1"), lp("0"), lp("0"))
+    t1 = normalform._POINTS[1]
+    x_p = [normalform._at_point(row, t1) for row in x.rows]
+    kernels_p = [[normalform._at_point(v, t1) for v in ker] for ker in kernels]
+    apply = partial(normalform._apply_mod_p, x_p)
+    # the chain e0, x e0 with v1 as a second top: heights 2 + 1 = 3, but
+    # x e0 and v1 are dependent over K, so P would be singular
+    assert not normalform._chains_form_basis([(2, 0), (1, 0)], kernels_p, apply, 3)
+    assert normalform._chains_form_basis([(2, 0), (1, 1)], kernels_p, apply, 3)
+
+
+def test_denominator_divisible_by_p_takes_the_exact_pass():
+    inv_p = LaurentElement.monomial(1, Fraction(1, normalform._P))
+    g = GroupElement.from_shear(4, 2, 0, inv_p)
+    level = gr(Fraction(-3, 2))
+    moved = adjoint_act(g, AffineElement(canonical_rep((3, 1), 0), level))
+    assert normalform._at_point(moved.mat.rows[2], normalform._POINTS[0]) is None
+    assert normalform._modular_tops(moved.mat, _kernels(moved.mat)) is None
+    label = classify(moved)
+    assert (label.partition, label.k, label.level) == ((3, 1), 0, level)
