@@ -8,12 +8,18 @@ Elements travel as JSON documents whose leaves are Laurent literals:
 
 Exit codes: 0 success, 1 selfcheck failure, 2 parse/validation error,
 3 not nilpotent, 4 precision exhausted, 5 not conjugate.
+
+Size limits, checked before the work they would make expensive (exit 2):
+every exponent and truncation bound in a document lies in
+[-MAX_EXPONENT, MAX_EXPONENT], and ``act`` with a loop rotation z refuses a
+result whose factors z^e would exceed MAX_ROTATION_DIGITS decimal digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -49,6 +55,9 @@ EXIT_NOT_NILPOTENT = 3
 EXIT_PRECISION = 4
 EXIT_NOT_CONJUGATE = 5
 
+MAX_EXPONENT = 1000
+MAX_ROTATION_DIGITS = 3000
+
 
 class DocumentError(ValueError):
     """Malformed input document."""
@@ -82,11 +91,24 @@ def _parse_matrix(doc: Dict[str, Any], path: str) -> MatK:
         out = []
         for j, lit in enumerate(row):
             try:
-                out.append(parse_laurent(str(lit)))
+                el = parse_laurent(str(lit))
             except LaurentSyntaxError as exc:
                 raise DocumentError(f"{path}: entry ({i},{j}): {exc}") from exc
+            top = _max_abs_exponent(el)
+            if top > MAX_EXPONENT:
+                raise DocumentError(
+                    f"{path}: entry ({i},{j}): exponent magnitude {top} exceeds "
+                    f"the limit {MAX_EXPONENT}"
+                )
+            out.append(el)
         rows.append(out)
     return MatK(rows)
+
+
+def _max_abs_exponent(el: LaurentElement) -> int:
+    coeffs = el.coeffs
+    top = max(max(coeffs), -min(coeffs)) if coeffs else 0
+    return top if el.prec is None else max(top, abs(el.prec))
 
 
 def load_element(path: str) -> AffineElement:
@@ -190,10 +212,34 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _rotation_digits(mat: MatK, z: GaussianRational) -> float:
+    """Upper bound on the decimal digits of the factors z^e that t -> z t puts
+    on the coefficients of mat."""
+    norm = abs(z.a) + abs(z.b)
+    up = math.log10(max(norm, z.d))  # height of z^e is at most this^e, e > 0
+    down = math.log10(max(norm * z.d, z.a * z.a + z.b * z.b))  # and for z^-1
+    digits = 0.0
+    for row in mat.rows:
+        for el in row:
+            for e in el.coeffs:
+                digits = max(digits, e * up if e > 0 else -e * down)
+    return digits
+
+
 def _cmd_act(args) -> int:
     g = load_group(args.group_file, args.prec)
     elem = load_element(args.elem_file)
-    result = adjoint_act(g, elem, args.prec, _kappa(args))
+    kappa = _kappa(args)
+    # Ad (z, g) = Ad d_z o Ad g: the size of the rotation is checked on Ad g
+    result = adjoint_act(GroupElement(gr(1), g.g, g.det_mode), elem, args.prec, kappa)
+    if g.z != gr(1):
+        digits = _rotation_digits(result.mat, g.z)
+        if digits > MAX_ROTATION_DIGITS:
+            raise DocumentError(
+                f"{args.group_file}: t -> z t would give coefficients of about "
+                f"{digits:.0f} digits, over the limit {MAX_ROTATION_DIGITS}"
+            )
+        result = adjoint_act(GroupElement.loop_rotation(g.n, g.z), result, args.prec, kappa)
     print(json.dumps(element_doc(result), indent=None if args.json else 2))
     return EXIT_OK
 

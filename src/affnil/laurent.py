@@ -423,7 +423,11 @@ def _scan_int(sc: _Scanner, signed: bool = True) -> int:
     if not digits:
         sc.i = start
         sc.fail("expected an integer")
-    return sign * int(digits)
+    try:
+        return sign * int(digits)
+    except ValueError:  # longer than the interpreter's int conversion limit
+        sc.i = start
+        sc.fail(f"integer literal of {len(digits)} digits is too long")
 
 
 def _scan_rat(sc: _Scanner, signed: bool = True) -> Fraction:

@@ -5,6 +5,10 @@ elimination, so determinants, ranks and kernels of exact matrices come out
 exact, never truncated.  An exact inverse comes from one fraction-free
 Gauss–Jordan pass on [A | I], which yields d·A⁻¹ and d = ±det A together;
 only the final scaling by d⁻¹ can truncate, when d is not a monomial.
+An exact kernel vector is scaled only by the echelon pivots whose division
+was not exact during its back-substitution, not by the product of all of
+them; divisibility is first tested modulo p (see :mod:`affnil.modp`) and
+then confirmed by an exact division.
 Matrices carrying truncated entries fall back to ordinary division-based
 elimination with tracked precision; an undetermined pivot decision raises
 :class:`PrecisionExhausted` rather than guessing.
@@ -21,8 +25,10 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import modp
 from .errors import (
     DimensionMismatch,
+    ExactDivisionError,
     PrecisionExhausted,
     Singular,
 )
@@ -33,6 +39,9 @@ Vector = Tuple[LaurentElement, ...]
 
 _L_ZERO = LaurentElement.zero()
 _L_ONE = LaurentElement.one()
+
+# widest numerator whose divisibility is tested in F_p[t], as a dense list
+_GATE_MAX_SPAN = 1 << 16
 
 
 class MatK:
@@ -245,8 +254,11 @@ class MatK:
         """Basis of the right kernel, one vector per free column.
 
         For exact matrices the vectors are exact: the echelon step is
-        fraction-free and back-substitution scales the free coordinate by the
-        product of the pivots, which makes every intermediate division exact.
+        fraction-free, and back-substitution starts from 1 at the free
+        coordinate and divides by a pivot only where the division is exact
+        (see :func:`_exact_quotient`).  Where it is not, the vector built so
+        far is scaled by that pivot instead, so a vector carries only the
+        pivots it needs rather than the product of all of them.
         """
         n = self.n
         ech = _echelon([list(r) for r in self.rows], n)
@@ -254,13 +266,9 @@ class MatK:
         free_cols = [c for c in range(n) if c not in pivot_cols]
         exact = all(e.prec is None for _, row in ech for e in row)
         basis: List[Vector] = []
-        pivot_prod = _L_ONE
-        if exact:
-            for c, row in ech:
-                pivot_prod = pivot_prod * row[c]
         for f in free_cols:
             v: List[LaurentElement] = [_L_ZERO] * n
-            v[f] = pivot_prod if exact else _L_ONE
+            v[f] = _L_ONE
             for c, row in reversed(ech):
                 acc = _L_ZERO
                 for j in range(c + 1, n):
@@ -268,10 +276,16 @@ class MatK:
                     vj = v[j]
                     if (rj.coeffs or rj.prec is not None) and (vj.coeffs or vj.prec is not None):
                         acc = acc + rj * vj
-                if exact:
-                    v[c] = (-acc).exact_div(row[c])
-                else:
+                if not exact:
                     v[c] = (-acc) * row[c].inv(working_prec)
+                elif acc.coeffs:
+                    q = _exact_quotient(-acc, row[c])
+                    if q is None:
+                        # v[c] = -acc / row[c] after scaling everything by row[c]
+                        p = row[c]
+                        v = [e * p if e.coeffs else e for e in v]
+                        q = -acc
+                    v[c] = q
             basis.append(normalize_vector(tuple(v)))
         return basis
 
@@ -319,6 +333,34 @@ def _pick_short_pivot(entries: List[Tuple[int, LaurentElement]]) -> Optional[int
             if best is None or key < best:
                 best = key
     return None if best is None else best[2]
+
+
+def _exact_quotient(num: LaurentElement, den: LaurentElement) -> Optional[LaurentElement]:
+    """num / den when den divides num exactly, else None (both exact, nonzero).
+
+    A monomial den always divides.  Otherwise a long division is tried only
+    when den divides num in F_p[t] under both images of i; that is necessary
+    when p divides no denominator and neither end coefficient of den, and a
+    failed long division is far dearer than the test.  The quotient is
+    accepted only from :meth:`LaurentElement.exact_div`, which raises on a
+    remainder.  Every case the test cannot decide, and every num wider than
+    _GATE_MAX_SPAN exponents (the test holds it densely), answers None, which
+    is always safe for the caller.
+    """
+    if len(den.coeffs) > 1:
+        if max(num.coeffs) - min(num.coeffs) > _GATE_MAX_SPAN:
+            return None
+        for root in modp.SQRTS_OF_MINUS_ONE:
+            den_p = modp.coeffs_mod_p(den, root)
+            if den_p is None or not den_p[0] or not den_p[-1]:
+                return None
+            num_p = modp.coeffs_mod_p(num, root)
+            if num_p is None or not modp.divides_mod_p(num_p, den_p):
+                return None
+    try:
+        return num.exact_div(den)
+    except ExactDivisionError:
+        return None
 
 
 def vector_content(v: Vector) -> Optional[Tuple[GaussianRational, int]]:

@@ -12,7 +12,9 @@ nothing because scalar matrices act trivially by conjugation and contribute
 nothing to the level of trace-zero elements.
 
 Everything here is exact when the input matrix is exact.  The kernels of the
-powers come from fraction-free elimination with exact divisions.  Choosing
+powers come from fraction-free elimination with exact divisions, and each
+kernel vector is scaled only by the pivots its back-substitution could not
+divide by, so the chain tops, and with them P and det P, stay small.  Choosing
 the chain tops only needs yes/no independence answers, and for exact input
 those are taken at a point, t = t0 and i = sqrt(-1) in F_p, where an
 independent set stays independent over K.  A false dependence there is rare
@@ -40,6 +42,7 @@ from .errors import (
 from .gaussian import GR_ONE, GaussianRational
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
 from .matk import MatK, Vector, normalize_vector, vector_content
+from . import modp
 
 _L_ZERO = LaurentElement.zero()
 _L_ONE = LaurentElement.one()
@@ -255,24 +258,13 @@ class ChainData(NamedTuple):
 # Independence tests at a point: t -> t0 and i -> a square root of -1 in F_p.
 # The points are arbitrary large residues, so that the structured factors of
 # small inputs (t - 1, 2t + 1, ...) do not vanish at them.
-_P = 998244353  # prime, p = 1 mod 4
-_I_MOD_P = pow(3, (_P - 1) // 4, _P)  # 3 generates F_p^*, so this squares to -1
 _POINTS = (314159265, 271828182, 161803398)
 
 
 def _at_point(v: Vector, t0: int) -> Optional[List[int]]:
     """v at t = t0 in F_p; None when p divides a coefficient's denominator."""
-    out = []
-    for el in v:
-        num, den = 0, 1
-        for exp, c in el.coeffs.items():
-            d = c.d % _P
-            if d == 0:
-                return None
-            num = (num * d + (c.a + c.b * _I_MOD_P) * pow(t0, exp, _P) * den) % _P
-            den = den * d % _P
-        out.append(num * pow(den, -1, _P) % _P)
-    return out
+    out = [modp.value_mod_p(el, t0) for el in v]
+    return None if None in out else out
 
 
 class _ModEchelon:
@@ -287,12 +279,12 @@ class _ModEchelon:
         for col, row in self.rows:
             e = vec[col]
             if e:
-                vec = [(a - e * b) % _P for a, b in zip(vec, row)]
+                vec = [(a - e * b) % modp.P for a, b in zip(vec, row)]
         pivot = next((j for j, e in enumerate(vec) if e), None)
         if pivot is None:
             return False
-        inv = pow(vec[pivot], -1, _P)
-        self.rows.append((pivot, [e * inv % _P for e in vec]))
+        inv = pow(vec[pivot], -1, modp.P)
+        self.rows.append((pivot, [e * inv % modp.P for e in vec]))
         self.rows.sort(key=lambda item: item[0])
         return True
 
@@ -348,7 +340,7 @@ def _modular_tops(
 
 
 def _apply_mod_p(x_p: List[List[int]], v: List[int]) -> List[int]:
-    return [sum(a * b for a, b in zip(row, v)) % _P for row in x_p]
+    return [sum(a * b for a, b in zip(row, v)) % modp.P for row in x_p]
 
 
 def _chains_form_basis(tops, kernels_p, apply, n: int) -> bool:
@@ -371,8 +363,11 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
 
     Chain tops at height j are kernel vectors of x^j independent of
     ker(x^(j-1)) together with the once-applied images of all taller chains.
-    Each finished chain is scaled by the content of its kernel-end vector,
-    which keeps P close to unimodular on simple inputs.
+    The tops come from :meth:`MatK.kernel_basis` as they are, carrying only
+    the echelon pivots their back-substitution needed; a polynomial common
+    factor may remain.  Each finished chain is scaled by the scalar and
+    t-power content of its kernel-end vector, which keeps P close to
+    unimodular on simple inputs.
     """
     return _chains_from_powers(x, nilpotent_powers(x), working_prec)
 

@@ -130,7 +130,27 @@ def _suite_golden_values(rng: random.Random, cases: int, prec: int) -> List[str]
         bad.append(f"worked example classifies to {label}")
     if len(enumerate_orbits(4)) != 9:
         bad.append("level-0 orbit count at n=4 != 9")
+    # d itself, moved by (I + t^-1 E21)(I + t E12): tr((g^-1 g')^2) != 0, so
+    # the 1/2 mu part of the c-correction shows; expected value from bracket
+    e12_t = AffineElement(MatK.elementary(2, 0, 1, LaurentElement.monomial(1)))
+    g = shear.compose(GroupElement.from_shear(2, 0, 1, LaurentElement.monomial(1)))
+    d_only = AffineElement(MatK.zero(2), GR_ZERO, GR_ONE)
+    moved = adjoint_act(g, d_only, prec)
+    expected = _exp_ad(AffineElement(e21), _exp_ad(e12_t, d_only))
+    if moved != expected or moved.c_coef != gr(4):
+        bad.append(f"Ad((I + t^-1 E21)(I + t E12)) d c-part = {moved.c_coef!r} != 4")
     return bad
+
+
+def _exp_ad(y: AffineElement, a: AffineElement) -> AffineElement:
+    """exp(ad y)(a) = a + [y, a] + [y, [y, a]]/2 + ..., for ad y nilpotent on a."""
+    total = term = a
+    for k in range(1, 16):
+        term = bracket(y, term).scale(gr(Fraction(1, k)))
+        if term.mat.is_zero_3v() is True and term.c_coef.is_zero and term.d_coef.is_zero:
+            return total
+        total = total + term
+    raise ValueError("exp(ad y) series did not stop")
 
 
 def _suite_field_axioms(rng: random.Random, cases: int, prec: int) -> List[str]:

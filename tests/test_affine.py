@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,34 @@ def test_adjoint_worked_example():
     assert out.mat == mat([["-1", "t"], ["-t^-1", "1"]])
     assert out.c_coef == gr(-4)
     assert out.d_coef == gr(0)
+
+
+def _bracket_series(y, a, terms=4):
+    """a + [y, a] + [y, [y, a]]/2 + ... up to ad(y)^(terms - 1), checking
+    that the next term vanishes."""
+    total = term = a
+    for k in range(1, terms):
+        term = bracket(y, term).scale(gr(Fraction(1, k)))
+        total = total + term
+    last = bracket(y, term)
+    assert last.mat.is_zero_3v() is True and last.c_coef == gr(0)
+    return total
+
+
+def test_adjoint_moves_d_as_the_bracket_series():
+    # g = exp(t^-1 E21) exp(t E12); tr((g^-1 g')^2) != 0, so the c-part pins
+    # the sign of the 1/2 mu term of the correction (it would read -4)
+    g = GroupElement.from_shear(2, 1, 0, lp("t^-1")).compose(
+        GroupElement.from_shear(2, 0, 1, lp("t"))
+    )
+    d = AffineElement(MatK.zero(2), gr(0), gr(1))
+    out = adjoint_act(g, d)
+    expected = _bracket_series(
+        AffineElement(E(2, 1, 0, "t^-1")), _bracket_series(AffineElement(E(2, 0, 1, "t")), d)
+    )
+    assert out == expected
+    assert out.mat == mat([["1", "-t"], ["2*t^-1", "-1"]])
+    assert out.c_coef == gr(4) and out.d_coef == gr(1)
 
 
 def test_adjoint_requires_exact_det_with_derivation():

@@ -221,6 +221,48 @@ def test_act_truncated_output_reparses(tmp_path, capsys):
     assert reparsed.prec is not None
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_act_exponent_over_the_limit_exits_2_at_load(tmp_path, capsys):
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "0"], ["t", "0"]]})
+    group = write(
+        tmp_path, "group.json", {"z": "2", "matrix": [["1", "t^100000000"], ["0", "1"]]}
+    )
+    assert main(["act", group, elem]) == 2
+    assert "exponent magnitude 100000000 exceeds the limit 1000" in _one_line_error(capsys)
+    # the limit is inclusive, and also bounds truncation markers
+    group = write(tmp_path, "group.json", {"matrix": [["1", "t^-1000"], ["0", "1"]]})
+    assert main(["act", group, elem]) == 0
+    capsys.readouterr()
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "0"], ["t + O(t^1001)", "0"]]})
+    assert main(["classify", elem]) == 2
+    assert "exceeds the limit 1000" in _one_line_error(capsys)
+
+
+def test_act_rotation_over_the_size_limit_exits_2(tmp_path, capsys):
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "0"], ["t", "0"]]})
+    # Ad g puts t^501 in the result; (10^10)^501 has 5011 digits
+    group = write(
+        tmp_path, "group.json", {"z": "10000000000", "matrix": [["1", "t^500"], ["0", "1"]]}
+    )
+    assert main(["act", group, elem]) == 2
+    assert "over the limit 3000" in _one_line_error(capsys)
+    group = write(tmp_path, "group.json", {"z": "2", "matrix": [["1", "t^500"], ["0", "1"]]})
+    assert main(["act", group, elem]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["matrix"][0][0] == f"{2 ** 501}*t^501"
+
+
+def test_overlong_integer_literal_exits_2(tmp_path, capsys):
+    doc = {"n": 2, "matrix": [["0", "7" * 5000 + "*t"], ["0", "0"]]}
+    assert main(["classify", write(tmp_path, "elem.json", doc)]) == 2
+    assert "too long" in _one_line_error(capsys)
+
+
 def test_bracket_with_central_element(tmp_path, capsys):
     a = write(tmp_path, "a.json", {"n": 2, "matrix": [["0", "0"], ["0", "0"]], "c": "3"})
     b = write(tmp_path, "b.json", {"n": 2, "matrix": [["0", "t"], ["t^-1", "0"]]})

@@ -13,9 +13,25 @@ from affnil import (
     Singular,
     gr,
 )
+from affnil.affine import adjoint_act
 from affnil.laurent import DEFAULT_WORKING_PREC
-from affnil.matk import _pick_pivot, _pick_short_pivot, det_and_adj_trace
-from affnil.selfcheck import random_laurent, random_shear, random_traceless
+from affnil.matk import (
+    _echelon,
+    _exact_quotient,
+    _pick_pivot,
+    _pick_short_pivot,
+    det_and_adj_trace,
+    normalize_vector,
+)
+from affnil.modp import P
+from affnil.normalform import nilpotent_powers
+from affnil.selfcheck import (
+    random_group,
+    random_laurent,
+    random_orbit_case,
+    random_shear,
+    random_traceless,
+)
 
 from conftest import lp, mat
 
@@ -369,6 +385,104 @@ def test_kernel_of_zero_matrix_is_standard_basis():
     basis = MatK.zero(3).kernel_basis()
     assert len(basis) == 3
     assert basis[0] == (lp("1"), lp("0"), lp("0"))
+
+
+def _all_pivots_kernel(m: MatK):
+    """Oracle: back-substitution from the product of every echelon pivot at
+    the free coordinate, which makes every division exact."""
+    n = m.n
+    ech = _echelon([list(r) for r in m.rows], n)
+    pivot_cols = [c for c, _ in ech]
+    prod = lp("1")
+    for c, row in ech:
+        prod = prod * row[c]
+    basis = []
+    for f in (c for c in range(n) if c not in pivot_cols):
+        v = [lp("0")] * n
+        v[f] = prod
+        for c, row in reversed(ech):
+            acc = lp("0")
+            for j in range(c + 1, n):
+                acc = acc + row[j] * v[j]
+            v[c] = (-acc).exact_div(row[c])
+        basis.append(normalize_vector(tuple(v)))
+    return basis
+
+
+def _terms(v) -> int:
+    return sum(len(e.coeffs) for e in v)
+
+
+def _check_kernel(m: MatK):
+    basis = m.kernel_basis()
+    oracle = _all_pivots_kernel(m)
+    assert len(basis) == len(oracle) == m.n - m.rank()
+    for v, w in zip(basis, oracle):
+        assert all(e.prec is None for e in v)
+        assert all(e.is_zero_3v() is True for e in m.apply(v))
+        # v = q w for some q in K: every 2x2 minor of [v w] vanishes
+        n = m.n
+        assert all(v[i] * w[j] == v[j] * w[i] for i in range(n) for j in range(i + 1, n))
+        assert _terms(v) <= _terms(w)
+    if basis:
+        rows = [list(v) for v in basis] + [[lp("0")] * m.n] * (m.n - len(basis))
+        assert MatK(rows).rank() == len(basis)
+    return basis
+
+
+def test_kernel_basis_of_powers_of_random_conjugates():
+    rng = random.Random(12)
+    for n in range(2, 9):
+        for _ in range(3):
+            _, _, _, elem, _ = random_orbit_case(rng, n)
+            x = adjoint_act(random_group(rng, n, 6), elem).mat
+            for power in nilpotent_powers(x)[1:-1]:
+                _check_kernel(power)
+
+
+def test_kernel_basis_of_rank_deficient_shear_products():
+    rng = random.Random(13)
+    for n in range(2, 7):
+        for rank in range(n):
+            d = MatK.diag([lp("1")] * rank + [lp("0")] * (n - rank))
+            m = _shear_product(rng, n, 4) * d * _shear_product(rng, n, 4)
+            assert len(_check_kernel(m)) == n - rank
+
+
+def test_exact_quotient_confirms_the_modular_test():
+    t_minus_1 = lp("t - 1")
+    # congruent to t - 1 mod p, so the F_p[t] test passes, but not divisible
+    near = lp(f"t - {1 + P}")
+    assert _exact_quotient(near, t_minus_1) is None
+    assert _exact_quotient(near * t_minus_1, t_minus_1) == near
+    assert _exact_quotient(lp("t^2 + 3"), t_minus_1) is None
+    assert _exact_quotient(lp("2*t^3"), lp("4*t")) == lp("1/2*t^2")
+    # p divides a denominator or an end coefficient: undecided, so None
+    assert _exact_quotient(lp(f"1/{P}*t - 1/{P}"), t_minus_1) is None
+    assert _exact_quotient(t_minus_1 * lp(f"{P}*t + 1"), lp(f"{P}*t + 1")) is None
+    # the kernel vector of a row (t - 1, t - 1 - p) needs the multiply path
+    m = MatK([[t_minus_1, near], [lp("0"), lp("0")]])
+    assert _check_kernel(m) == [(-near, t_minus_1)]
+
+
+def test_kernel_basis_skips_the_dense_test_on_wide_sparse_entries():
+    # t^20000 - 1 divides t^40000 - 1, as the F_p[t] test finds; a numerator
+    # spanning 10^6 exponents is not put in a dense list, so that vector
+    # keeps the pivot instead
+    m = MatK([[lp("t^20000 - 1"), lp("t^40000 - 1")], [lp("0"), lp("0")]])
+    assert _check_kernel(m) == [(-lp("t^20000 + 1"), lp("1"))]
+    pivot = lp("t^500000 - 1")
+    m = MatK([[pivot, lp("t^1000000 - 1")], [lp("0"), lp("0")]])
+    assert _check_kernel(m) == [(-lp("t^1000000 - 1"), pivot)]
+
+
+def test_kernel_basis_with_p_in_a_denominator_takes_the_multiply_path():
+    # the row normalises to (p t + 1, (p t + 1)(t + 2)); the pivot's end
+    # coefficient p decides nothing mod p, so the vector keeps the pivot
+    inv_p = lp(f"t + 1/{P}")
+    m = MatK([[inv_p, inv_p * lp("t + 2")], [lp("0"), lp("0")]])
+    pivot = lp(f"{P}*t + 1")
+    assert _check_kernel(m) == [(-pivot * lp("t + 2"), pivot)]
 
 
 def test_det_and_adj_trace_matches_direct_formula():

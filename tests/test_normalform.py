@@ -30,7 +30,7 @@ from affnil import (
     rank_profile_partition,
     read_quasi_jordan,
 )
-from affnil import normalform
+from affnil import modp, normalform
 from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import random_group, random_orbit_case
 
@@ -350,7 +350,7 @@ def test_certificate_rejects_dependent_chains_whose_heights_sum_to_n():
 
 
 def test_denominator_divisible_by_p_takes_the_exact_pass():
-    inv_p = LaurentElement.monomial(1, Fraction(1, normalform._P))
+    inv_p = LaurentElement.monomial(1, Fraction(1, modp.P))
     g = GroupElement.from_shear(4, 2, 0, inv_p)
     level = gr(Fraction(-3, 2))
     moved = adjoint_act(g, AffineElement(canonical_rep((3, 1), 0), level))

@@ -27,6 +27,7 @@ from affnil import (
     partitions,
     quasi_jordanize,
 )
+from affnil.normalform import jordan_chains
 from affnil.selfcheck import random_group, random_orbit_case
 
 from conftest import lp, mat
@@ -285,3 +286,32 @@ def test_rotation_preserves_labels():
 
         moved = adjoint_act(GroupElement.loop_rotation(n, gr(1, 1)), elem)
         assert classify(moved) == OrbitLabel(sigma, k, gr(1))
+
+
+# -- the benchmark's stress seeds ----------------------------------------------
+
+_STRESS_LEVELS = (gr(0), gr(1), gr(Fraction(-3, 2)))
+
+
+def _stress_case(n: int, shears: int, j: int):
+    """The classify-stress case stress:n:shears:j, with a level fixed by j."""
+    rng = random.Random(f"stress:{n}:{shears}:{j}")
+    sigma, k, _, elem, _ = random_orbit_case(rng, n)
+    g = random_group(rng, n, shears)
+    level = _STRESS_LEVELS[j % len(_STRESS_LEVELS)]
+    return sigma, k, level, adjoint_act(g, AffineElement(elem.mat, level), 64)
+
+
+@pytest.mark.parametrize("shears", [20, 15])
+@pytest.mark.parametrize("j", range(4))
+def test_stress_seeds_classify_to_their_generating_label(shears, j):
+    sigma, k, level, moved = _stress_case(8, shears, j)
+    assert classify(moved) == OrbitLabel(sigma, k, level)
+
+
+def test_stress_jordan_basis_stays_small():
+    # the kernel vectors carry only the pivots they need; with the product of
+    # all pivots this P had entries of 80 terms
+    _, _, _, moved = _stress_case(8, 15, 3)
+    p_mat = jordan_chains(moved.mat).p_mat
+    assert max(len(e.coeffs) for row in p_mat.rows for e in row) <= 40
