@@ -122,6 +122,8 @@ class GroupElement:
     ) -> "GroupElement":
         """Classify the determinant and build a certified element."""
         d = g.det(working_prec)
+        if d.is_zero_3v() is True:
+            raise NotUnimodular("det is 0: the matrix is singular")
         one = LaurentElement.one()
         if (d - one).is_zero_3v() is not False:
             return cls(z, g, DetMode.EXACT_ONE)

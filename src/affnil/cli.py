@@ -7,17 +7,22 @@ Elements travel as JSON documents whose leaves are Laurent literals:
     {"z": "1", "matrix": [["1", "0"], ["t^-1", "1"]]}
 
 Exit codes: 0 success, 1 selfcheck failure, 2 parse/validation error,
-3 not nilpotent, 4 precision exhausted, 5 not conjugate.
+3 not nilpotent, 4 precision exhausted, 5 not conjugate, 70 internal error
+(any other exception, reported on one line without a traceback).
 
 Size limits, checked before the work they would make expensive (exit 2):
 every exponent and truncation bound in a document lies in
 [-MAX_EXPONENT, MAX_EXPONENT], and ``act`` with a loop rotation z refuses a
 result whose factors z^e would exceed MAX_ROTATION_DIGITS decimal digits.
+A result with an integer longer than the interpreter converts to text
+(``sys.get_int_max_str_digits()``, 4300 digits by default) is refused when
+it is formatted, before anything is printed (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -54,6 +59,7 @@ EXIT_PARSE = 2
 EXIT_NOT_NILPOTENT = 3
 EXIT_PRECISION = 4
 EXIT_NOT_CONJUGATE = 5
+EXIT_INTERNAL = 70
 
 MAX_EXPONENT = 1000
 MAX_ROTATION_DIGITS = 3000
@@ -72,8 +78,10 @@ def _load_json(path: str) -> Dict[str, Any]:
             doc = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: document must be a JSON object")
     return doc
@@ -136,12 +144,36 @@ def load_group(path: str, working_prec: int) -> GroupElement:
         return GroupElement.checked(mat, z, working_prec)
     except NotUnimodular as exc:
         raise DocumentError(f"{path}: {exc}") from exc
+    except PrecisionExhausted as exc:
+        # the truncation is in the document, so a larger --prec cannot help
+        raise DocumentError(f"{path}: determinant undetermined: {exc}") from exc
 
 
+def _sized_output(fn):
+    """Turn the interpreter's int-to-str refusal inside a formatter into a
+    DocumentError (exit 2) that names the limit.  The wrapped functions only
+    format values that already exist, so that is the only ValueError there."""
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        try:
+            return fn(*args)
+        except ValueError:
+            raise DocumentError(
+                "a result coefficient has an integer over the output limit of "
+                f"{sys.get_int_max_str_digits()} digits (the interpreter's int-to-str "
+                "conversion limit)"
+            ) from None
+
+    return wrapper
+
+
+@_sized_output
 def matrix_doc(mat: MatK) -> List[List[str]]:
     return [[format_laurent(e) for e in row] for row in mat.rows]
 
 
+@_sized_output
 def element_doc(elem: AffineElement) -> Dict[str, Any]:
     return {
         "n": elem.n,
@@ -151,15 +183,18 @@ def element_doc(elem: AffineElement) -> Dict[str, Any]:
     }
 
 
+@_sized_output
 def group_doc(g: GroupElement) -> Dict[str, Any]:
     return {"z": format_scalar(g.z), "matrix": matrix_doc(g.g)}
 
 
+@_sized_output
 def _label_text(label: OrbitLabel) -> str:
     parts = ",".join(str(p) for p in label.partition)
     return f"partition=[{parts}] k={label.k} level={format_scalar(label.level)}"
 
 
+@_sized_output
 def _label_json(label: OrbitLabel) -> Dict[str, Any]:
     return {
         "partition": list(label.partition),
@@ -354,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="run the bundled invariant suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_positive_int, default=100)
     _add_common(p)
     p.set_defaults(fn=_cmd_selfcheck)
 
@@ -384,6 +419,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except AffnilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # anything else is a bug: one line, no traceback
+        text = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {text}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -425,8 +425,11 @@ def _scan_int(sc: _Scanner, signed: bool = True) -> int:
         sc.fail("expected an integer")
     try:
         return sign * int(digits)
-    except ValueError:  # longer than the interpreter's int conversion limit
+    except ValueError:
         sc.i = start
+        if not digits.isascii():  # such as '²', a digit that int() does not read
+            sc.fail(f"integer literal {digits!r} is not decimal")
+        # longer than the interpreter's int conversion limit
         sc.fail(f"integer literal of {len(digits)} digits is too long")
 
 

@@ -1,22 +1,43 @@
 """Exact linear algebra for square matrices over K.
 
-Matrices whose entries are all exact are handled by fraction-free (Bareiss)
-elimination, so determinants, ranks and kernels of exact matrices come out
-exact, never truncated.  An exact inverse comes from one fraction-free
-Gauss–Jordan pass on [A | I], which yields d·A⁻¹ and d = ±det A together;
-only the final scaling by d⁻¹ can truncate, when d is not a monomial.
+Matrices whose entries are all exact are handled by one fraction-free
+(Bareiss 1968) elimination loop, :func:`_eliminate`, over the dense ring
+Z[i][t] of :mod:`affnil.zipoly`.  Each row enters once: it is multiplied by
+D·t^(-s), where D is the least common denominator of its coefficients and s
+its least exponent, so that its entries become Gaussian-integer
+polynomials.  Every intermediate entry is then a minor of the scaled matrix,
+so each division by the previous pivot is an exact division in Z[i][t], and
+each one checks its remainder (:class:`ExactDivisionError`).  No rational
+number and no gcd appears inside the loop; the results are turned back into
+Laurent elements once, dividing by the product of the D and multiplying by
+t to the sum of the s.  The loop takes a small ring parameter (plain
+polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
+
+* :meth:`MatK.det` (:func:`_det_bareiss`);
+* :func:`det_and_adj_trace`, the same pass over dual numbers;
+* the row echelon form behind :meth:`MatK.rank` and :meth:`MatK.kernel_basis`
+  (:func:`_dense_echelon`), which keeps every row primitive instead of
+  dividing: content 1 and least exponent 0, as :func:`normalize_vector`;
+* :meth:`MatK.inv` (:func:`_inv_bareiss`): Gauss–Jordan on [A | I], which
+  yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
+  truncate, when d is not a monomial.
+
 An exact kernel vector is scaled only by the echelon pivots whose division
 was not exact during its back-substitution, not by the product of all of
 them; divisibility is first tested modulo p (see :mod:`affnil.modp`) and
 then confirmed by an exact division.
 Matrices carrying truncated entries fall back to ordinary division-based
-elimination with tracked precision; an undetermined pivot decision raises
-:class:`PrecisionExhausted` rather than guessing.
+elimination on Laurent elements with tracked precision; an undetermined
+pivot decision raises :class:`PrecisionExhausted` rather than guessing.
 
 Pivoting rule: the eligible entry of least valuation in the current column,
-ties broken by the lowest row index.  The exact inverse is the one exception:
-its result does not depend on the pivots, so it takes the entry with the
-fewest terms, which keeps its exact divisions cheap.
+ties broken by the lowest row index; in dense form an entry's valuation is
+its row's shift plus the index of its first nonzero coefficient.  The
+determinants swap the pivot row up, the echelon form moves it up and keeps
+the order of the rows below.  The exact inverse is the one exception: its
+result does not depend on the pivots, so it takes the entry with the fewest
+terms (then least valuation, then lowest row), which keeps its exact
+divisions cheap.
 """
 
 from __future__ import annotations
@@ -25,7 +46,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import modp
+from . import modp, zipoly
 from .errors import (
     DimensionMismatch,
     ExactDivisionError,
@@ -228,7 +249,7 @@ class MatK:
 
     def det(self, working_prec: int = DEFAULT_WORKING_PREC) -> LaurentElement:
         if self.all_exact():
-            return _det_bareiss([list(r) for r in self.rows])
+            return _det_bareiss(self)
         return _det_division([list(r) for r in self.rows], working_prec)
 
     def inv(self, working_prec: int = DEFAULT_WORKING_PREC) -> "MatK":
@@ -247,8 +268,9 @@ class MatK:
 
     def rank(self) -> int:
         """Rank over K; raises when a pivot decision is undetermined."""
-        ech = _echelon([list(r) for r in self.rows], self.n)
-        return len(ech)
+        if self.all_exact():
+            return len(_dense_echelon(self.rows, self.n))
+        return len(_echelon([list(r) for r in self.rows], self.n))
 
     def kernel_basis(self, working_prec: int = DEFAULT_WORKING_PREC) -> List[Vector]:
         """Basis of the right kernel, one vector per free column.
@@ -323,18 +345,6 @@ def _pick_pivot(
     return None
 
 
-def _pick_short_pivot(entries: List[Tuple[int, LaurentElement]]) -> Optional[int]:
-    """Index of the nonzero exact entry with the fewest terms, ties broken by
-    least valuation and then by position; None when all are zero."""
-    best = None
-    for idx, e in entries:
-        if e.coeffs:
-            key = (len(e.coeffs), min(e.coeffs), idx)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[2]
-
-
 def _exact_quotient(num: LaurentElement, den: LaurentElement) -> Optional[LaurentElement]:
     """num / den when den divides num exactly, else None (both exact, nonzero).
 
@@ -398,7 +408,16 @@ def normalize_vector(v: Vector) -> Vector:
 def _echelon(
     rows: List[List[LaurentElement]], width: int
 ) -> List[Tuple[int, List[LaurentElement]]]:
-    """Fraction-free row echelon; returns (pivot_col, row) in column order."""
+    """Fraction-free row echelon; returns (pivot_col, row) in column order.
+
+    Every row is kept primitive (see :func:`normalize_vector`).  Exact rows
+    go through :func:`_dense_echelon`; the loop below serves truncated ones.
+    """
+    if all(e.prec is None for r in rows for e in r):
+        return [
+            (col, [zipoly.to_laurent(e) for e in row])
+            for col, row in _dense_echelon(rows, width)
+        ]
     active = [normalize_vector(tuple(r)) for r in rows]
     active = [list(r) for r in active]
     result: List[Tuple[int, List[LaurentElement]]] = []
@@ -422,32 +441,6 @@ def _echelon(
         active = nxt
         result.append((col, pivot_row))
     return result
-
-
-def _det_bareiss(m: List[List[LaurentElement]]) -> LaurentElement:
-    """Fraction-free determinant; exact for exact input."""
-    n = len(m)
-    if n == 0:
-        return _L_ONE
-    sign = 1
-    prev = _L_ONE
-    for k in range(n - 1):
-        idx = _pick_pivot([(i, m[i][k]) for i in range(k, n)])
-        if idx is None:
-            return _L_ZERO
-        if idx != k:
-            m[k], m[idx] = m[idx], m[k]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                num = p * m[i][j] - mik * m[k][j]
-                m[i][j] = num if prev.is_one() else num.exact_div(prev)
-            m[i][k] = _L_ZERO
-        prev = p
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
 
 
 def _det_division(
@@ -475,48 +468,6 @@ def _det_division(
                 m[i][j] = m[i][j] - factor * m[k][j]
             m[i][k] = _L_ZERO
     return acc if sign == 1 else -acc
-
-
-def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
-    """Fraction-free Gauss–Jordan on [A | I] for exact A (Bareiss 1968).
-
-    Returns (d, d·A⁻¹) with d = ±det A, the last pivot.  Every intermediate
-    entry is a minor of [A | I], so each division by the previous pivot is
-    exact and the entries stay bounded.  The pivot order only flips the sign
-    of d and d·A⁻¹ together, so the pivots are picked by _pick_short_pivot:
-    a monomial pivot makes the next division a shift instead of a long
-    division.
-    """
-    n = mat.n
-    left = [list(r) for r in mat.rows]
-    right = [
-        [_L_ONE if i == j else _L_ZERO for j in range(n)] for i in range(n)
-    ]
-    prev = _L_ONE
-    for k in range(n):
-        idx = _pick_short_pivot([(i, left[i][k]) for i in range(k, n)])
-        if idx is None:
-            raise Singular("matrix is exactly singular")
-        if idx != k:
-            left[k], left[idx] = left[idx], left[k]
-            right[k], right[idx] = right[idx], right[k]
-        p = left[k][k]
-        divide = not prev.is_one()
-        for i in range(n):
-            if i == k:
-                continue
-            f = left[i][k]
-            # left columns <= k now hold p on the diagonal and zero elsewhere;
-            # they are never read again, so only columns > k are updated
-            for dst, src, start in ((left[i], left[k], k + 1), (right[i], right[k], 0)):
-                for j in range(start, n):
-                    x = dst[j]
-                    num = p * x if x.coeffs else _L_ZERO
-                    if f.coeffs and src[j].coeffs:
-                        num = num - f * src[j]
-                    dst[j] = num.exact_div(prev) if divide and num.coeffs else num
-        prev = p
-    return prev, MatK(right)
 
 
 def _inv_division(mat: MatK, working_prec: int) -> MatK:
@@ -551,6 +502,224 @@ def _inv_division(mat: MatK, working_prec: int) -> MatK:
     return MatK(right)
 
 
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination over Z[i][t] (see :mod:`affnil.zipoly`).
+# ---------------------------------------------------------------------------
+
+
+class _Plain:
+    """Ring operations on polynomials of Z[i][t]."""
+
+    zero: zipoly.Poly = []
+    one: zipoly.Poly = [(1, 0)]
+    mul = staticmethod(zipoly.mul)
+    div = staticmethod(zipoly.exact_div)
+
+    @staticmethod
+    def head(x: zipoly.Poly) -> zipoly.Poly:
+        return x
+
+    @staticmethod
+    def combine(p, x, f, y, prev):
+        """(p·x − f·y) / prev, an exact division; prev None stands for 1."""
+        num = zipoly.mul_sub(p, x, f, y)
+        if prev is None or not num:
+            return num
+        return zipoly.exact_div(num, prev)
+
+
+class _Dual:
+    """Ring operations on dual numbers a + s·b over Z[i][t] (s² = 0), held as
+    (a, b); the pivot rules look at a only."""
+
+    zero = ([], [])
+    one = ([(1, 0)], [])
+
+    @staticmethod
+    def head(x):
+        return x[0]
+
+    @staticmethod
+    def mul(x, y):
+        return zipoly.mul(x[0], y[0]), zipoly.mul_sub(x[0], y[1], zipoly.neg(x[1]), y[0])
+
+    @staticmethod
+    def div(x, y):
+        q = zipoly.exact_div(x[0], y[0])
+        return q, zipoly.exact_div(zipoly.sub(x[1], zipoly.mul(q, y[1])), y[0])
+
+    @staticmethod
+    def combine(p, x, f, y, prev):
+        a = zipoly.mul_sub(p[0], x[0], f[0], y[0])
+        b = zipoly.add(
+            zipoly.mul_sub(p[0], x[1], f[0], y[1]),
+            zipoly.mul_sub(p[1], x[0], f[1], y[0]),
+        )
+        return (a, b) if prev is None else _Dual.div((a, b), prev)
+
+
+_Candidates = List[Tuple[int, int, zipoly.Poly]]
+
+
+def _pick_low(candidates: _Candidates) -> Optional[int]:
+    """Row index of the nonzero entry of least valuation, ties broken by the
+    lowest row; None when all are zero.  A candidate is (row index, row shift,
+    entry), and the entry's valuation is the shift plus its low index."""
+    best = best_val = None
+    for i, shift, f in candidates:
+        if f:
+            val = shift + zipoly.low(f)
+            if best is None or val < best_val:
+                best, best_val = i, val
+    return best
+
+
+def _pick_short(candidates: _Candidates) -> Optional[int]:
+    """Row index of the nonzero entry with the fewest terms, ties broken by
+    least valuation and then by the lowest row; None when all are zero."""
+    best = None
+    for i, shift, f in candidates:
+        if f:
+            key = (zipoly.terms(f), shift + zipoly.low(f), i)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[2]
+
+
+def _eliminate(rows, shifts, steps, ring, pick, *, jordan=False, primitive=False):
+    """Fraction-free elimination (Bareiss 1968) of dense rows, in place.
+
+    For each of the first `steps` columns, `pick` chooses the pivot among the
+    rows not used yet, and that row moves up to the next place: by a swap, or
+    with `primitive` by a rotation that keeps the order of the rows below it.
+    `shifts` holds each row's exponent shift and moves with it.  Every row
+    below the pivot row, and with `jordan` every row above it too, becomes
+    (p·row − f·pivot row) / prev from the next column on, where p is the
+    pivot, f the row's entry in the pivot column and prev the previous pivot.
+    Every entry is then a minor of the input, so every division is exact in
+    Z[i][t], and it is checked.  A row with f = 0 is multiplied by p / prev
+    instead, when that quotient is exact.  With `primitive` the division is
+    replaced by :func:`zipoly.primitive` of the new row and rows with f = 0
+    stay as they are: the row echelon form of :func:`_dense_echelon`.
+
+    Returns (pivot columns, sign of the row permutation, last pivot).  A
+    column without a pivot returns None, unless `primitive`, which skips it.
+    """
+    width = len(rows[0]) if rows else 0
+    zero = ring.zero
+    head = ring.head
+    combine = ring.combine
+    mul = ring.mul
+    sign = 1
+    prev = None
+    cols: List[int] = []
+    for col in range(steps):
+        top = len(cols)
+        idx = pick([(i, shifts[i], head(rows[i][col])) for i in range(top, len(rows))])
+        if idx is None:
+            if primitive:
+                continue
+            return None
+        if primitive:
+            rows.insert(top, rows.pop(idx))
+            shifts.insert(top, shifts.pop(idx))
+        elif idx != top:
+            rows[top], rows[idx] = rows[idx], rows[top]
+            shifts[top], shifts[idx] = shifts[idx], shifts[top]
+            sign = -sign
+        pivot_row = rows[top]
+        p = pivot_row[col]
+        # a row with f = 0 only becomes p·row / prev: scale it by the quotient
+        # when prev divides p, which spares a division per entry
+        scale = None
+        if not primitive:
+            try:
+                scale = p if prev is None else ring.div(p, prev)
+            except ExactDivisionError:
+                pass
+        for i in range(0 if jordan else top + 1, len(rows)):
+            if i == top:
+                continue
+            row = rows[i]
+            f = row[col]
+            f_zero = f == zero
+            if f_zero and primitive:
+                continue
+            if f_zero and scale is not None:
+                if scale != ring.one:
+                    for j in range(col + 1, width):
+                        if row[j] != zero:
+                            row[j] = mul(scale, row[j])
+                continue
+            for j in range(col + 1, width):
+                x = row[j]
+                # (p·0 − f·y) / prev is 0 when f·y is: most entries, when sparse
+                if x == zero and (f_zero or pivot_row[j] == zero):
+                    continue
+                row[j] = combine(p, x, f, pivot_row[j], prev)
+            row[col] = zero
+            if primitive:
+                rows[i] = zipoly.primitive(row)
+        if not primitive:
+            prev = p
+        cols.append(col)
+    return cols, sign, prev
+
+
+def _dense_rows(rows):
+    """Each row as D·t^(-s)·row over Z[i][t]: (the D, the s, the rows)."""
+    scaled = [zipoly.from_row(r) for r in rows]
+    return [d for d, _, _ in scaled], [s for _, s, _ in scaled], [f for _, _, f in scaled]
+
+
+def _dense_echelon(
+    rows: Sequence[Sequence[LaurentElement]], width: int
+) -> List[Tuple[int, List[zipoly.Poly]]]:
+    """Row echelon of exact rows over Z[i][t], every row primitive with least
+    exponent 0: (pivot column, row) in column order."""
+    dense = [zipoly.primitive(zipoly.from_row(r)[2]) for r in rows]
+    cols, _, _ = _eliminate(dense, [0] * len(dense), width, _Plain, _pick_low, primitive=True)
+    return list(zip(cols, dense))
+
+
+def _det_bareiss(mat: MatK) -> LaurentElement:
+    """Fraction-free determinant of an exact matrix."""
+    n = mat.n
+    if n == 0:
+        return _L_ONE
+    dens, shifts, rows = _dense_rows(mat.rows)
+    shift = sum(shifts)
+    done = _eliminate(rows, shifts, n - 1, _Plain, _pick_low)
+    if done is None:
+        return _L_ZERO
+    return zipoly.to_laurent(rows[-1][-1], shift, done[1] * math.prod(dens))
+
+
+def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
+    """Fraction-free Gauss–Jordan on [A | I] for exact A (Bareiss 1968).
+
+    Returns (d, d·A⁻¹) with d = ±det A, the last pivot.  The pivot order only
+    flips the sign of d and d·A⁻¹ together, so the pivots are picked by
+    :func:`_pick_short`: a monomial pivot makes the next division a shift
+    instead of a long division.  Row r of [A | I] enters scaled by its
+    denominator D and by t^(-s), with s its least exponent (at most 0, since
+    the row holds a 1), so the whole pass stays in Z[i][t].
+    """
+    n = mat.n
+    if n == 0:
+        return _L_ONE, mat
+    unit = MatK.identity(n).rows
+    dens, shifts, rows = _dense_rows([r + u for r, u in zip(mat.rows, unit)])
+    shift, den = sum(shifts), math.prod(dens)
+    done = _eliminate(rows, shifts, n, _Plain, _pick_short, jordan=True)
+    if done is None:
+        raise Singular("matrix is exactly singular")
+    right = [[zipoly.to_laurent(e, shift, den) for e in r[n:]] for r in rows]
+    return zipoly.to_laurent(done[2], shift, den), MatK(right)
+
+
 # ---------------------------------------------------------------------------
 # Dual-number determinant: det(P + s*M) mod s^2 = det(P) + s*tr(adj(P) M).
 # One fraction-free elimination produces both the determinant of P and the
@@ -565,41 +734,12 @@ def det_and_adj_trace(
     if not (p_mat.all_exact() and m_mat.all_exact()):
         raise PrecisionExhausted("dual-number determinant needs exact matrices")
     n = p_mat.n
-    m = [
-        [(p_mat.rows[i][j], m_mat.rows[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    zero_pair = (_L_ZERO, _L_ZERO)
-
-    def mul(x, y):
-        return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
-
-    def sub(x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def div(x, y):
-        q = x[0].exact_div(y[0])
-        r = (x[1] - q * y[1]).exact_div(y[0])
-        return (q, r)
-
-    sign = 1
-    prev = (_L_ONE, _L_ZERO)
-    for k in range(n - 1):
-        idx = _pick_pivot([(i, m[i][k][0]) for i in range(k, n)])
-        if idx is None:
-            raise Singular("matrix is exactly singular")
-        if idx != k:
-            m[k], m[idx] = m[idx], m[k]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                num = sub(mul(p, m[i][j]), mul(mik, m[k][j]))
-                m[i][j] = num if prev[0].is_one() and not prev[1].coeffs else div(num, prev)
-            m[i][k] = zero_pair
-        prev = p
-    det, adj_tr = m[n - 1][n - 1]
-    if sign == -1:
-        det, adj_tr = -det, -adj_tr
-    return det, adj_tr
+    dens, shifts, flat = _dense_rows([p + m for p, m in zip(p_mat.rows, m_mat.rows)])
+    shift, den = sum(shifts), math.prod(dens)
+    rows = [list(zip(r[:n], r[n:])) for r in flat]
+    done = _eliminate(rows, shifts, n - 1, _Dual, _pick_low)
+    if done is None:
+        raise Singular("matrix is exactly singular")
+    det, adj_tr = rows[-1][-1]
+    den *= done[1]
+    return zipoly.to_laurent(det, shift, den), zipoly.to_laurent(adj_tr, shift, den)

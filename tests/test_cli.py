@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+import affnil.cli
 import affnil.laurent
 from affnil import parse_laurent, parse_scalar
 from affnil.cli import main
@@ -263,6 +265,35 @@ def test_overlong_integer_literal_exits_2(tmp_path, capsys):
     assert "too long" in _one_line_error(capsys)
 
 
+def test_act_result_over_the_output_digit_limit_exits_2(tmp_path, capsys):
+    # both inputs are in the limits; their product has 10^6000 in it
+    big = "1" + "0" * 3000 + "*t"
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "0"], [big, "0"]]})
+    group = write(tmp_path, "group.json", {"matrix": [["1", big], ["0", "1"]]})
+    assert main(["act", group, elem]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"output limit of {sys.get_int_max_str_digits()} digits" in err
+    # the same product at 10^1000 prints
+    small = "1" + "0" * 1000 + "*t"
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "0"], [small, "0"]]})
+    group = write(tmp_path, "group.json", {"matrix": [["1", small], ["0", "1"]]})
+    assert main(["act", group, elem]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["matrix"][0][0] == "1" + "0" * 2000 + "*t^2"
+
+
+def test_unexpected_exception_exits_70_on_one_line(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(affnil.cli, "classify", broken)
+    path = write(tmp_path, "elem.json", canonical_d42_doc())
+    assert main(["classify", path]) == 70
+    err = _one_line_error(capsys)
+    assert err == "error: internal error: RuntimeError: first line second line\n"
+
+
 def test_bracket_with_central_element(tmp_path, capsys):
     a = write(tmp_path, "a.json", {"n": 2, "matrix": [["0", "0"], ["0", "0"]], "c": "3"})
     b = write(tmp_path, "b.json", {"n": 2, "matrix": [["0", "t"], ["t^-1", "0"]]})
@@ -331,6 +362,14 @@ def test_selfcheck_passes(capsys):
     assert main(["selfcheck", "--cases", "8", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert "all suites passed" in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-1", "two"])
+def test_selfcheck_cases_must_be_a_positive_integer(cases, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", "--cases", cases])
+    assert exc.value.code == 2
+    assert "argument --cases:" in capsys.readouterr().err
 
 
 def test_selfcheck_deterministic(capsys):

@@ -15,11 +15,15 @@ from affnil import (
 )
 from affnil.affine import adjoint_act
 from affnil.laurent import DEFAULT_WORKING_PREC
+from affnil import zipoly
+from affnil.errors import ExactDivisionError
 from affnil.matk import (
     _echelon,
     _exact_quotient,
+    _inv_bareiss,
+    _pick_low,
     _pick_pivot,
-    _pick_short_pivot,
+    _pick_short,
     det_and_adj_trace,
     normalize_vector,
 )
@@ -209,13 +213,24 @@ def test_inv_oracle_with_row_swap_and_non_monomial_det():
     assert (swap_generic * truncated - MatK.identity(3)).is_zero_3v() is not False
 
 
+def _dense_column(column):
+    """Pivot candidates (row, shift, entry) of a column of Laurent entries,
+    each entry being the whole of its row."""
+    out = []
+    for i, e in column:
+        _, shift, (f,) = zipoly.from_row([e])
+        out.append((i, shift, f))
+    return out
+
+
 def test_exact_inverse_takes_the_shortest_pivot():
     # the least-valuation entry of column 0 is a binomial, the shortest is 1
     column = [(0, lp("t^-2 + 1")), (1, lp("0")), (2, lp("3*t")), (3, lp("t^-1 + t"))]
     assert _pick_pivot(column) == 0
-    assert _pick_short_pivot(column) == 2
-    assert _pick_short_pivot([(0, lp("t + 1")), (1, lp("t^-1 + 1"))]) == 1
-    assert _pick_short_pivot([(0, lp("0")), (1, lp("0"))]) is None
+    assert _pick_low(_dense_column(column)) == 0
+    assert _pick_short(_dense_column(column)) == 2
+    assert _pick_short(_dense_column([(0, lp("t + 1")), (1, lp("t^-1 + 1"))])) == 1
+    assert _pick_short(_dense_column([(0, lp("0")), (1, lp("0"))])) is None
     for g in (
         mat([["t^-2 + 1", "1", "0"], ["1", "0", "t"], ["0", "t^-1", "1"]]),
         mat([["t^-2 + 1", "1", "0"], ["3*t", "1 + t", "0"], ["t^-1 + t", "0", "2"]]),
@@ -498,3 +513,257 @@ def test_det_and_adj_trace_matches_direct_formula():
         direct = (p.inv(32) * m).trace()
         scaled = adj_tr * det.inv(32)
         assert (direct - scaled).is_zero_3v() is not False
+
+
+# -- the dense kernel against the Laurent-element loops it replaced ----------------
+#
+# The oracles below are the fraction-free loops that ran on LaurentElement
+# entries before elimination moved onto Z[i][t].  Their pivot rules are the
+# ones the dense kernel must keep, so their results are the reference byte
+# for byte: the same determinant, the same echelon rows, the same sign of d.
+
+
+def _oracle_pick_short(entries):
+    best = None
+    for idx, e in entries:
+        if e.coeffs:
+            key = (len(e.coeffs), min(e.coeffs), idx)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[2]
+
+
+def _oracle_det(m: MatK) -> LaurentElement:
+    rows = [list(r) for r in m.rows]
+    n = len(rows)
+    if n == 0:
+        return lp("1")
+    sign = 1
+    prev = lp("1")
+    for k in range(n - 1):
+        idx = _pick_pivot([(i, rows[i][k]) for i in range(k, n)])
+        if idx is None:
+            return lp("0")
+        if idx != k:
+            rows[k], rows[idx] = rows[idx], rows[k]
+            sign = -sign
+        p = rows[k][k]
+        for i in range(k + 1, n):
+            mik = rows[i][k]
+            for j in range(k + 1, n):
+                num = p * rows[i][j] - mik * rows[k][j]
+                rows[i][j] = num if prev.is_one() else num.exact_div(prev)
+            rows[i][k] = lp("0")
+        prev = p
+    d = rows[n - 1][n - 1]
+    return d if sign == 1 else -d
+
+
+def _oracle_dual_det(p_mat: MatK, m_mat: MatK):
+    n = p_mat.n
+    rows = [[(p_mat.rows[i][j], m_mat.rows[i][j]) for j in range(n)] for i in range(n)]
+
+    def mul(x, y):
+        return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
+
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    def div(x, y):
+        q = x[0].exact_div(y[0])
+        return (q, (x[1] - q * y[1]).exact_div(y[0]))
+
+    sign = 1
+    prev = (lp("1"), lp("0"))
+    for k in range(n - 1):
+        idx = _pick_pivot([(i, rows[i][k][0]) for i in range(k, n)])
+        if idx is None:
+            raise Singular("matrix is exactly singular")
+        if idx != k:
+            rows[k], rows[idx] = rows[idx], rows[k]
+            sign = -sign
+        p = rows[k][k]
+        for i in range(k + 1, n):
+            mik = rows[i][k]
+            for j in range(k + 1, n):
+                num = sub(mul(p, rows[i][j]), mul(mik, rows[k][j]))
+                rows[i][j] = num if prev[0].is_one() and not prev[1].coeffs else div(num, prev)
+            rows[i][k] = (lp("0"), lp("0"))
+        prev = p
+    det, adj_tr = rows[n - 1][n - 1]
+    return (det, adj_tr) if sign == 1 else (-det, -adj_tr)
+
+
+def _oracle_echelon(rows, width):
+    active = [list(normalize_vector(tuple(r))) for r in rows]
+    result = []
+    for col in range(width):
+        idx = _pick_pivot([(i, r[col]) for i, r in enumerate(active)])
+        if idx is None:
+            continue
+        pivot_row = active.pop(idx)
+        p = pivot_row[col]
+        nxt = []
+        for r in active:
+            rc = r[col]
+            if rc.is_zero_3v() is True:
+                nxt.append(r)
+                continue
+            new_r = [p * r[j] - rc * pivot_row[j] if j > col else lp("0") for j in range(width)]
+            nxt.append(list(normalize_vector(tuple(new_r))))
+        active = nxt
+        result.append((col, pivot_row))
+    return result
+
+
+def _oracle_kernel(m: MatK):
+    """MatK.kernel_basis's back-substitution on the oracle echelon."""
+    n = m.n
+    ech = _oracle_echelon([list(r) for r in m.rows], n)
+    pivot_cols = [c for c, _ in ech]
+    basis = []
+    for f in (c for c in range(n) if c not in pivot_cols):
+        v = [lp("0")] * n
+        v[f] = lp("1")
+        for c, row in reversed(ech):
+            acc = lp("0")
+            for j in range(c + 1, n):
+                acc = acc + row[j] * v[j]
+            if acc.coeffs:
+                q = _exact_quotient(-acc, row[c])
+                if q is None:
+                    v = [e * row[c] for e in v]
+                    q = -acc
+                v[c] = q
+        basis.append(normalize_vector(tuple(v)))
+    return basis
+
+
+def _oracle_inv_bareiss(m: MatK):
+    n = m.n
+    left = [list(r) for r in m.rows]
+    right = [list(r) for r in MatK.identity(n).rows]
+    prev = lp("1")
+    for k in range(n):
+        idx = _oracle_pick_short([(i, left[i][k]) for i in range(k, n)])
+        if idx is None:
+            raise Singular("matrix is exactly singular")
+        if idx != k:
+            left[k], left[idx] = left[idx], left[k]
+            right[k], right[idx] = right[idx], right[k]
+        p = left[k][k]
+        for i in range(n):
+            if i == k:
+                continue
+            f = left[i][k]
+            for dst, src, start in ((left[i], left[k], k + 1), (right[i], right[k], 0)):
+                for j in range(start, n):
+                    num = p * dst[j] - f * src[j]
+                    dst[j] = num if prev.is_one() or not num.coeffs else num.exact_div(prev)
+        prev = p
+    return prev, MatK(right)
+
+
+_COEFS = ["(1)", "(-1)", "(2)", "(1/2)", "(-3/2)", "(1+i)", "(1/2-i)", "(2i)", f"(1/{P})"]
+
+
+def _random_entry(rng: random.Random, density: float = 1.0):
+    if rng.random() > density:
+        return lp("0")
+    text = " + ".join(
+        f"{rng.choice(_COEFS[:-1])}*t^{rng.randint(-2, 2)}" for _ in range(rng.randint(1, 2))
+    )
+    return lp(text)
+
+
+def _oracle_matrices(rng: random.Random, n: int):
+    """Seeded exact n x n matrices: generic, a forced row swap, rank n - 1,
+    p in a denominator, and a product of shears (det 1)."""
+    density = min(1.0, 2.5 / n)
+    generic = [[_random_entry(rng, density) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        generic[i][i] = _random_entry(rng)
+    yield "generic", MatK(generic)
+    swap = [list(r) for r in MatK(generic).rows]
+    swap[0][0] = lp("t^5 + (1+i)*t^6")
+    swap[n - 1][0] = lp("1/2*t^-4 - t^2")
+    yield "swap", MatK(swap)
+    if n >= 2:
+        low_rank = [list(r) for r in swap]
+        f = _random_entry(rng)
+        low_rank[n - 1] = [a + f * b for a, b in zip(low_rank[0], low_rank[n - 2])]
+        yield "rank n-1", MatK(low_rank)
+    with_p = [list(r) for r in generic]
+    i, j = rng.randrange(n), rng.randrange(n)
+    with_p[i][j] = with_p[i][j] + lp(f"1/{P}*t^-1 + (2/{P}+i)*t")
+    yield "p denominator", MatK(with_p)
+    yield "shears", _shear_product(rng, n, 3) if n >= 2 else mat([["2*t^-3"]])
+
+
+def test_dense_kernel_matches_the_laurent_loops():
+    rng = random.Random(2024)
+    swaps = 0
+    for n in range(1, 9):
+        for kind, m in _oracle_matrices(rng, n):
+            where = (n, kind)
+            det = m.det()
+            assert det == _oracle_det(m), where
+            assert det.prec is None
+            rows = [list(r) for r in m.rows]
+            ech = _oracle_echelon(rows, n)
+            assert _echelon(rows, n) == ech, where
+            assert m.rank() == len(ech), where
+            assert m.kernel_basis() == _oracle_kernel(m), where
+            if kind == "rank n-1":
+                assert len(ech) == n - 1 and not det.coeffs
+            direction = MatK([[_random_entry(rng, 0.5) for _ in range(n)] for _ in range(n)])
+            try:
+                expected = _oracle_dual_det(m, direction)
+            except Singular:
+                with pytest.raises(Singular):
+                    det_and_adj_trace(m, direction)
+            else:
+                assert det_and_adj_trace(m, direction) == expected, where
+            try:
+                d, scaled = _oracle_inv_bareiss(m)
+            except Singular:
+                assert not det.coeffs
+                with pytest.raises(Singular):
+                    m.inv()
+                continue
+            assert _inv_bareiss(m) == (d, scaled), where
+            if n <= 4 or kind == "shears":
+                assert m.inv() == scaled.scale(d.inv(DEFAULT_WORKING_PREC)), where
+            if kind == "shears":
+                assert m.inv().all_exact()
+            first = [r[0].order() if r[0].coeffs else None for r in m.rows]
+            swaps += kind == "swap" and first.index(min(e for e in first if e is not None)) != 0
+    assert swaps >= 6
+
+
+def test_dense_kernel_raises_on_an_inexact_division(monkeypatch):
+    # a wrong previous pivot makes the next division leave a remainder
+    m = mat([["t + 1", "1", "0"], ["1", "t", "1"], ["0", "1", "t + 2"]])
+    real = zipoly.exact_div
+
+    def off_by_one(num, den):
+        return real(num, zipoly.add(den, [(1, 0)]))
+
+    monkeypatch.setattr(zipoly, "exact_div", off_by_one)
+    with pytest.raises(ExactDivisionError):
+        m.det()
+    with pytest.raises(ExactDivisionError):
+        m.inv()
+
+
+def test_dense_kernel_singular_cases():
+    zero_col = mat([["0", "1", "t"], ["0", "t", "1"], ["0", "1", "1"]])
+    assert zero_col.det() == lp("0")
+    with pytest.raises(Singular):
+        zero_col.inv()
+    with pytest.raises(Singular):
+        det_and_adj_trace(zero_col, MatK.identity(3))
+    # singular only in the last column: the dual pass still returns adj
+    last = mat([["1", "0"], ["0", "0"]])
+    assert det_and_adj_trace(last, mat([["0", "0"], ["0", "t"]])) == (lp("0"), lp("t"))
+    assert MatK.zero(0).det() == lp("1")
