@@ -51,7 +51,6 @@ from .laurent import (
 from .matk import MatK
 from .normalform import OrbitLabel, read_quasi_jordan
 from .orbits import classify, conjugator_quasi_jordan, enumerate_orbits
-from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_SELFCHECK = 1
@@ -301,6 +300,8 @@ def _cmd_conjugator(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck  # only this subcommand needs it
+
     report, ok = run_selfcheck(args.seed, args.cases, args.prec)
     total_failures = 0
     for name, (count, failures) in report.items():

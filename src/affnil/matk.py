@@ -22,12 +22,14 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
   yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
   truncate, when d is not a monomial.
 
-An exact kernel vector is scaled only by the echelon pivots whose division
-was not exact during its back-substitution, not by the product of all of
-them; divisibility is first tested modulo p (see :mod:`affnil.modp`) and
-then confirmed by an exact division.
+Exact kernel vectors are back-substituted on the dense echelon rows too
+(:func:`_dense_kernel`), and each is scaled only by the echelon pivots that
+do not divide during its back-substitution, not by the product of all of
+them; whether a pivot divides is one exact division in Z[i][t].
 Matrices carrying truncated entries fall back to ordinary division-based
-elimination on Laurent elements with tracked precision; an undetermined
+elimination on Laurent elements with tracked precision: one Gauss–Jordan
+loop (:func:`_gauss_jordan`) gives the determinant and the inverse, and one
+echelon loop (:func:`_echelon`) the rank and the kernel.  An undetermined
 pivot decision raises :class:`PrecisionExhausted` rather than guessing.
 
 Pivoting rule: the eligible entry of least valuation in the current column,
@@ -46,7 +48,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import modp, zipoly
+from . import zipoly
 from .errors import (
     DimensionMismatch,
     ExactDivisionError,
@@ -60,9 +62,6 @@ Vector = Tuple[LaurentElement, ...]
 
 _L_ZERO = LaurentElement.zero()
 _L_ONE = LaurentElement.one()
-
-# widest numerator whose divisibility is tested in F_p[t], as a dense list
-_GATE_MAX_SPAN = 1 << 16
 
 
 class MatK:
@@ -250,7 +249,7 @@ class MatK:
     def det(self, working_prec: int = DEFAULT_WORKING_PREC) -> LaurentElement:
         if self.all_exact():
             return _det_bareiss(self)
-        return _det_division([list(r) for r in self.rows], working_prec)
+        return _gauss_jordan(self, working_prec, inverse=False)
 
     def inv(self, working_prec: int = DEFAULT_WORKING_PREC) -> "MatK":
         """Inverse; exact entries whenever the input is exact with a monomial det.
@@ -264,31 +263,29 @@ class MatK:
         if self.all_exact():
             d, scaled = _inv_bareiss(self)
             return scaled.scale(d.inv(working_prec))
-        return _inv_division(self, working_prec)
+        inverse = _gauss_jordan(self, working_prec, inverse=True)
+        if inverse is None:
+            raise Singular("matrix is exactly singular")
+        return inverse
 
     def rank(self) -> int:
         """Rank over K; raises when a pivot decision is undetermined."""
-        if self.all_exact():
-            return len(_dense_echelon(self.rows, self.n))
-        return len(_echelon([list(r) for r in self.rows], self.n))
+        return _rank(self.rows, self.n)
 
     def kernel_basis(self, working_prec: int = DEFAULT_WORKING_PREC) -> List[Vector]:
         """Basis of the right kernel, one vector per free column.
 
-        For exact matrices the vectors are exact: the echelon step is
-        fraction-free, and back-substitution starts from 1 at the free
-        coordinate and divides by a pivot only where the division is exact
-        (see :func:`_exact_quotient`).  Where it is not, the vector built so
-        far is scaled by that pivot instead, so a vector carries only the
-        pivots it needs rather than the product of all of them.
+        For exact matrices the vectors are exact and carry only the echelon
+        pivots they need (see :func:`_dense_kernel`).  Truncated matrices
+        divide by each pivot at ``working_prec``.
         """
         n = self.n
-        ech = _echelon([list(r) for r in self.rows], n)
+        if self.all_exact():
+            return _dense_kernel(_dense_echelon(self.rows, n), n)
+        ech = _echelon(self.rows, n)
         pivot_cols = [c for c, _ in ech]
-        free_cols = [c for c in range(n) if c not in pivot_cols]
-        exact = all(e.prec is None for _, row in ech for e in row)
         basis: List[Vector] = []
-        for f in free_cols:
+        for f in (c for c in range(n) if c not in pivot_cols):
             v: List[LaurentElement] = [_L_ZERO] * n
             v[f] = _L_ONE
             for c, row in reversed(ech):
@@ -298,16 +295,7 @@ class MatK:
                     vj = v[j]
                     if (rj.coeffs or rj.prec is not None) and (vj.coeffs or vj.prec is not None):
                         acc = acc + rj * vj
-                if not exact:
-                    v[c] = (-acc) * row[c].inv(working_prec)
-                elif acc.coeffs:
-                    q = _exact_quotient(-acc, row[c])
-                    if q is None:
-                        # v[c] = -acc / row[c] after scaling everything by row[c]
-                        p = row[c]
-                        v = [e * p if e.coeffs else e for e in v]
-                        q = -acc
-                    v[c] = q
+                v[c] = (-acc) * row[c].inv(working_prec)
             basis.append(normalize_vector(tuple(v)))
         return basis
 
@@ -345,34 +333,6 @@ def _pick_pivot(
     return None
 
 
-def _exact_quotient(num: LaurentElement, den: LaurentElement) -> Optional[LaurentElement]:
-    """num / den when den divides num exactly, else None (both exact, nonzero).
-
-    A monomial den always divides.  Otherwise a long division is tried only
-    when den divides num in F_p[t] under both images of i; that is necessary
-    when p divides no denominator and neither end coefficient of den, and a
-    failed long division is far dearer than the test.  The quotient is
-    accepted only from :meth:`LaurentElement.exact_div`, which raises on a
-    remainder.  Every case the test cannot decide, and every num wider than
-    _GATE_MAX_SPAN exponents (the test holds it densely), answers None, which
-    is always safe for the caller.
-    """
-    if len(den.coeffs) > 1:
-        if max(num.coeffs) - min(num.coeffs) > _GATE_MAX_SPAN:
-            return None
-        for root in modp.SQRTS_OF_MINUS_ONE:
-            den_p = modp.coeffs_mod_p(den, root)
-            if den_p is None or not den_p[0] or not den_p[-1]:
-                return None
-            num_p = modp.coeffs_mod_p(num, root)
-            if num_p is None or not modp.divides_mod_p(num_p, den_p):
-                return None
-    try:
-        return num.exact_div(den)
-    except ExactDivisionError:
-        return None
-
-
 def vector_content(v: Vector) -> Optional[Tuple[GaussianRational, int]]:
     """(c, e) with v = c·t^e·w, where the real and imaginary parts of w's
     coefficients are integers with gcd 1 and w's least exponent is 0.
@@ -406,20 +366,12 @@ def normalize_vector(v: Vector) -> Vector:
 
 
 def _echelon(
-    rows: List[List[LaurentElement]], width: int
+    rows: Sequence[Sequence[LaurentElement]], width: int
 ) -> List[Tuple[int, List[LaurentElement]]]:
-    """Fraction-free row echelon; returns (pivot_col, row) in column order.
-
-    Every row is kept primitive (see :func:`normalize_vector`).  Exact rows
-    go through :func:`_dense_echelon`; the loop below serves truncated ones.
-    """
-    if all(e.prec is None for r in rows for e in r):
-        return [
-            (col, [zipoly.to_laurent(e) for e in row])
-            for col, row in _dense_echelon(rows, width)
-        ]
-    active = [normalize_vector(tuple(r)) for r in rows]
-    active = [list(r) for r in active]
+    """Fraction-free row echelon of rows carrying truncated entries (exact
+    ones use :func:`_dense_echelon`); returns (pivot_col, row) in column
+    order.  Every exact row is kept primitive (see :func:`normalize_vector`)."""
+    active = [list(normalize_vector(tuple(r))) for r in rows]
     result: List[Tuple[int, List[LaurentElement]]] = []
     for col in range(width):
         idx = _pick_pivot([(i, r[col]) for i, r in enumerate(active)])
@@ -443,51 +395,48 @@ def _echelon(
     return result
 
 
-def _det_division(
-    m: List[List[LaurentElement]], working_prec: int
-) -> LaurentElement:
-    n = len(m)
-    sign = 1
-    acc = _L_ONE
-    for k in range(n):
-        idx = _pick_pivot([(i, m[i][k]) for i in range(k, n)])
-        if idx is None:
-            return _L_ZERO
-        if idx != k:
-            m[k], m[idx] = m[idx], m[k]
-            sign = -sign
-        p = m[k][k]
-        acc = acc * p
-        pinv = p.inv(working_prec)
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            if mik.is_zero_3v() is True:
-                continue
-            factor = mik * pinv
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - factor * m[k][j]
-            m[i][k] = _L_ZERO
-    return acc if sign == 1 else -acc
+def _rank(rows: Sequence[Sequence[LaurentElement]], width: int) -> int:
+    """Rank over K of rows of length width; raises when a pivot decision is
+    undetermined."""
+    if all(e.prec is None for r in rows for e in r):
+        return len(_dense_echelon(rows, width))
+    return len(_echelon(rows, width))
 
 
-def _inv_division(mat: MatK, working_prec: int) -> MatK:
+def _gauss_jordan(mat: MatK, working_prec: int, inverse: bool):
+    """Division-based Gauss–Jordan on [A | I] for truncated A.
+
+    With `inverse`, returns A⁻¹, or None when A is exactly singular.
+    Without it, returns det A, the signed product of the pivots; the I half
+    is then left empty and only the rows below each pivot are reduced, which
+    is all the determinant needs.
+    """
     n = mat.n
     left = [list(r) for r in mat.rows]
     right = [
-        [_L_ONE if i == j else _L_ZERO for j in range(n)] for i in range(n)
+        [_L_ONE if i == j else _L_ZERO for j in range(n)] if inverse else []
+        for i in range(n)
     ]
+    sign = 1
+    det = _L_ONE
     for k in range(n):
         idx = _pick_pivot([(i, left[i][k]) for i in range(k, n)])
         if idx is None:
-            raise Singular("matrix is exactly singular")
+            return None if inverse else _L_ZERO
         if idx != k:
             left[k], left[idx] = left[idx], left[k]
             right[k], right[idx] = right[idx], right[k]
-        pinv = left[k][k].inv(working_prec)
-        left[k] = [e * pinv for e in left[k]]
-        left[k][k] = _L_ONE
-        right[k] = [e * pinv for e in right[k]]
-        for i in range(n):
+            sign = -sign
+        p = left[k][k]
+        if not inverse:
+            det = det * p
+        pinv = p.inv(working_prec)
+        # the entries before the pivot are exactly zero, and so stay
+        left[k] = left[k][:k] + [_L_ONE] + [
+            e * pinv if e.coeffs or e.prec is not None else e for e in left[k][k + 1:]
+        ]
+        right[k] = [e * pinv if e.coeffs or e.prec is not None else e for e in right[k]]
+        for i in range(0 if inverse else k + 1, n):
             if i == k:
                 continue
             f = left[i][k]
@@ -499,9 +448,9 @@ def _inv_division(mat: MatK, working_prec: int) -> MatK:
             left[i][k] = _L_ZERO
             right[i] = [x - f * y if y.coeffs or y.prec is not None else x
                         for x, y in zip(right[i], right[k])]
-    return MatK(right)
-
-
+    if inverse:
+        return MatK(right)
+    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +631,51 @@ def _dense_echelon(
     dense = [zipoly.primitive(zipoly.from_row(r)[2]) for r in rows]
     cols, _, _ = _eliminate(dense, [0] * len(dense), width, _Plain, _pick_low, primitive=True)
     return list(zip(cols, dense))
+
+
+def _dense_kernel(ech: List[Tuple[int, List[zipoly.Poly]]], width: int) -> List[Vector]:
+    """Kernel basis of a dense echelon form, one vector per free column.
+
+    Back-substitution starts from 1 at the free coordinate.  Each pivot is
+    written c·t^lo·h, with c its content over Z[i] and h primitive; by
+    Gauss's lemma the pivot divides the accumulated entry over K exactly when
+    h divides it in Z[i][t].  Then the vector is scaled by the rational
+    integer N(c) = c·conj(c) and by t^lo, and the new entry is
+    −conj(c)·(acc / h); otherwise the vector is scaled by the pivot itself.
+    Both scalings keep the vector a positive rational multiple of t^k times
+    the one that divides over K where it can, so the final
+    :func:`zipoly.primitive` gives what :func:`normalize_vector` gives there.
+    A vector thus carries only the pivots it needs, not their product.
+    """
+    pivot_cols = [c for c, _ in ech]
+    free_cols = [c for c in range(width) if c not in pivot_cols]
+    if not free_cols:
+        return []
+    pivots = []  # per echelon row: (h, −conj(c), N(c)·t^lo)
+    for c, row in ech:
+        lo = zipoly.low(row[c])
+        a, b = zipoly.content(row[c])
+        h = zipoly.exact_div(row[c][lo:], [(a, b)])
+        pivots.append((h, [(-a, b)], [(0, 0)] * lo + [(a * a + b * b, 0)]))
+    basis: List[Vector] = []
+    for f in free_cols:
+        v: List[zipoly.Poly] = [[] for _ in range(width)]
+        v[f] = [(1, 0)]
+        for (c, row), (h, neg_conj, scale) in zip(reversed(ech), reversed(pivots)):
+            acc = zipoly.dot(row[c + 1:], v[c + 1:])
+            if not acc:
+                continue
+            try:
+                q = zipoly.exact_div(acc, h)
+            except ExactDivisionError:
+                factor, entry = row[c], zipoly.neg(acc)
+            else:
+                factor, entry = scale, zipoly.mul(neg_conj, q)
+            if factor != [(1, 0)]:
+                v = [zipoly.mul(e, factor) for e in v]
+            v[c] = entry
+        basis.append(tuple(zipoly.to_laurent(e) for e in zipoly.primitive(v)))
+    return basis
 
 
 def _det_bareiss(mat: MatK) -> LaurentElement:

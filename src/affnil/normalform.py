@@ -22,7 +22,9 @@ independent set stays independent over K.  A false dependence there is rare
 only under a certificate: the heights sum to n, the chain vectors have rank n
 at the point (so det P != 0), and x P = P J holds exactly.  Otherwise the next
 point is tried.  When no point certifies, when p divides a denominator, and
-for truncated input, the tops are chosen by exact elimination over K.
+for truncated input, each independence answer is a rank over K from the
+echelon form of :mod:`affnil.matk`, which is dense and fraction-free for
+exact input.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .gaussian import GR_ONE, GaussianRational
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
-from .matk import MatK, Vector, normalize_vector, vector_content
+from .matk import MatK, Vector, _rank, vector_content
 from . import modp
 
 _L_ZERO = LaurentElement.zero()
@@ -214,38 +216,18 @@ def nilpotent_powers(x: MatK) -> List[MatK]:
 
 
 class _Echelon:
-    """Incremental independence test over K (leftmost-pivot echelon)."""
+    """Incremental independence test over K, by the rank of the rows kept."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: List[Tuple[int, Vector]] = []
+        self.rows: List[Vector] = []
 
     def add(self, v: Vector) -> bool:
-        """Reduce v; if independent of the stored rows, insert and return True."""
-        vec = list(v)
-        for col, row in self.rows:
-            e = vec[col]
-            z = e.is_zero_3v()
-            if z is True:
-                continue
-            if z is None:
-                raise PrecisionExhausted("independence test undetermined")
-            p = row[col]
-            vec = [p * vec[j] - e * row[j] for j in range(self.width)]
-            vec[col] = _L_ZERO
-        pivot = None
-        for j in range(self.width):
-            z = vec[j].is_zero_3v()
-            if z is False:
-                pivot = j
-                break
-            if z is None:
-                raise PrecisionExhausted("independence test undetermined")
-        if pivot is None:
+        """Keep v and return True when it is independent of the rows kept."""
+        rows = self.rows + [v]
+        if _rank(rows, self.width) == len(self.rows):
             return False
-        reduced = normalize_vector(tuple(vec))
-        self.rows.append((pivot, reduced))
-        self.rows.sort(key=lambda item: item[0])
+        self.rows = rows
         return True
 
 

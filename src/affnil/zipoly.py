@@ -13,6 +13,9 @@ products and exact divisions touch integers only: no coefficient is reduced
 to lowest terms and no gcd is taken.  That is what makes the fraction-free
 elimination in :mod:`affnil.matk` cheap, compared with the same loop on
 :class:`LaurentElement`, whose every coefficient is a reduced fraction.
+Gcds are taken only outside that loop: :func:`primitive` for the rows of the
+echelon form and the kernel vectors, :func:`content` for the pivots that
+back-substitution divides by.
 """
 
 from __future__ import annotations
@@ -138,6 +141,17 @@ def mul_sub(p: Poly, x: Poly, f: Poly, y: Poly) -> Poly:
     return _pack(re, im)
 
 
+def dot(fs: Sequence[Poly], gs: Sequence[Poly]) -> Poly:
+    """The sum of f·g over the pairs of fs and gs."""
+    size = max((len(f) + len(g) - 1 for f, g in zip(fs, gs) if f and g), default=0)
+    re = [0] * size
+    im = [0] * size
+    for f, g in zip(fs, gs):
+        if f and g:
+            _add_product(re, im, f, g, False)
+    return _pack(re, im)
+
+
 def add(f: Poly, g: Poly) -> Poly:
     if len(f) < len(g):
         f, g = g, f
@@ -205,6 +219,32 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     if any(re[: lg - 1]) or any(im[: lg - 1]):
         raise ExactDivisionError("division left a remainder")
     return quot
+
+
+def _gcd_pair(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """A gcd of a + b·i and c + d·i in Z[i], by Euclid with rounded quotients."""
+    while c or d:
+        norm = c * c + d * d
+        qa = (2 * (a * c + b * d) + norm) // (2 * norm)
+        qb = (2 * (b * c - a * d) + norm) // (2 * norm)
+        a, b, c, d = c, d, a - qa * c + qb * d, b - qa * d - qb * c
+    return a, b
+
+
+def content(f: Poly) -> Tuple[int, int]:
+    """The gcd in Z[i] of the coefficients of a nonzero f: the associate
+    a + b·i with a > 0 and b >= 0."""
+    a = b = 0
+    for c, d in f:
+        if c or d:
+            a, b = _gcd_pair(c, d, a, b)
+            if a * a + b * b == 1:
+                break
+    if not (a or b):
+        raise ValueError("the zero polynomial has no content")
+    while a <= 0 or b < 0:
+        a, b = -b, a  # multiply by i
+    return a, b
 
 
 def primitive(row: List[Poly]) -> List[Poly]:

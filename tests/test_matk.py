@@ -18,8 +18,7 @@ from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil import zipoly
 from affnil.errors import ExactDivisionError
 from affnil.matk import (
-    _echelon,
-    _exact_quotient,
+    _dense_echelon,
     _inv_bareiss,
     _pick_low,
     _pick_pivot,
@@ -117,6 +116,58 @@ def test_det_division_path_with_truncated_entries():
     m = MatK([[e, lp("0")], [lp("1"), lp("t")]])
     d = m.det()
     assert d.equals(lp("t") * e) is not False
+
+
+def _det_division(m: MatK, working_prec: int) -> LaurentElement:
+    """Oracle: division-based Gaussian elimination below the pivots only."""
+    rows = [list(r) for r in m.rows]
+    n = len(rows)
+    sign = 1
+    acc = lp("1")
+    for k in range(n):
+        idx = _pick_pivot([(i, rows[i][k]) for i in range(k, n)])
+        if idx is None:
+            return lp("0")
+        if idx != k:
+            rows[k], rows[idx] = rows[idx], rows[k]
+            sign = -sign
+        p = rows[k][k]
+        acc = acc * p
+        pinv = p.inv(working_prec)
+        for i in range(k + 1, n):
+            mik = rows[i][k]
+            if mik.is_zero_3v() is True:
+                continue
+            factor = mik * pinv
+            for j in range(k + 1, n):
+                rows[i][j] = rows[i][j] - factor * rows[k][j]
+            rows[i][k] = lp("0")
+    return acc if sign == 1 else -acc
+
+
+def test_truncated_det_matches_gaussian_elimination():
+    rng = random.Random(29)
+    raised = 0
+    for trial in range(120):
+        n = rng.randint(2, 6)
+        if trial % 2:
+            rows = [list(r) for r in (random_traceless(rng, n) + MatK.identity(n)).rows]
+        else:
+            rows = [list(r) for r in _shear_product(rng, n, rng.randint(1, 4)).rows]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            top = max(rows[i][j].coeffs, default=0)
+            rows[i][j] = rows[i][j].truncated(top + rng.choice([1, 2, 6, 20]))
+        g = MatK(rows)
+        try:
+            expected = _det_division(g, 24)
+        except PrecisionExhausted:
+            raised += 1
+            with pytest.raises(PrecisionExhausted):
+                g.det(24)
+            continue
+        assert g.det(24) == expected, trial
+    assert 5 <= raised <= 60
 
 
 # -- inverse ---------------------------------------------------------------------
@@ -406,7 +457,7 @@ def _all_pivots_kernel(m: MatK):
     """Oracle: back-substitution from the product of every echelon pivot at
     the free coordinate, which makes every division exact."""
     n = m.n
-    ech = _echelon([list(r) for r in m.rows], n)
+    ech = _oracle_echelon([list(r) for r in m.rows], n)
     pivot_cols = [c for c, _ in ech]
     prod = lp("1")
     for c, row in ech:
@@ -464,40 +515,51 @@ def test_kernel_basis_of_rank_deficient_shear_products():
             assert len(_check_kernel(m)) == n - rank
 
 
-def test_exact_quotient_confirms_the_modular_test():
+def test_kernel_basis_of_a_near_miss_takes_the_multiply_path():
     t_minus_1 = lp("t - 1")
-    # congruent to t - 1 mod p, so the F_p[t] test passes, but not divisible
+    # congruent to t - 1 mod p, but not divisible by it: the vector of the
+    # row (t - 1, t - 1 - p) keeps the pivot
     near = lp(f"t - {1 + P}")
-    assert _exact_quotient(near, t_minus_1) is None
-    assert _exact_quotient(near * t_minus_1, t_minus_1) == near
-    assert _exact_quotient(lp("t^2 + 3"), t_minus_1) is None
-    assert _exact_quotient(lp("2*t^3"), lp("4*t")) == lp("1/2*t^2")
-    # p divides a denominator or an end coefficient: undecided, so None
-    assert _exact_quotient(lp(f"1/{P}*t - 1/{P}"), t_minus_1) is None
-    assert _exact_quotient(t_minus_1 * lp(f"{P}*t + 1"), lp(f"{P}*t + 1")) is None
-    # the kernel vector of a row (t - 1, t - 1 - p) needs the multiply path
     m = MatK([[t_minus_1, near], [lp("0"), lp("0")]])
     assert _check_kernel(m) == [(-near, t_minus_1)]
+    m = MatK([[t_minus_1, near * t_minus_1], [lp("0"), lp("0")]])
+    assert _check_kernel(m) == [(-near, lp("1"))]
 
 
-def test_kernel_basis_skips_the_dense_test_on_wide_sparse_entries():
-    # t^20000 - 1 divides t^40000 - 1, as the F_p[t] test finds; a numerator
-    # spanning 10^6 exponents is not put in a dense list, so that vector
-    # keeps the pivot instead
+def test_kernel_basis_divides_by_a_pivot_with_content_and_a_t_power():
+    cases = [
+        # 2 t^3 / 4 t = 1/2 t^2 and 1 / 4 t, with the scalar and t-power cleared
+        (
+            mat([["4*t", "2*t^3", "1"], ["0", "0", "0"], ["0", "0", "0"]]),
+            [(lp("-t^2"), lp("2"), lp("0")), (lp("-1"), lp("0"), lp("4*t"))],
+        ),
+        # a pivot (1 + i)(t + 1) divides (t + 1)(t + 2); its content is not real
+        (
+            mat([["(1+i)*t + (1+i)", "t^2 + 3*t + 2"], ["0", "0"]]),
+            [(lp("(-2+2i) + (-1+i)*t"), lp("2"))],
+        ),
+        (
+            mat([["(2+4i)*t^3 + (2+4i)*t^2", "t^2 + 3*t + 2"], ["0", "0"]]),
+            [(lp("(-2+4i) + (-1+2i)*t"), lp("10*t^2"))],
+        ),
+    ]
+    for m, expected in cases:
+        assert _check_kernel(m) == expected
+        assert _oracle_kernel(m) == expected
+
+
+def test_kernel_basis_divides_wide_sparse_entries_exactly():
     m = MatK([[lp("t^20000 - 1"), lp("t^40000 - 1")], [lp("0"), lp("0")]])
     assert _check_kernel(m) == [(-lp("t^20000 + 1"), lp("1"))]
-    pivot = lp("t^500000 - 1")
-    m = MatK([[pivot, lp("t^1000000 - 1")], [lp("0"), lp("0")]])
-    assert _check_kernel(m) == [(-lp("t^1000000 - 1"), pivot)]
+    m = MatK([[lp("t^500000 - 1"), lp("t^1000000 - 1")], [lp("0"), lp("0")]])
+    assert _check_kernel(m) == [(-lp("t^500000 + 1"), lp("1"))]
 
 
-def test_kernel_basis_with_p_in_a_denominator_takes_the_multiply_path():
-    # the row normalises to (p t + 1, (p t + 1)(t + 2)); the pivot's end
-    # coefficient p decides nothing mod p, so the vector keeps the pivot
+def test_kernel_basis_with_p_in_a_denominator_divides_exactly():
+    # the row normalises to (p t + 1, (p t + 1)(t + 2)), and the pivot divides
     inv_p = lp(f"t + 1/{P}")
     m = MatK([[inv_p, inv_p * lp("t + 2")], [lp("0"), lp("0")]])
-    pivot = lp(f"{P}*t + 1")
-    assert _check_kernel(m) == [(-pivot * lp("t + 2"), pivot)]
+    assert _check_kernel(m) == [(lp("-2 - t"), lp("1"))]
 
 
 def test_det_and_adj_trace_matches_direct_formula():
@@ -630,11 +692,11 @@ def _oracle_kernel(m: MatK):
             for j in range(c + 1, n):
                 acc = acc + row[j] * v[j]
             if acc.coeffs:
-                q = _exact_quotient(-acc, row[c])
-                if q is None:
+                try:
+                    v[c] = (-acc).exact_div(row[c])
+                except ExactDivisionError:
                     v = [e * row[c] for e in v]
-                    q = -acc
-                v[c] = q
+                    v[c] = -acc
         basis.append(normalize_vector(tuple(v)))
     return basis
 
@@ -711,7 +773,8 @@ def test_dense_kernel_matches_the_laurent_loops():
             assert det.prec is None
             rows = [list(r) for r in m.rows]
             ech = _oracle_echelon(rows, n)
-            assert _echelon(rows, n) == ech, where
+            dense = [(c, [zipoly.to_laurent(e) for e in r]) for c, r in _dense_echelon(rows, n)]
+            assert dense == ech, where
             assert m.rank() == len(ech), where
             assert m.kernel_basis() == _oracle_kernel(m), where
             if kind == "rank n-1":

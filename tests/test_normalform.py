@@ -15,6 +15,7 @@ from affnil import (
     LaurentElement,
     MatK,
     NotNilpotent,
+    PrecisionExhausted,
     QuasiJordanForm,
     adjoint_act,
     are_conjugate,
@@ -31,6 +32,7 @@ from affnil import (
     read_quasi_jordan,
 )
 from affnil import modp, normalform
+from affnil.matk import normalize_vector
 from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import random_group, random_orbit_case
 
@@ -281,6 +283,56 @@ def _kernels(x):
 
 def _exact_tops(x, kernels):
     return normalform._greedy_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
+
+
+class _LaurentEchelon:
+    """Oracle: the incremental leftmost-pivot echelon over K that chose the
+    chain tops before the independence test became a rank of matk's echelon."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
+
+    def add(self, v):
+        vec = list(v)
+        for col, row in self.rows:
+            e = vec[col]
+            z = e.is_zero_3v()
+            if z is True:
+                continue
+            if z is None:
+                raise PrecisionExhausted("independence test undetermined")
+            p = row[col]
+            vec = [p * vec[j] - e * row[j] for j in range(self.width)]
+            vec[col] = lp("0")
+        pivot = None
+        for j in range(self.width):
+            z = vec[j].is_zero_3v()
+            if z is False:
+                pivot = j
+                break
+            if z is None:
+                raise PrecisionExhausted("independence test undetermined")
+        if pivot is None:
+            return False
+        self.rows.append((pivot, normalize_vector(tuple(vec))))
+        self.rows.sort(key=lambda item: item[0])
+        return True
+
+
+def test_exact_pass_matches_the_laurent_echelon():
+    rng = random.Random("rank-vs-laurent-echelon")
+    truncated = MatK([[lp("0"), lp("0")], [LaurentElement({0: gr(1)}, 9), lp("0")]])
+    cases = [truncated]
+    for n in range(2, 8):
+        for _ in range(3):
+            _, _, _, elem, g = random_orbit_case(rng, n)
+            cases.append(adjoint_act(g, elem).mat)
+    for x in cases:
+        kernels = _kernels(x)
+        oracle = normalform._greedy_tops(kernels, x.apply, lambda: _LaurentEchelon(x.n))
+        assert _exact_tops(x, kernels) == oracle
+    assert _exact_tops(truncated, _kernels(truncated)) == [(2, 0)]
 
 
 def _without_modular_pass(monkeypatch):

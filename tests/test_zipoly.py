@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -116,6 +117,54 @@ def test_exact_div_by_zero_and_of_zero():
     with pytest.raises(DivisionByZero):
         zipoly.exact_div([(1, 0)], [])
     assert zipoly.exact_div([], [(0, 0), (3, 1)]) == []
+
+
+def test_dot_is_the_sum_of_products():
+    rng = random.Random(35)
+    for _ in range(30):
+        fs = [_random_poly(rng, rng.randint(0, 4), rng.randint(0, 2)) for _ in range(3)]
+        gs = [_random_poly(rng, rng.randint(0, 4), rng.randint(0, 2)) for _ in range(3)]
+        expected = lp("0")
+        for f, g in zip(fs, gs):
+            expected = expected + zipoly.to_laurent(f) * zipoly.to_laurent(g)
+        assert zipoly.to_laurent(zipoly.dot(fs, gs)) == expected
+    assert zipoly.dot([[(1, 0)], [(1, 0)]], [[(2, 0)], [(-2, 0)]]) == []
+    assert zipoly.dot([], []) == []
+
+
+def _divides(g, x):
+    """Whether g divides x in Z[i] (g nonzero)."""
+    try:
+        zipoly.exact_div([x], [g])
+    except ExactDivisionError:
+        return False
+    return True
+
+
+def test_content_is_the_gaussian_gcd_of_the_coefficients():
+    # (1 + i)(t + 1): a content that is not a rational integer
+    assert zipoly.content([(1, 1), (1, 1)]) == (1, 1)
+    assert zipoly.content([(0, 0), (2, 4), (0, 0), (-4, 2)]) == (2, 4)
+    assert zipoly.content([(5, 0), (3, 4)]) == (2, 1)  # 5 = (2 + i)(2 - i), 3 + 4i = (2 + i)^2
+    assert zipoly.content([(0, -7)]) == (7, 0)
+    assert zipoly.content([(3, 0), (0, 2)]) == (1, 0)
+    with pytest.raises(ValueError):
+        zipoly.content([])
+    rng = random.Random(36)
+    for _ in range(60):
+        g = (rng.randint(-20, 20), rng.randint(-20, 20))
+        if g == (0, 0):
+            continue
+        f = zipoly.mul(_random_poly(rng, rng.randint(1, 4), rng.randint(0, 2)) or [(1, 0)], [g])
+        c = zipoly.content(f)
+        assert c[0] > 0 and c[1] >= 0
+        assert _divides(g, c)
+        h = [x for x in zipoly.exact_div(f, [c]) if x != (0, 0)]
+        # no non-unit divides every coefficient of h; such a divisor has an
+        # associate a + b·i with 0 <= a, b and a² + b² at most any norm in h
+        r = math.isqrt(min(a * a + b * b for a, b in h))
+        for d in ((a, b) for a in range(r + 1) for b in range(r + 1) if a * a + b * b > 1):
+            assert not all(_divides(d, x) for x in h)
 
 
 def test_primitive_matches_normalize_vector():
