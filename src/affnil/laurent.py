@@ -6,9 +6,11 @@ support), ``prec = N`` means it is known modulo t^N, i.e. every coefficient at
 an exponent below N is stored and everything from t^N on is unknown.
 
 Inverses and n-th roots of non-monomials are genuinely infinite series, so
-they return truncated elements; all other operations propagate the truncation
-bound honestly.  Decisions that need a definite answer (valuation, pivoting,
-zero tests) raise :class:`PrecisionExhausted` instead of guessing.
+they return truncated elements: s^(p/q) of valuation m, computed by one power
+recurrence, is known modulo t^(m p/q + min(W, prec - m)) for a working
+precision W.  All other operations propagate the truncation bound honestly.
+Decisions that need a definite answer (valuation, pivoting, zero tests) raise
+:class:`PrecisionExhausted` instead of guessing.
 """
 
 from __future__ import annotations
@@ -233,20 +235,32 @@ class LaurentElement:
         return result
 
     def inv(self, working_prec: int = DEFAULT_WORKING_PREC) -> "LaurentElement":
-        """Multiplicative inverse, exact for monomials, else modulo t^(-ord + W)."""
+        """Multiplicative inverse: exact for an exact monomial, otherwise known
+        modulo t^(-m + min(W, prec - m)) with m the valuation and W working_prec."""
         if not self.coeffs:
             if self.prec is None:
                 raise DivisionByZero("inverse of the exact zero element")
             raise PrecisionExhausted(f"element is zero modulo t^{self.prec}")
+        return self._unit_power(-1, 1, self.coeffs[min(self.coeffs)].inverse(), working_prec)
+
+    def _unit_power(
+        self, p: int, q: int, lead: GaussianRational, working_prec: int
+    ) -> "LaurentElement":
+        """self^(p/q) for nonzero self = lc t^m (1 + u), given lead = lc^(p/q).
+
+        m p/q must be an integer.  The coefficients of (1 + u)^(p/q) =
+        sum b_k t^k follow J.C.P. Miller's power recurrence (Knuth, TAOCP
+        Vol. 2, 4.7): b_0 = 1 and q k b_k = sum_(j=1..k) ((p + q) j - q k)
+        u_j b_(k-j), one product per known term of u and coefficient; for
+        p/q = -1 it is b_k = -sum_j u_j b_(k-j).  The recurrence is linear, so
+        it runs on lead b_k directly.  Each coefficient is summed over one
+        common denominator as an (a, b, d) triple and reduced once.
+        """
         m = min(self.coeffs)
-        lc = self.coeffs[m]
-        lc_inv = lc.inverse()
+        shift = m * p // q
         if len(self.coeffs) == 1 and self.prec is None:
-            return LaurentElement.monomial(-m, lc_inv)
-        # s = lc t^m (1 + u) with u = sum_(j>0) u_j t^j.  The coefficients of
-        # s^-1 t^m = sum_k b_k t^k satisfy b_0 = 1/lc and b_k = -sum_j u_j b_(k-j):
-        # one product per known term of u and coefficient.  Each b_k is summed
-        # over one common denominator as an (a, b, d) triple and reduced once.
+            return LaurentElement.monomial(shift, lead)
+        lc_inv = self.coeffs[m].inverse()
         terms = working_prec
         if self.prec is not None:
             terms = min(terms, self.prec - m)
@@ -255,7 +269,7 @@ class LaurentElement:
             if 0 < e - m < terms:
                 c = c * lc_inv
                 u.append((e - m, c.a, c.b, c.d))
-        b = [(lc_inv.a, lc_inv.b, lc_inv.d)]
+        b = [(lead.a, lead.b, lead.d)]
         for k in range(1, terms):
             sa = sb = 0
             sd = 1
@@ -263,18 +277,20 @@ class LaurentElement:
                 if j > k:
                     break
                 ba, bb, bd = b[k - j]
-                if not (ba or bb):
+                w = (p + q) * j - q * k
+                if not (w and (ba or bb)):
                     continue
                 pd = ud * bd
                 g = math.gcd(sd, pd)
-                to_s, to_p = pd // g, sd // g
+                to_s, to_p = pd // g, sd // g * w
                 sa = sa * to_s + (ua * ba - ub * bb) * to_p
                 sb = sb * to_s + (ua * bb + ub * ba) * to_p
                 sd *= to_s
+            sd *= q * k
             g = math.gcd(sa, sb, sd)
-            b.append((-sa // g, -sb // g, sd // g))
-        out = {k - m: GaussianRational._raw(*c) for k, c in enumerate(b[:max(terms, 0)])}
-        return LaurentElement(out, terms - m)
+            b.append((sa // g, sb // g, sd // g))
+        out = {k + shift: GaussianRational._raw(*c) for k, c in enumerate(b[:max(terms, 0)])}
+        return LaurentElement(out, terms + shift)
 
     def exact_div(self, other: "LaurentElement") -> "LaurentElement":
         """Exact quotient in the Laurent-polynomial ring (both operands exact)."""
@@ -323,7 +339,10 @@ class LaurentElement:
         return self.order() % n == 0
 
     def nth_root(self, n: int, working_prec: int = DEFAULT_WORKING_PREC) -> "LaurentElement":
-        """An n-th root, computed from the binomial series of the unit part."""
+        """An n-th root: exact for an exact monomial, otherwise known modulo
+        t^(m/n + min(W, prec - m)) with m the valuation and W working_prec."""
+        if n <= 0:
+            raise ValueError("root index must be positive")
         m = self.order()
         if m % n != 0:
             raise NoRoot(f"valuation {m} is not a multiple of {n}")
@@ -331,24 +350,7 @@ class LaurentElement:
         lc_root = lc.nth_root(n)
         if lc_root is None:
             raise RootNotRepresentable(f"{lc!r} has no {n}-th root in Q(i)")
-        u = self.shift(-m).scale(lc.inverse()) - LaurentElement.one()
-        if u.is_zero_3v() is True:
-            return LaurentElement.monomial(m // n, lc_root)
-        terms = working_prec
-        if self.prec is not None:
-            terms = min(terms, self.prec - m)
-        acc = LaurentElement.one()
-        term = LaurentElement.one()
-        coef = GR_ONE
-        inv_n = Fraction(1, n)
-        for j in range(1, terms):
-            coef = coef * GaussianRational(Fraction(inv_n - (j - 1), j))
-            term = (term * u).truncated(terms)
-            if not term.coeffs:
-                break
-            acc = acc + term.scale(coef)
-        acc = LaurentElement(acc.coeffs, _min_prec(acc.prec, terms))
-        return acc.shift(m // n).scale(lc_root)
+        return self._unit_power(1, n, lc_root, working_prec)
 
     def scale_t(self, z: _Scalar) -> "LaurentElement":
         """The substitution t -> z*t; coefficient a_m picks up z^m."""

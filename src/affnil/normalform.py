@@ -381,22 +381,11 @@ def _chains_from_powers(
             seq = [tuple(e.shift(-exp).scale(inv) for e in vec) for vec in seq]
         columns.extend(seq)
     p_mat = MatK([[columns[j][i] for j in range(n)] for i in range(n)])
-    j_mat = _jordan_matrix(sigma)
+    j_mat = canonical_rep(sigma, 0)
     # exact inputs verify exactly; truncated ones must at least be consistent
     if (x * p_mat - p_mat * j_mat).is_zero_3v() is False:
         raise AssertionError("chain construction produced an invalid basis")
     return ChainData(p_mat, sigma, j_mat)
-
-
-def _jordan_matrix(sigma: Tuple[int, ...]) -> MatK:
-    n = sum(sigma)
-    rows = [[_L_ZERO] * n for _ in range(n)]
-    offset = 0
-    for size in sigma:
-        for i in range(size - 1):
-            rows[offset + i][offset + i + 1] = _L_ONE
-        offset += size
-    return MatK(rows)
 
 
 def rank_profile_partition(x: MatK) -> Tuple[int, ...]:

@@ -265,11 +265,79 @@ def test_nth_root_squares_back():
     assert (square - s).is_zero_3v() is not False
 
 
+def _binomial_root(s: LaurentElement, n: int, working_prec: int) -> LaurentElement:
+    """Oracle: s = lc t^m (1 + u) rooted as lc^(1/n) t^(m/n) sum C(1/n, j) u^j."""
+    m = s.order()
+    if m % n != 0:
+        raise NoRoot(f"valuation {m} is not a multiple of {n}")
+    lc = s.coeffs[m]
+    lc_root = lc.nth_root(n)
+    if lc_root is None:
+        raise RootNotRepresentable(f"{lc!r} has no {n}-th root in Q(i)")
+    u = s.shift(-m).scale(lc.inverse()) - LaurentElement.one()
+    if u.is_zero_3v() is True:
+        return LaurentElement.monomial(m // n, lc_root)
+    terms = working_prec if s.prec is None else min(working_prec, s.prec - m)
+    acc = term = LaurentElement.one()
+    coef = Fraction(1)
+    for j in range(1, terms):
+        coef = coef * (Fraction(1, n) - (j - 1)) / j
+        term = (term * u).truncated(terms)
+        acc = acc + term.scale(coef)
+    return LaurentElement(acc.coeffs, terms).shift(m // n).scale(lc_root)
+
+
+def _seeded_series(rng: random.Random, count: int):
+    """Nonzero elements, some powers, every 4th truncated above its top."""
+    for i in range(count):
+        s = random_laurent(rng, min_exp=-4, max_exp=6, max_terms=6, nonzero=True)
+        power = rng.random()
+        if power < 0.2:
+            s = s * s
+        elif power < 0.3:
+            s = s * s * s
+        if i % 4 == 0:
+            s = s.truncated(max(s.coeffs) + rng.randint(1, 20))
+        yield s
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the oracle must raise the same class
+        return type(exc)
+
+
+def test_nth_root_matches_binomial_series_oracle():
+    rng = random.Random(47)
+    raised = 0
+    for s in _seeded_series(rng, 160):
+        for n in (1, 2, 3, 4):
+            for w in (8, 24, 64):
+                got = _outcome(lambda: s.nth_root(n, w))
+                assert got == _outcome(lambda: _binomial_root(s, n, w)), (format_laurent(s), n, w)
+                raised += isinstance(got, type)
+    assert 0 < raised < 160 * 4 * 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nth_root_at_high_precision(n):
+    # 512 recurrence steps must cancel to a root with the four terms of r
+    r = lp("(1+2i)*t^-1 - 3 + 1/2*t^2 + (2-i)*t^5")
+    s = r**n
+    root = s.nth_root(n, 512)
+    assert root.prec == 511 and len(root.coeffs) == 4
+    assert ((root**n) - s).is_zero_3v() is not False
+
+
 def test_nth_root_errors():
     with pytest.raises(NoRoot):
         lp("t^3").nth_root(2)
     with pytest.raises(RootNotRepresentable):
         lp("2*t^2").nth_root(2)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="root index must be positive"):
+            lp("t^2").nth_root(n)
 
 
 @given(nonzero_laurents, st.integers(min_value=2, max_value=3))
