@@ -14,6 +14,7 @@ Size limits, checked before the work they would make expensive (exit 2):
 every exponent and truncation bound in a document lies in
 [-MAX_EXPONENT, MAX_EXPONENT], and ``act`` with a loop rotation z refuses a
 result whose factors z^e would exceed MAX_ROTATION_DIGITS decimal digits.
+``enumerate`` refuses n above MAX_ENUMERATE_N: its output grows as p(n)·n².
 A result with an integer longer than the interpreter converts to text
 (``sys.get_int_max_str_digits()``, 4300 digits by default) is refused when
 it is formatted, before anything is printed (exit 2).
@@ -62,6 +63,7 @@ EXIT_INTERNAL = 70
 
 MAX_EXPONENT = 1000
 MAX_ROTATION_DIGITS = 3000
+MAX_ENUMERATE_N = 30
 
 
 class DocumentError(ValueError):
@@ -220,6 +222,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n > MAX_ENUMERATE_N:
+        raise DocumentError(f"-n {args.n} exceeds the limit {MAX_ENUMERATE_N}")
     try:
         level = parse_scalar(args.level)
     except LaurentSyntaxError as exc:

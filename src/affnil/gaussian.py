@@ -275,9 +275,6 @@ class GaussianRational:
             return f"GaussianRational({self.re!s})"
         return f"GaussianRational({self.re!s}, {self.im!s})"
 
-    def to_complex(self) -> complex:
-        return complex(self.a / self.d, self.b / self.d)
-
     # -- roots ------------------------------------------------------------
 
     def nth_root(self, n: int) -> Optional["GaussianRational"]:

@@ -93,9 +93,6 @@ class LaurentElement:
     def is_exact(self) -> bool:
         return self.prec is None
 
-    def support(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
     def is_zero_3v(self) -> Optional[bool]:
         """True: exactly zero.  False: definitely nonzero.  None: unknown."""
         if self.coeffs:
@@ -365,11 +362,6 @@ class LaurentElement:
         return LaurentElement(
             {e - 1: c * e for e, c in self.coeffs.items() if e != 0}, prec
         )
-
-
-L_ZERO = LaurentElement.zero()
-L_ONE = LaurentElement.one()
-L_T = LaurentElement.monomial(1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
 * :meth:`MatK.det` (:func:`_det_bareiss`);
 * :func:`det_and_adj_trace`, the same pass over dual numbers;
 * the row echelon form behind :meth:`MatK.rank` and :meth:`MatK.kernel_basis`
-  (:func:`_dense_echelon`), which keeps every row primitive instead of
-  dividing: content 1 and least exponent 0, as :func:`normalize_vector`;
+  (:func:`_dense_echelon`), whose rows enter primitive (content 1 and least
+  exponent 0, as :func:`normalize_vector`);
 * :meth:`MatK.inv` (:func:`_inv_bareiss`): Gauss–Jordan on [A | I], which
   yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
   truncate, when d is not a monomial.
 
-Exact kernel vectors are back-substituted on the dense echelon rows too
+Exact kernel vectors are back-substituted on the dense echelon rows
 (:func:`_dense_kernel`), and each is scaled only by the echelon pivots that
 do not divide during its back-substitution, not by the product of all of
 them; whether a pivot divides is one exact division in Z[i][t].
@@ -32,14 +32,14 @@ loop (:func:`_gauss_jordan`) gives the determinant and the inverse, and one
 echelon loop (:func:`_echelon`) the rank and the kernel.  An undetermined
 pivot decision raises :class:`PrecisionExhausted` rather than guessing.
 
-Pivoting rule: the eligible entry of least valuation in the current column,
-ties broken by the lowest row index; in dense form an entry's valuation is
-its row's shift plus the index of its first nonzero coefficient.  The
-determinants swap the pivot row up, the echelon form moves it up and keeps
-the order of the rows below.  The exact inverse is the one exception: its
-result does not depend on the pivots, so it takes the entry with the fewest
-terms (then least valuation, then lowest row), which keeps its exact
-divisions cheap.
+Pivoting rule.  Exact input: the entry with the fewest terms in the current
+column (:func:`_pick_short`), ties broken by least valuation and then by the
+lowest row index; in dense form an entry's valuation is its row's shift plus
+the index of its first nonzero coefficient.  A short pivot keeps the exact
+divisions cheap, and the determinants do not depend on the pivot order.
+Truncated input: the entry of least valuation (:func:`_pick_pivot`), ties
+broken by the lowest row, which protects precision.  The exact loop and
+:func:`_gauss_jordan` swap the pivot row up.
 """
 
 from __future__ import annotations
@@ -509,25 +509,11 @@ class _Dual:
         return (a, b) if prev is None else _Dual.div((a, b), prev)
 
 
-_Candidates = List[Tuple[int, int, zipoly.Poly]]
-
-
-def _pick_low(candidates: _Candidates) -> Optional[int]:
-    """Row index of the nonzero entry of least valuation, ties broken by the
-    lowest row; None when all are zero.  A candidate is (row index, row shift,
-    entry), and the entry's valuation is the shift plus its low index."""
-    best = best_val = None
-    for i, shift, f in candidates:
-        if f:
-            val = shift + zipoly.low(f)
-            if best is None or val < best_val:
-                best, best_val = i, val
-    return best
-
-
-def _pick_short(candidates: _Candidates) -> Optional[int]:
+def _pick_short(candidates: List[Tuple[int, int, zipoly.Poly]]) -> Optional[int]:
     """Row index of the nonzero entry with the fewest terms, ties broken by
-    least valuation and then by the lowest row; None when all are zero."""
+    least valuation and then by the lowest row; None when all are zero.  A
+    candidate is (row index, row shift, entry), and the entry's valuation is
+    the shift plus its low index."""
     best = None
     for i, shift, f in candidates:
         if f:
@@ -537,24 +523,21 @@ def _pick_short(candidates: _Candidates) -> Optional[int]:
     return None if best is None else best[2]
 
 
-def _eliminate(rows, shifts, steps, ring, pick, *, jordan=False, primitive=False):
+def _eliminate(rows, shifts, steps, ring, *, jordan=False):
     """Fraction-free elimination (Bareiss 1968) of dense rows, in place.
 
-    For each of the first `steps` columns, `pick` chooses the pivot among the
-    rows not used yet, and that row moves up to the next place: by a swap, or
-    with `primitive` by a rotation that keeps the order of the rows below it.
-    `shifts` holds each row's exponent shift and moves with it.  Every row
-    below the pivot row, and with `jordan` every row above it too, becomes
-    (p·row − f·pivot row) / prev from the next column on, where p is the
-    pivot, f the row's entry in the pivot column and prev the previous pivot.
-    Every entry is then a minor of the input, so every division is exact in
-    Z[i][t], and it is checked.  A row with f = 0 is multiplied by p / prev
-    instead, when that quotient is exact.  With `primitive` the division is
-    replaced by :func:`zipoly.primitive` of the new row and rows with f = 0
-    stay as they are: the row echelon form of :func:`_dense_echelon`.
+    For each of the first `steps` columns, :func:`_pick_short` chooses the
+    pivot among the rows not used yet, and a swap moves that row up to the
+    next place; `shifts` holds each row's exponent shift and moves with it.
+    A column without a pivot is skipped.  Every row below the pivot row, and
+    with `jordan` every row above it too, becomes (p·row − f·pivot row) / prev
+    from the next column on, where p is the pivot, f the row's entry in the
+    pivot column and prev the previous pivot.  By Sylvester's identity every
+    entry is then a minor of the input on the pivot rows and columns chosen so
+    far, so every division is exact in Z[i][t], and it is checked.  A row with
+    f = 0 is multiplied by p / prev instead, when that quotient is exact.
 
-    Returns (pivot columns, sign of the row permutation, last pivot).  A
-    column without a pivot returns None, unless `primitive`, which skips it.
+    Returns (pivot columns, sign of the row permutation, last pivot).
     """
     width = len(rows[0]) if rows else 0
     zero = ring.zero
@@ -566,15 +549,10 @@ def _eliminate(rows, shifts, steps, ring, pick, *, jordan=False, primitive=False
     cols: List[int] = []
     for col in range(steps):
         top = len(cols)
-        idx = pick([(i, shifts[i], head(rows[i][col])) for i in range(top, len(rows))])
+        idx = _pick_short([(i, shifts[i], head(rows[i][col])) for i in range(top, len(rows))])
         if idx is None:
-            if primitive:
-                continue
-            return None
-        if primitive:
-            rows.insert(top, rows.pop(idx))
-            shifts.insert(top, shifts.pop(idx))
-        elif idx != top:
+            continue
+        if idx != top:
             rows[top], rows[idx] = rows[idx], rows[top]
             shifts[top], shifts[idx] = shifts[idx], shifts[top]
             sign = -sign
@@ -582,20 +560,16 @@ def _eliminate(rows, shifts, steps, ring, pick, *, jordan=False, primitive=False
         p = pivot_row[col]
         # a row with f = 0 only becomes p·row / prev: scale it by the quotient
         # when prev divides p, which spares a division per entry
-        scale = None
-        if not primitive:
-            try:
-                scale = p if prev is None else ring.div(p, prev)
-            except ExactDivisionError:
-                pass
+        try:
+            scale = p if prev is None else ring.div(p, prev)
+        except ExactDivisionError:
+            scale = None
         for i in range(0 if jordan else top + 1, len(rows)):
             if i == top:
                 continue
             row = rows[i]
             f = row[col]
             f_zero = f == zero
-            if f_zero and primitive:
-                continue
             if f_zero and scale is not None:
                 if scale != ring.one:
                     for j in range(col + 1, width):
@@ -609,10 +583,7 @@ def _eliminate(rows, shifts, steps, ring, pick, *, jordan=False, primitive=False
                     continue
                 row[j] = combine(p, x, f, pivot_row[j], prev)
             row[col] = zero
-            if primitive:
-                rows[i] = zipoly.primitive(row)
-        if not primitive:
-            prev = p
+        prev = p
         cols.append(col)
     return cols, sign, prev
 
@@ -626,10 +597,12 @@ def _dense_rows(rows):
 def _dense_echelon(
     rows: Sequence[Sequence[LaurentElement]], width: int
 ) -> List[Tuple[int, List[zipoly.Poly]]]:
-    """Row echelon of exact rows over Z[i][t], every row primitive with least
-    exponent 0: (pivot column, row) in column order."""
+    """Row echelon of exact rows over Z[i][t]: (pivot column, row) in column
+    order.  The rows enter primitive (see :func:`zipoly.primitive`) and go
+    through the Bareiss loop of :func:`_eliminate`, so every entry of the
+    result is a minor of those rows."""
     dense = [zipoly.primitive(zipoly.from_row(r)[2]) for r in rows]
-    cols, _, _ = _eliminate(dense, [0] * len(dense), width, _Plain, _pick_low, primitive=True)
+    cols, _, _ = _eliminate(dense, [0] * len(dense), width, _Plain)
     return list(zip(cols, dense))
 
 
@@ -685,19 +658,19 @@ def _det_bareiss(mat: MatK) -> LaurentElement:
         return _L_ONE
     dens, shifts, rows = _dense_rows(mat.rows)
     shift = sum(shifts)
-    done = _eliminate(rows, shifts, n - 1, _Plain, _pick_low)
-    if done is None:
+    cols, sign, _ = _eliminate(rows, shifts, n - 1, _Plain)
+    if len(cols) < n - 1:
         return _L_ZERO
-    return zipoly.to_laurent(rows[-1][-1], shift, done[1] * math.prod(dens))
+    return zipoly.to_laurent(rows[-1][-1], shift, sign * math.prod(dens))
 
 
 def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
     """Fraction-free Gauss–Jordan on [A | I] for exact A (Bareiss 1968).
 
     Returns (d, d·A⁻¹) with d = ±det A, the last pivot.  The pivot order only
-    flips the sign of d and d·A⁻¹ together, so the pivots are picked by
-    :func:`_pick_short`: a monomial pivot makes the next division a shift
-    instead of a long division.  Row r of [A | I] enters scaled by its
+    flips the sign of d and d·A⁻¹ together; :func:`_pick_short` prefers a
+    monomial pivot, which makes the next division a shift instead of a long
+    division.  Row r of [A | I] enters scaled by its
     denominator D and by t^(-s), with s its least exponent (at most 0, since
     the row holds a 1), so the whole pass stays in Z[i][t].
     """
@@ -707,11 +680,11 @@ def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
     unit = MatK.identity(n).rows
     dens, shifts, rows = _dense_rows([r + u for r, u in zip(mat.rows, unit)])
     shift, den = sum(shifts), math.prod(dens)
-    done = _eliminate(rows, shifts, n, _Plain, _pick_short, jordan=True)
-    if done is None:
+    cols, _, d = _eliminate(rows, shifts, n, _Plain, jordan=True)
+    if len(cols) < n:
         raise Singular("matrix is exactly singular")
     right = [[zipoly.to_laurent(e, shift, den) for e in r[n:]] for r in rows]
-    return zipoly.to_laurent(done[2], shift, den), MatK(right)
+    return zipoly.to_laurent(d, shift, den), MatK(right)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +704,9 @@ def det_and_adj_trace(
     dens, shifts, flat = _dense_rows([p + m for p, m in zip(p_mat.rows, m_mat.rows)])
     shift, den = sum(shifts), math.prod(dens)
     rows = [list(zip(r[:n], r[n:])) for r in flat]
-    done = _eliminate(rows, shifts, n - 1, _Dual, _pick_low)
-    if done is None:
+    cols, sign, _ = _eliminate(rows, shifts, n - 1, _Dual)
+    if len(cols) < n - 1:
         raise Singular("matrix is exactly singular")
     det, adj_tr = rows[-1][-1]
-    den *= done[1]
+    den *= sign
     return zipoly.to_laurent(det, shift, den), zipoly.to_laurent(adj_tr, shift, den)

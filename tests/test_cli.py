@@ -148,6 +148,21 @@ def test_enumerate_bad_level_exits_2(capsys):
     assert main(["enumerate", "-n", "2", "--level", "t+1"]) == 2
 
 
+def test_enumerate_n_over_the_limit_exits_2_before_any_work(monkeypatch, capsys):
+    def unreachable(n, level):
+        raise AssertionError("enumerate_orbits called")
+
+    monkeypatch.setattr(affnil.cli, "enumerate_orbits", unreachable)
+    limit = affnil.cli.MAX_ENUMERATE_N
+    assert main(["enumerate", "-n", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: -n {limit + 1} exceeds the limit {limit}\n"
+    assert captured.out == ""
+    # the limit is inclusive
+    monkeypatch.setattr(affnil.cli, "enumerate_orbits", lambda n, level: [])
+    assert main(["enumerate", "-n", str(limit)]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

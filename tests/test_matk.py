@@ -20,9 +20,9 @@ from affnil.errors import ExactDivisionError
 from affnil.matk import (
     _dense_echelon,
     _inv_bareiss,
-    _pick_low,
     _pick_pivot,
     _pick_short,
+    _rank,
     det_and_adj_trace,
     normalize_vector,
 )
@@ -278,7 +278,6 @@ def test_exact_inverse_takes_the_shortest_pivot():
     # the least-valuation entry of column 0 is a binomial, the shortest is 1
     column = [(0, lp("t^-2 + 1")), (1, lp("0")), (2, lp("3*t")), (3, lp("t^-1 + t"))]
     assert _pick_pivot(column) == 0
-    assert _pick_low(_dense_column(column)) == 0
     assert _pick_short(_dense_column(column)) == 2
     assert _pick_short(_dense_column([(0, lp("t + 1")), (1, lp("t^-1 + 1"))])) == 1
     assert _pick_short(_dense_column([(0, lp("0")), (1, lp("0"))])) is None
@@ -580,9 +579,13 @@ def test_det_and_adj_trace_matches_direct_formula():
 # -- the dense kernel against the Laurent-element loops it replaced ----------------
 #
 # The oracles below are the fraction-free loops that ran on LaurentElement
-# entries before elimination moved onto Z[i][t].  Their pivot rules are the
-# ones the dense kernel must keep, so their results are the reference byte
-# for byte: the same determinant, the same echelon rows, the same sign of d.
+# entries before elimination moved onto Z[i][t].  The determinants do not
+# depend on the pivot order and the exact inverse keeps its pivot rule, so
+# those results are the reference byte for byte: the same det, the same
+# (det, adj trace), the same (d, d·A⁻¹).  The echelon oracle keeps rows
+# primitive instead of dividing by the previous pivot, so its rows differ
+# from the dense ones; what must agree is the pivot columns, the rank and
+# the span of the kernel.
 
 
 def _oracle_pick_short(entries):
@@ -773,10 +776,16 @@ def test_dense_kernel_matches_the_laurent_loops():
             assert det.prec is None
             rows = [list(r) for r in m.rows]
             ech = _oracle_echelon(rows, n)
-            dense = [(c, [zipoly.to_laurent(e) for e in r]) for c, r in _dense_echelon(rows, n)]
-            assert dense == ech, where
+            # the pivot columns depend only on the row space
+            assert [c for c, _ in _dense_echelon(rows, n)] == [c for c, _ in ech], where
             assert m.rank() == len(ech), where
-            assert m.kernel_basis() == _oracle_kernel(m), where
+            basis = m.kernel_basis()
+            oracle = _oracle_kernel(m)
+            assert len(basis) == len(oracle) == n - len(ech), where
+            for v in basis:
+                assert all(e.is_zero_3v() is True for e in m.apply(v)), where
+            # the same span: stacking both bases adds no rank
+            assert _rank([list(v) for v in basis + oracle], n) == len(oracle), where
             if kind == "rank n-1":
                 assert len(ech) == n - 1 and not det.coeffs
             direction = MatK([[_random_entry(rng, 0.5) for _ in range(n)] for _ in range(n)])
@@ -802,6 +811,30 @@ def test_dense_kernel_matches_the_laurent_loops():
             first = [r[0].order() if r[0].coeffs else None for r in m.rows]
             swaps += kind == "swap" and first.index(min(e for e in first if e is not None)) != 0
     assert swaps >= 6
+
+
+def test_dense_echelon_takes_the_shortest_pivot():
+    # the least-valuation entry of column 0 is a binomial; the monomial 3t is
+    # the pivot, and the second row is the 2x2 minor
+    ech = _dense_echelon([[lp("t^-2 + 1"), lp("1")], [lp("3*t"), lp("1")]], 2)
+    rows = [(c, [zipoly.to_laurent(e) for e in r]) for c, r in ech]
+    assert rows == [(0, [lp("3*t"), lp("1")]), (1, [lp("0"), lp("3*t^3 - t^2 - 1")])]
+
+
+def test_dense_echelon_entries_are_bounded_minors():
+    # every entry is a minor of the primitive input rows, so it spans at most
+    # the sum of the rows' spans; an echelon that only divides out contents
+    # goes past that bound on these matrices
+    rng = random.Random(2024)
+    for n in range(1, 9):
+        for kind, m in _oracle_matrices(rng, n):
+            bound = 0
+            for r in m.rows:
+                exps = [e for x in r for e in x.coeffs]
+                bound += max(exps) - min(exps) if exps else 0
+            ech = _dense_echelon([list(r) for r in m.rows], n)
+            spans = [len(e) - 1 - zipoly.low(e) for _, r in ech for e in r if e]
+            assert max(spans, default=0) <= bound, (n, kind)
 
 
 def test_dense_kernel_raises_on_an_inexact_division(monkeypatch):
