@@ -8,7 +8,9 @@ Elements travel as JSON documents whose leaves are Laurent literals:
 
 Exit codes: 0 success, 1 selfcheck failure, 2 parse/validation error,
 3 not nilpotent, 4 precision exhausted, 5 not conjugate, 70 internal error
-(any other exception, reported on one line without a traceback).
+(any other exception, reported on one line without a traceback), 141 the
+reader closed the output early (128 + SIGPIPE, the status a shell reports for
+a command that signal ends; nothing is written to stderr).
 
 Size limits, checked before the work they would make expensive (exit 2):
 every exponent and truncation bound in a document lies in
@@ -26,6 +28,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -60,6 +63,7 @@ EXIT_NOT_NILPOTENT = 3
 EXIT_PRECISION = 4
 EXIT_NOT_CONJUGATE = 5
 EXIT_INTERNAL = 70
+EXIT_PIPE_CLOSED = 141
 
 MAX_EXPONENT = 1000
 MAX_ROTATION_DIGITS = 3000
@@ -401,11 +405,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout():
+    """Point stdout at the null device, so that the interpreter's final flush
+    of what is still buffered does not raise a second BrokenPipeError."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # not a file descriptor: nothing flushes to a pipe
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed early shows here or in print
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_PIPE_CLOSED
     except (DocumentError, LaurentSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,7 +11,14 @@ never taken: the determinant certificate is carried instead, which loses
 nothing because scalar matrices act trivially by conjugation and contribute
 nothing to the level of trace-zero elements.
 
-Everything here is exact when the input matrix is exact.  The kernels of the
+Everything here is exact when the input matrix is exact.  Exact x is written
+once as t^s·X/D with X over the Gaussian-integer polynomials Z[i][t] of
+:mod:`affnil.zipoly`, and three things run there on integers only: the powers
+X^j, the images of the chain tops under x, and the final check x P = P J (whose
+right side needs no product: column j of P J is column j - 1 of P, or 0).
+Each power and each chain vector enters Laurent form once; truncated input is
+multiplied in Laurent form.  A quasi-Jordan input is read off directly, with no
+powers: it is strictly upper triangular, hence nilpotent.  The kernels of the
 powers come from fraction-free elimination with exact divisions, and each
 kernel vector is scaled only by the pivots its back-substitution could not
 divide by, so the chain tops, and with them P and det P, stay small.  Choosing
@@ -44,7 +51,7 @@ from .errors import (
 from .gaussian import GR_ONE, GaussianRational
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
 from .matk import MatK, Vector, _rank, vector_content
-from . import modp
+from . import modp, zipoly
 
 _L_ZERO = LaurentElement.zero()
 _L_ONE = LaurentElement.one()
@@ -201,18 +208,78 @@ def read_quasi_jordan(x: MatK) -> Optional[QuasiJordanForm]:
 # ---------------------------------------------------------------------------
 
 
+class _ExactMatrix:
+    """An exact matrix x written once as t^shift·X/den, with X over Z[i][t]
+    (one common denominator and shift for all entries, :func:`zipoly.from_row`).
+
+    X's rows are held as the :func:`zipoly.sparse` lists of their nonzero
+    entries, built once, so that the powers of x, its images of vectors and
+    the check x·P = P·J are products over Z[i][t] (:meth:`times`) that touch
+    integers only and skip zero entries.
+    """
+
+    def __init__(self, x: MatK):
+        n = x.n
+        self.den, self.shift, flat = zipoly.from_row([e for row in x.rows for e in row])
+        self.columns = [flat[j::n] for j in range(n)]
+        self.rows = [
+            [(k, zipoly.sparse(f)) for k, f in enumerate(flat[i * n:(i + 1) * n]) if f]
+            for i in range(n)
+        ]
+
+    def times(self, v: List[zipoly.Poly]) -> List[zipoly.Poly]:
+        """X·v for a vector v over Z[i][t]."""
+        vz = [zipoly.sparse(f) for f in v]
+        return [zipoly.sparse_dot([(fz, vz[k]) for k, fz in row if vz[k]]) for row in self.rows]
+
+    def apply(self, v: Vector) -> Vector:
+        """x·v for an exact vector v."""
+        den, shift, polys = zipoly.from_row(v)
+        shift += self.shift
+        den *= self.den
+        return tuple(
+            zipoly.to_laurent(f, shift, den) if f else _L_ZERO for f in self.times(polys)
+        )
+
+
 def nilpotent_powers(x: MatK) -> List[MatK]:
-    """[x^0, x^1, ..., x^m] with x^m = 0; raises NotNilpotent otherwise."""
-    powers = [MatK.identity(x.n), x]
-    while True:
-        z = powers[-1].is_zero_3v()
-        if z is True:
-            return powers
-        if z is None:
-            raise PrecisionExhausted("nilpotency undetermined at current precision")
-        if len(powers) > x.n:
-            raise NotNilpotent(f"{x.n}-th power does not vanish")
-        powers.append(powers[-1] * x)
+    """[x^0, x^1, ..., x^m] with x^m = 0; raises NotNilpotent when x^n != 0,
+    and PrecisionExhausted when a truncated power is undetermined."""
+    return _powers(x)[0]
+
+
+def _powers(x: MatK) -> Tuple[List[MatK], Optional[_ExactMatrix]]:
+    """The powers of x, and x as an :class:`_ExactMatrix` when x is exact.
+
+    For exact x = t^s·X/D, X^j = X·X^(j-1) runs over Z[i][t], and nilpotency
+    is exactly "X^j is empty"; each power enters Laurent form once, as
+    x^j = t^(j·s)·X^j/D^j.  Truncated x is multiplied in Laurent form.
+    """
+    n = x.n
+    powers = [MatK.identity(n), x]
+    if not x.all_exact():
+        while True:
+            z = powers[-1].is_zero_3v()
+            if z is True:
+                return powers, None
+            if z is None:
+                raise PrecisionExhausted("nilpotency undetermined at current precision")
+            if len(powers) > n:
+                raise NotNilpotent(f"{n}-th power does not vanish")
+            powers.append(powers[-1] * x)
+    exact = _ExactMatrix(x)
+    power = exact.columns  # the columns of X^j, j = len(powers) - 1
+    while any(f for col in power for f in col):
+        if len(powers) > n:
+            raise NotNilpotent(f"{n}-th power does not vanish")
+        power = [exact.times(col) for col in power]
+        j = len(powers)
+        shift, den = j * exact.shift, exact.den ** j
+        powers.append(MatK([
+            [zipoly.to_laurent(f, shift, den) if f else _L_ZERO for f in row]
+            for row in zip(*power)
+        ]))
+    return powers, exact
 
 
 class _Echelon:
@@ -351,20 +418,22 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     t-power content of its kernel-end vector, which keeps P close to
     unimodular on simple inputs.
     """
-    return _chains_from_powers(x, nilpotent_powers(x), working_prec)
+    return _chains_from_powers(x, *_powers(x), working_prec)
 
 
 def _chains_from_powers(
-    x: MatK, powers: List[MatK], working_prec: int
+    x: MatK, powers: List[MatK], exact: Optional[_ExactMatrix], working_prec: int
 ) -> ChainData:
+    """Jordan chains from the powers of x; `exact` is x as an
+    :class:`_ExactMatrix` when x is exact (then so are its powers and their
+    kernel vectors), else None."""
     n = x.n
     m = len(powers) - 1
     kernels = [powers[j].kernel_basis(working_prec) for j in range(1, m + 1)]
-    tops = None
-    if x.all_exact():  # then so are its powers and their kernel vectors
-        tops = _modular_tops(x, kernels)
+    tops = None if exact is None else _modular_tops(x, kernels)
+    apply = x.apply if exact is None else exact.apply
     if tops is None:
-        tops = _greedy_tops(kernels, x.apply, lambda: _Echelon(n))
+        tops = _greedy_tops(kernels, apply, lambda: _Echelon(n))
     sigma = tuple(height for height, _ in tops)
     if sum(sigma) != n:
         raise PrecisionExhausted("chain construction did not span the space")
@@ -372,7 +441,7 @@ def _chains_from_powers(
     for height, idx in tops:
         seq = [kernels[height - 1][idx]]
         for _ in range(height - 1):
-            seq.append(x.apply(seq[-1]))
+            seq.append(apply(seq[-1]))
         seq.reverse()  # kernel end first
         content = vector_content(seq[0])
         if content is not None:
@@ -382,10 +451,38 @@ def _chains_from_powers(
         columns.extend(seq)
     p_mat = MatK([[columns[j][i] for j in range(n)] for i in range(n)])
     j_mat = canonical_rep(sigma, 0)
-    # exact inputs verify exactly; truncated ones must at least be consistent
-    if (x * p_mat - p_mat * j_mat).is_zero_3v() is False:
+    if exact is not None:
+        _check_jordan_basis(exact, p_mat, sigma)
+    elif (x * p_mat - p_mat * j_mat).is_zero_3v() is False:
+        # truncated input must at least be consistent
         raise AssertionError("chain construction produced an invalid basis")
     return ChainData(p_mat, sigma, j_mat)
+
+
+def _check_jordan_basis(exact: _ExactMatrix, p_mat: MatK, sigma: Tuple[int, ...]):
+    """Raise AssertionError unless x·P = P·J exactly, J the Jordan matrix of
+    sigma.
+
+    Column j of P·J is column j - 1 of P, or 0 where a block starts, so only
+    x·P is a product.  With x = t^s·X/D and P = t^r·Q/E over Z[i][t], the
+    check is t^s·X·Q = D·Q·J: column j of t^s·X·Q against D times column
+    j - 1 of Q, with the t-power put on whichever side keeps it a polynomial.
+    """
+    n = p_mat.n
+    _, _, flat = zipoly.from_row([e for row in p_mat.rows for e in row])
+    starts = {sum(sigma[:b]) for b in range(len(sigma))}
+    lift_xq = [(0, 0)] * max(0, exact.shift)
+    lift_q = [(0, 0)] * max(0, -exact.shift)
+    d = exact.den
+    for j in range(n):
+        lhs = [lift_xq + f if f else f for f in exact.times(flat[j::n])]
+        if j in starts:
+            rhs = [[]] * n
+        else:
+            rhs = [lift_q + [(a * d, b * d) for a, b in f] if f else f
+                   for f in flat[j - 1::n]]
+        if lhs != rhs:
+            raise AssertionError("chain construction produced an invalid basis")
 
 
 def rank_profile_partition(x: MatK) -> Tuple[int, ...]:
@@ -416,12 +513,11 @@ class ReductionData(NamedTuple):
 def reduce_to_quasi_jordan(
     x: MatK, working_prec: int = DEFAULT_WORKING_PREC
 ) -> ReductionData:
-    powers = nilpotent_powers(x)  # raises NotNilpotent / PrecisionExhausted early
     direct = read_quasi_jordan(x)
-    if direct is not None:
+    if direct is not None:  # strictly upper triangular, hence nilpotent
         return ReductionData(direct, 0, None, None)
     n = x.n
-    chains = _chains_from_powers(x, powers, working_prec)
+    chains = _chains_from_powers(x, *_powers(x), working_prec)
     det_p = chains.p_mat.det(working_prec)
     l = (-det_p.order()) % n
     blocks = []

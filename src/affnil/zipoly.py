@@ -16,6 +16,15 @@ elimination in :mod:`affnil.matk` cheap, compared with the same loop on
 Gcds are taken only outside that loop: :func:`primitive` for the rows of the
 echelon form and the kernel vectors, :func:`content` for the pivots that
 back-substitution divides by.
+
+Products run over the nonzero pairs only (:func:`sparse`), but a dense entry
+still costs time and memory in proportion to its exponent span: building it,
+scanning it for its nonzero pairs, and every accumulator, exact division and
+conversion walk the whole list.  Where a whole matrix shares one shift, as the
+powers of x in :mod:`affnil.normalform` do, every entry starts at the least
+exponent of the matrix, so its span is up to the matrix's exponent range.  For
+documents the CLI's exponent cap of ±1000 bounds it; a library caller with
+entries like t^500000 − 1 pays for 500000 pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .gaussian import GaussianRational
 from .laurent import LaurentElement
 
 Poly = List[Tuple[int, int]]
+Sparse = List[Tuple[int, int, int]]
 
 _ZERO_PAIR = (0, 0)
 
@@ -82,14 +92,13 @@ def terms(f: Poly) -> int:
     return len(f) - f.count(_ZERO_PAIR)
 
 
-def _nonzero(f: Poly) -> List[Tuple[int, int, int]]:
+def sparse(f: Poly) -> Sparse:
+    """The nonzero pairs of f as (index, re, im), lowest index first."""
     return [(i, a, b) for i, (a, b) in enumerate(f) if a or b]
 
 
-def _add_product(re: List[int], im: List[int], f: Poly, g: Poly, negate: bool):
+def _add_product(re: List[int], im: List[int], fz: Sparse, gz: Sparse, negate: bool):
     """re + i·im += ±f·g, schoolbook over the nonzero pairs of each side."""
-    fz = _nonzero(f)
-    gz = _nonzero(g)
     if len(fz) > len(gz):
         fz, gz = gz, fz
     for i, a, b in fz:
@@ -120,7 +129,7 @@ def mul(f: Poly, g: Poly) -> Poly:
     size = len(f) + len(g) - 1
     re = [0] * size
     im = [0] * size
-    _add_product(re, im, f, g, False)
+    _add_product(re, im, sparse(f), sparse(g), False)
     return _pack(re, im)
 
 
@@ -135,20 +144,28 @@ def mul_sub(p: Poly, x: Poly, f: Poly, y: Poly) -> Poly:
     re = [0] * size
     im = [0] * size
     if both:
-        _add_product(re, im, p, x, False)
+        _add_product(re, im, sparse(p), sparse(x), False)
     if f and y:
-        _add_product(re, im, f, y, True)
+        _add_product(re, im, sparse(f), sparse(y), True)
     return _pack(re, im)
 
 
 def dot(fs: Sequence[Poly], gs: Sequence[Poly]) -> Poly:
     """The sum of f·g over the pairs of fs and gs."""
-    size = max((len(f) + len(g) - 1 for f, g in zip(fs, gs) if f and g), default=0)
+    return sparse_dot([(sparse(f), sparse(g)) for f, g in zip(fs, gs) if f and g])
+
+
+def sparse_dot(pairs: Sequence[Tuple[Sparse, Sparse]]) -> Poly:
+    """The sum of f·g over pairs of nonzero polynomials given as their
+    :func:`sparse` lists, so that a matrix product builds each entry's list
+    once, not once per product, and passes only its nonzero pairs."""
+    if not pairs:
+        return []
+    size = max(fz[-1][0] + gz[-1][0] for fz, gz in pairs) + 1
     re = [0] * size
     im = [0] * size
-    for f, g in zip(fs, gs):
-        if f and g:
-            _add_product(re, im, f, g, False)
+    for fz, gz in pairs:
+        _add_product(re, im, fz, gz, False)
     return _pack(re, im)
 
 
@@ -186,7 +203,7 @@ def exact_div(f: Poly, g: Poly) -> Poly:
         raise DivisionByZero("exact division by zero")
     if not f:
         return []
-    gz = _nonzero(g)
+    gz = sparse(g)
     lg = len(g)
     size = len(f) - lg + 1
     if size <= 0:

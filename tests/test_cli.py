@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -161,6 +163,26 @@ def test_enumerate_n_over_the_limit_exits_2_before_any_work(monkeypatch, capsys)
     # the limit is inclusive
     monkeypatch.setattr(affnil.cli, "enumerate_orbits", lambda n, level: [])
     assert main(["enumerate", "-n", str(limit)]) == 0
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr():
+    # about 0.6 MB of output, more than a pipe holds: the CLI is still
+    # writing when the reader closes its end after 100 bytes
+    src = os.path.dirname(os.path.dirname(affnil.cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affnil.cli", "enumerate", "-n", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+        bufsize=0,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == affnil.cli.EXIT_PIPE_CLOSED == 141
+    assert err == b""
+    assert head.startswith(b"partition=[1,1,")
 
 
 @pytest.mark.parametrize(

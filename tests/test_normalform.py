@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -31,7 +32,7 @@ from affnil import (
     rank_profile_partition,
     read_quasi_jordan,
 )
-from affnil import modp, normalform
+from affnil import modp, normalform, zipoly
 from affnil.matk import normalize_vector
 from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import random_group, random_orbit_case
@@ -410,3 +411,137 @@ def test_denominator_divisible_by_p_takes_the_exact_pass():
     assert normalform._modular_tops(moved.mat, _kernels(moved.mat)) is None
     label = classify(moved)
     assert (label.partition, label.k, label.level) == ((3, 1), 0, level)
+
+
+# -- powers, chain images and the basis check over Z[i][t] ----------------------------------
+
+
+def _laurent_powers(x):
+    """Oracle: the powers by repeated MatK.__mul__, as nilpotent_powers took
+    them for every input before exact input moved to Z[i][t]."""
+    powers = [MatK.identity(x.n), x]
+    while True:
+        z = powers[-1].is_zero_3v()
+        if z is True:
+            return powers
+        if z is None:
+            raise PrecisionExhausted("nilpotency undetermined at current precision")
+        if len(powers) > x.n:
+            raise NotNilpotent(f"{x.n}-th power does not vanish")
+        powers.append(powers[-1] * x)
+
+
+def _seeded_conjugates(seed, sizes, per_size):
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(per_size):
+            _, _, _, elem, _ = random_orbit_case(rng, n)
+            yield adjoint_act(random_group(rng, n), elem).mat
+
+
+def test_exact_powers_equal_the_laurent_products():
+    for x in _seeded_conjugates("dense-powers", range(2, 9), 3):
+        powers = nilpotent_powers(x)
+        oracle = _laurent_powers(x)
+        assert len(powers) == len(oracle)
+        for power, want in zip(powers, oracle):
+            assert power.rows == want.rows
+            assert power.kernel_basis() == want.kernel_basis()
+
+
+def _count_products(monkeypatch):
+    """Count the matrix products of nilpotent_powers on both paths."""
+    calls = {"dense": 0, "laurent": 0}
+    dot, mul = zipoly.sparse_dot, MatK.__mul__
+
+    def counted_dot(pairs):
+        calls["dense"] += 1
+        return dot(pairs)
+
+    def counted_mul(a, b):
+        calls["laurent"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(zipoly, "sparse_dot", counted_dot)
+    monkeypatch.setattr(MatK, "__mul__", counted_mul)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [
+    [["1", "0"], ["0", "-1"]],
+    [["0", "1"], ["t", "0"]],  # x^2 = t I
+    [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"], ["t^-1", "0", "0", "0"]],
+])
+def test_exact_non_nilpotent_raises_after_the_same_powers(monkeypatch, rows):
+    x = mat(rows)
+    calls = _count_products(monkeypatch)
+    with pytest.raises(NotNilpotent, match=f"{x.n}-th power"):
+        nilpotent_powers(x)
+    assert calls["laurent"] == 0
+    with pytest.raises(NotNilpotent, match=f"{x.n}-th power"):
+        _laurent_powers(x)
+    # the oracle took x^2 .. x^n; each dense power is n^2 entry products
+    assert calls["dense"] == calls["laurent"] * x.n ** 2 == (x.n - 1) * x.n ** 2
+
+
+def test_truncated_powers_stay_laurent_products(monkeypatch):
+    cut = LaurentElement({0: gr(1)}, 5)  # 1 + O(t^5)
+    x = MatK([[lp("0"), cut, lp("t")], [lp("0"), lp("0"), cut], [lp("0"), lp("0"), lp("0")]])
+    calls = _count_products(monkeypatch)
+    powers = nilpotent_powers(x)
+    assert calls == {"dense": 0, "laurent": 2}
+    assert [p.rows for p in powers] == [p.rows for p in _laurent_powers(x)]
+    assert len(powers) == 4 and powers[2].rows[0][2] == cut * cut
+    undetermined = MatK([[lp("0"), LaurentElement({}, 5)], [lp("0"), lp("0")]])
+    with pytest.raises(PrecisionExhausted):
+        nilpotent_powers(undetermined)
+
+
+def _with_column(p_mat, j, column):
+    return MatK([row[:j] + (column[i],) + row[j + 1:] for i, row in enumerate(p_mat.rows)])
+
+
+def test_exact_basis_check_rejects_a_wrong_column():
+    shifts = set()
+    cases = list(_seeded_conjugates("basis-check", range(2, 7), 3))
+    for x in cases + [x.scale(lp("t^6")) for x in cases]:
+        chains = jordan_chains(x)
+        if chains.sigma[0] < 2:
+            continue
+        exact = normalform._ExactMatrix(x)
+        shifts.add((exact.shift > 0) - (exact.shift < 0))
+        p_mat = chains.p_mat
+        normalform._check_jordan_basis(exact, p_mat, chains.sigma)
+        columns = list(zip(*p_mat.rows))
+        top = chains.sigma[0] - 1  # the top of the tallest chain; column 0 is its kernel end
+        wrong = [
+            _with_column(p_mat, top, tuple(e * lp("t") for e in columns[top])),
+            _with_column(p_mat, 0, tuple(a + b for a, b in zip(columns[0], columns[top]))),
+        ]
+        for bad in wrong:
+            with pytest.raises(AssertionError, match="invalid basis"):
+                normalform._check_jordan_basis(exact, bad, chains.sigma)
+    assert shifts == {-1, 0, 1}
+
+
+def test_quasi_jordan_input_takes_no_powers(monkeypatch):
+    def unreachable(x):
+        raise AssertionError("powers computed")
+
+    monkeypatch.setattr(normalform, "_powers", unreachable)
+    for n in range(1, 7):
+        for sigma in partitions(n):
+            for k in range(sigma[-1]):
+                label = classify(AffineElement(canonical_rep(sigma, k), gr(1)))
+                assert label == normalform.OrbitLabel(sigma, k % math.gcd(*sigma), gr(1))
+    # a truncated superdiagonal entry: 1 + O(t^5) has valuation 0, t + O(t^5) 1
+    x = MatK([
+        [lp("0"), LaurentElement({1: gr(1)}, 5), lp("0")],
+        [lp("0"), lp("0"), LaurentElement({0: gr(1)}, 5)],
+        [lp("0"), lp("0"), lp("0")],
+    ])
+    assert classify(AffineElement(x)) == normalform.OrbitLabel((3,), 2, gr(0))
+    # non-nilpotent input is not quasi-Jordan, so it still reaches the powers
+    monkeypatch.undo()
+    with pytest.raises(NotNilpotent):
+        classify(AffineElement(mat([["0", "1"], ["t", "0"]])))
