@@ -23,15 +23,18 @@ powers come from fraction-free elimination with exact divisions, and each
 kernel vector is scaled only by the pivots its back-substitution could not
 divide by, so the chain tops, and with them P and det P, stay small.  Choosing
 the chain tops only needs yes/no independence answers, and for exact input
-those are taken at a point, t = t0 and i = sqrt(-1) in F_p, where an
-independent set stays independent over K.  A false dependence there is rare
-(Schwartz-Zippel) and can only mis-steer the choice, so the chains are kept
-only under a certificate: the heights sum to n, the chain vectors have rank n
-at the point (so det P != 0), and x P = P J holds exactly.  Otherwise the next
-point is tried.  When no point certifies, when p divides a denominator, and
-for truncated input, each independence answer is a rank over K from the
-echelon form of :mod:`affnil.matk`, which is dense and fraction-free for
-exact input.
+those are taken at a point, t = t0 and i = sqrt(-1) in F_p, on the
+Gaussian-integer forms of x and of the kernel vectors
+(:func:`zipoly.values_mod_p`).  Those forms are nonzero K-multiples of the
+vectors they stand for and evaluation is a ring map Z[i][t] -> F_p, so an
+independent set at the point stays independent over K, and every value is
+defined.  A false dependence there is rare (Schwartz-Zippel) and can only
+mis-steer the choice, so the chains are kept only under a certificate: the
+heights sum to n, the chain vectors have rank n at the point (so det P != 0),
+and x P = P J holds exactly.  Otherwise the next point is tried.  When no
+point certifies, and for truncated input, each independence answer is a rank
+over K from the echelon form of :mod:`affnil.matk`, which is dense and
+fraction-free for exact input.
 """
 
 from __future__ import annotations
@@ -51,10 +54,17 @@ from .errors import (
 from .gaussian import GR_ONE, GaussianRational
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
 from .matk import MatK, Vector, _rank, vector_content
-from . import modp, zipoly
+from . import zipoly
 
 _L_ZERO = LaurentElement.zero()
 _L_ONE = LaurentElement.one()
+
+
+def _check_partition(parts: Tuple[int, ...]):
+    """Raise InvalidPartition unless parts is nonempty, positive and
+    non-increasing."""
+    if not parts or min(parts) <= 0 or any(a < b for a, b in zip(parts, parts[1:])):
+        raise InvalidPartition(f"{parts!r} is not a non-increasing partition")
 
 
 @dataclass(frozen=True)
@@ -68,11 +78,7 @@ class QuasiJordanForm:
     blocks: Tuple[Tuple[int, Tuple[LaurentElement, ...]], ...]
 
     def __post_init__(self):
-        sizes = [s for s, _ in self.blocks]
-        if not sizes or any(s <= 0 for s in sizes):
-            raise InvalidPartition("block sizes must be positive")
-        if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise InvalidPartition("block sizes must be non-increasing")
+        _check_partition(self.sizes())
         for size, diag in self.blocks:
             if len(diag) != size - 1:
                 raise InvalidPartition("superdiagonal length must be size - 1")
@@ -110,12 +116,8 @@ class OrbitLabel:
     level: GaussianRational
 
     def __post_init__(self):
-        parts = self.partition
-        if not parts or any(p <= 0 for p in parts):
-            raise InvalidPartition("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise InvalidPartition("partition must be non-increasing")
-        step = math.gcd(*parts)
+        _check_partition(self.partition)
+        step = math.gcd(*self.partition)
         if not 0 <= self.k < step:
             raise InvalidShift(f"k = {self.k} outside [0, gcd {step})")
 
@@ -145,10 +147,7 @@ def canonical_rep(sigma: Tuple[int, ...], k: int) -> MatK:
     conjugate exactly when k = k' mod gcd(sigma); only k < gcd(sigma) are
     canonical representatives (fixed points of classify)."""
     parts = tuple(sigma)
-    if not parts or any(p <= 0 for p in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
-        raise InvalidPartition(f"{sigma!r} is not a non-increasing partition")
+    _check_partition(parts)
     if not 0 <= k < parts[-1]:
         raise InvalidShift(f"k = {k} outside [0, {parts[-1]})")
     n = sum(parts)
@@ -310,12 +309,6 @@ class ChainData(NamedTuple):
 _POINTS = (314159265, 271828182, 161803398)
 
 
-def _at_point(v: Vector, t0: int) -> Optional[List[int]]:
-    """v at t = t0 in F_p; None when p divides a coefficient's denominator."""
-    out = [modp.value_mod_p(el, t0) for el in v]
-    return None if None in out else out
-
-
 class _ModEchelon:
     """Incremental independence test over F_p (leftmost-pivot echelon)."""
 
@@ -328,12 +321,12 @@ class _ModEchelon:
         for col, row in self.rows:
             e = vec[col]
             if e:
-                vec = [(a - e * b) % modp.P for a, b in zip(vec, row)]
+                vec = [(a - e * b) % zipoly.P for a, b in zip(vec, row)]
         pivot = next((j for j, e in enumerate(vec) if e), None)
         if pivot is None:
             return False
-        inv = pow(vec[pivot], -1, modp.P)
-        self.rows.append((pivot, [e * inv % modp.P for e in vec]))
+        inv = pow(vec[pivot], -1, zipoly.P)
+        self.rows.append((pivot, [e * inv % zipoly.P for e in vec]))
         self.rows.sort(key=lambda item: item[0])
         return True
 
@@ -368,28 +361,33 @@ def _modular_tops(
 ) -> Optional[List[Tuple[int, int]]]:
     """Chain tops chosen by independence tests at a point, certified.
 
-    A set independent at the point is independent over K, but a false
-    dependence at the point can change later choices; so the result is kept
-    only when the heights sum to n and the chain vectors x^i v at the point
-    have rank n.  They are the columns of P up to nonzero scalar-times-monomial
-    factors, so det P != 0, and with the exact check x P = P J (done by the
-    caller) P^-1 x P = J holds exactly.  None when no point certifies or p
-    divides a denominator; the caller then runs the exact pass.
+    The tests run on Gaussian-integer forms (:func:`zipoly.values_mod_p`):
+    x as one t^(-s)·D·x over all n² entries, so that every image of a vector
+    is scaled alike (scaling each row apart would change the images), and
+    each kernel vector v as D_v·t^(-s_v)·v.  These are nonzero K-multiples of
+    x and v, and evaluation is a ring map Z[i][t] -> F_p, so a set
+    independent at the point is independent over K.  A false dependence at
+    the point can change later choices; so the result is kept only when the
+    heights sum to n and the chain vectors at the point have rank n.  They are
+    the columns of P up to nonzero K-multiples, so det P != 0, and with the
+    exact check x P = P J (done by the caller) P^-1 x P = J holds exactly.
+    None when no point certifies; the caller then runs the exact pass.
     """
+    n = x.n
+    entries = [e for row in x.rows for e in row]
     for t0 in _POINTS:
-        x_p = [_at_point(row, t0) for row in x.rows]
-        kernels_p = [[_at_point(v, t0) for v in ker] for ker in kernels]
-        if None in x_p or any(None in ker for ker in kernels_p):
-            return None  # the same denominator fails at every point
+        flat = zipoly.values_mod_p(entries, t0)
+        x_p = [flat[i * n:(i + 1) * n] for i in range(n)]
+        kernels_p = [[zipoly.values_mod_p(v, t0) for v in ker] for ker in kernels]
         apply = partial(_apply_mod_p, x_p)
         tops = _greedy_tops(kernels_p, apply, _ModEchelon)
-        if _chains_form_basis(tops, kernels_p, apply, x.n):
+        if _chains_form_basis(tops, kernels_p, apply, n):
             return tops
     return None
 
 
 def _apply_mod_p(x_p: List[List[int]], v: List[int]) -> List[int]:
-    return [sum(a * b for a, b in zip(row, v)) % modp.P for row in x_p]
+    return [sum(a * b for a, b in zip(row, v)) % zipoly.P for row in x_p]
 
 
 def _chains_form_basis(tops, kernels_p, apply, n: int) -> bool:
@@ -517,7 +515,7 @@ def reduce_to_quasi_jordan(
     if direct is not None:  # strictly upper triangular, hence nilpotent
         return ReductionData(direct, 0, None, None)
     n = x.n
-    chains = _chains_from_powers(x, *_powers(x), working_prec)
+    chains = jordan_chains(x, working_prec)
     det_p = chains.p_mat.det(working_prec)
     l = (-det_p.order()) % n
     blocks = []

@@ -17,6 +17,11 @@ Gcds are taken only outside that loop: :func:`primitive` for the rows of the
 echelon form and the kernel vectors, :func:`content` for the pivots that
 back-substitution divides by.
 
+:func:`values_mod_p` evaluates the same integer form at a point of F_p,
+p = 998244353, with i mapped to a square root of −1 (p = 1 mod 4), for the
+independence tests of :mod:`affnil.normalform`.  Every value is defined,
+whatever the denominators.
+
 Products run over the nonzero pairs only (:func:`sparse`), but a dense entry
 still costs time and memory in proportion to its exponent span: building it,
 scanning it for its nonzero pairs, and every accumulator, exact division and
@@ -30,7 +35,7 @@ entries like t^500000 − 1 pays for 500000 pairs.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DivisionByZero, ExactDivisionError
 from .gaussian import GaussianRational
@@ -41,10 +46,13 @@ Sparse = List[Tuple[int, int, int]]
 
 _ZERO_PAIR = (0, 0)
 
+P = 998244353  # prime, p = 1 mod 4
+I_MOD_P = pow(3, (P - 1) // 4, P)  # 3 generates F_p^*, so this squares to -1
 
-def from_row(row: Sequence[LaurentElement]) -> Tuple[int, int, List[Poly]]:
-    """(D, s, polys) with polys = D·t^(-s)·row, D the least common denominator
-    of the row and s its least exponent (1, 0 and zeros for a zero row)."""
+
+def _common_form(row: Sequence[LaurentElement]) -> Tuple[int, Optional[int]]:
+    """(D, s): the least common denominator of the row and its least exponent
+    (None for a zero row)."""
     den = 1
     shift = None
     for e in row:
@@ -53,6 +61,13 @@ def from_row(row: Sequence[LaurentElement]) -> Tuple[int, int, List[Poly]]:
                 den = den * c.d // math.gcd(den, c.d)
             if shift is None or exp < shift:
                 shift = exp
+    return den, shift
+
+
+def from_row(row: Sequence[LaurentElement]) -> Tuple[int, int, List[Poly]]:
+    """(D, s, polys) with polys = D·t^(-s)·row, D the least common denominator
+    of the row and s its least exponent (1, 0 and zeros for a zero row)."""
+    den, shift = _common_form(row)
     if shift is None:
         return 1, 0, [[] for _ in row]
     polys = []
@@ -66,6 +81,19 @@ def from_row(row: Sequence[LaurentElement]) -> Tuple[int, int, List[Poly]]:
             f[exp - shift] = (c.a * m, c.b * m)
         polys.append(f)
     return den, shift, polys
+
+
+def values_mod_p(row: Sequence[LaurentElement], t0: int) -> List[int]:
+    """The polynomials D·t^(-s)·row of :func:`from_row` at t = t0 in F_p, with
+    i -> I_MOD_P, at one modular power per term, whatever the span."""
+    den, shift = _common_form(row)
+    return [
+        sum(
+            (c.a + c.b * I_MOD_P) * (den // c.d) * pow(t0, exp - shift, P)
+            for exp, c in e.coeffs.items()
+        ) % P
+        for e in row
+    ]
 
 
 def to_laurent(f: Poly, shift: int = 0, den: int = 1) -> LaurentElement:

@@ -26,7 +26,7 @@ from affnil.matk import (
     det_and_adj_trace,
     normalize_vector,
 )
-from affnil.modp import P
+from affnil.zipoly import P
 from affnil.normalform import nilpotent_powers
 from affnil.selfcheck import (
     random_group,

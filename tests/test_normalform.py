@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -32,7 +33,7 @@ from affnil import (
     rank_profile_partition,
     read_quasi_jordan,
 )
-from affnil import modp, normalform, zipoly
+from affnil import normalform, zipoly
 from affnil.matk import normalize_vector
 from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import random_group, random_orbit_case
@@ -373,7 +374,7 @@ def test_modular_pass_moves_on_when_kernel_vectors_degenerate_at_the_point(monke
     t0 = normalform._POINTS[0]
     x = _rank_one_nilpotent()
     kernels = _kernels(x)
-    at_t0 = [normalform._at_point(v, t0) for v in kernels[0]]
+    at_t0 = [zipoly.values_mod_p(v, t0) for v in kernels[0]]
     ech = normalform._ModEchelon()
     assert [ech.add(v) for v in at_t0] == [True, False]
     exact = _exact_tops(x, kernels)
@@ -393,8 +394,9 @@ def test_certificate_rejects_dependent_chains_whose_heights_sum_to_n():
     kernels = _kernels(x)
     assert kernels[1][0] == (lp("1"), lp("0"), lp("0"))
     t1 = normalform._POINTS[1]
-    x_p = [normalform._at_point(row, t1) for row in x.rows]
-    kernels_p = [[normalform._at_point(v, t1) for v in ker] for ker in kernels]
+    flat = zipoly.values_mod_p([e for row in x.rows for e in row], t1)
+    x_p = [flat[i:i + 3] for i in range(0, 9, 3)]
+    kernels_p = [[zipoly.values_mod_p(v, t1) for v in ker] for ker in kernels]
     apply = partial(normalform._apply_mod_p, x_p)
     # the chain e0, x e0 with v1 as a second top: heights 2 + 1 = 3, but
     # x e0 and v1 are dependent over K, so P would be singular
@@ -402,15 +404,40 @@ def test_certificate_rejects_dependent_chains_whose_heights_sum_to_n():
     assert normalform._chains_form_basis([(2, 0), (1, 1)], kernels_p, apply, 3)
 
 
-def test_denominator_divisible_by_p_takes_the_exact_pass():
-    inv_p = LaurentElement.monomial(1, Fraction(1, modp.P))
+def test_denominator_divisible_by_p_is_certified_at_the_point(monkeypatch):
+    # the tests at the point read D·t^(-s)·x and D_v·t^(-s_v)·v, which have
+    # no denominator, so p | D leaves every value defined
+    inv_p = LaurentElement.monomial(1, Fraction(1, zipoly.P))
     g = GroupElement.from_shear(4, 2, 0, inv_p)
     level = gr(Fraction(-3, 2))
     moved = adjoint_act(g, AffineElement(canonical_rep((3, 1), 0), level))
-    assert normalform._at_point(moved.mat.rows[2], normalform._POINTS[0]) is None
-    assert normalform._modular_tops(moved.mat, _kernels(moved.mat)) is None
+    x = moved.mat
+    assert any(c.d % zipoly.P == 0 for row in x.rows for e in row for c in e.coeffs.values())
+    kernels = _kernels(x)
+    assert normalform._modular_tops(x, kernels) == _exact_tops(x, kernels)
     label = classify(moved)
     assert (label.partition, label.k, label.level) == ((3, 1), 0, level)
+    _without_modular_pass(monkeypatch)
+    assert classify(moved) == label
+
+
+def test_modular_pass_evaluates_wide_entries_term_by_term(monkeypatch):
+    x = mat([["0", "t^1000000 - 1"], ["0", "0"]])
+    kernels = _kernels(x)
+
+    def dense_row(row):
+        raise AssertionError("a dense row was built")
+
+    monkeypatch.setattr(zipoly, "from_row", dense_row)
+    tracemalloc.start()
+    try:
+        tops = normalform._modular_tops(x, kernels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tops == [(2, 1)]
+    # the list of the entry's 10^6 dense pairs alone would take 8 MB
+    assert peak < 10**6
 
 
 # -- powers, chain images and the basis check over Z[i][t] ----------------------------------

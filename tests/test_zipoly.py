@@ -12,7 +12,7 @@ from affnil.errors import DivisionByZero, ExactDivisionError
 from affnil.gaussian import GaussianRational
 from affnil.laurent import LaurentElement
 from affnil.matk import normalize_vector
-from affnil.modp import P
+from affnil.zipoly import P
 
 from conftest import lp
 
@@ -199,3 +199,57 @@ def test_to_laurent_of_from_row_is_the_identity_on_random_rows():
             row.append(LaurentElement(terms))
         den, shift, polys = zipoly.from_row(row)
         assert [zipoly.to_laurent(f, shift, den) for f in polys] == row
+
+
+def _laurent_value_mod_p(el: LaurentElement, t0: int) -> int:
+    """Oracle: el itself at t = t0 in F_p, i -> I_MOD_P, inverting each
+    denominator, as the chain-top tests read Laurent entries before they read
+    the integer forms (undefined when p divides a denominator)."""
+    acc = 0
+    for exp, c in el.coeffs.items():
+        acc += (c.a + c.b * zipoly.I_MOD_P) * pow(c.d, -1, P) * pow(t0, exp, P)
+    return acc % P
+
+
+def _random_row(rng: random.Random, width: int):
+    coefs = [GaussianRational(1, 2), GaussianRational(-3), GaussianRational(0, 1),
+             GaussianRational(2, -1) / 3, GaussianRational(5, 7) / 4]
+    return [
+        LaurentElement({rng.randint(-6, 6): rng.choice(coefs) for _ in range(rng.randint(0, 3))})
+        for _ in range(width)
+    ]
+
+
+def test_values_mod_p_is_the_integer_form_at_the_point():
+    assert zipoly.I_MOD_P ** 2 % P == P - 1
+    rng = random.Random(35)
+    for t0 in (314159265, 2, P - 1):
+        for _ in range(30):
+            row = _random_row(rng, rng.randint(1, 4))
+            den, shift, _ = zipoly.from_row(row)
+            scale = den * pow(t0, -shift, P)
+            want = [scale * _laurent_value_mod_p(e, t0) % P for e in row]
+            assert zipoly.values_mod_p(row, t0) == want
+    assert zipoly.values_mod_p([lp("0"), lp("0")], 5) == [0, 0]
+
+
+def _dense_value_mod_p(f: zipoly.Poly, t0: int) -> int:
+    """A dense polynomial at t = t0 in F_p, by Horner."""
+    acc = 0
+    for a, b in reversed(f):
+        acc = (acc * t0 + a + b * zipoly.I_MOD_P) % P
+    return acc
+
+
+def test_values_mod_p_is_defined_when_p_divides_a_denominator():
+    rows = [
+        [lp("1/2*t^-2 + (1+i)"), lp("0"), lp(f"(1/3-i)*t + 1/{P}*t^3")],
+        [lp(f"1/{P}"), lp(f"(2/{P}+i)*t^-1"), lp(f"t^5 + 1/{P * P}")],
+    ]
+    for row in rows:
+        _, _, polys = zipoly.from_row(row)
+        for t0 in (314159265, 271828182):
+            values = zipoly.values_mod_p(row, t0)
+            assert values == [_dense_value_mod_p(f, t0) for f in polys]
+    # D = p^2 and s = -1: only the term 1/p^2, which becomes t, survives mod p
+    assert zipoly.values_mod_p(rows[1], 3) == [0, 0, 3]
