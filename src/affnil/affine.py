@@ -25,9 +25,7 @@ from .errors import (
 )
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, gr
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
-from .matk import MatK
-
-_T = LaurentElement.monomial(1)
+from .matk import MatK, trace_coeff
 
 
 def killing_coef(n: int) -> GaussianRational:
@@ -178,10 +176,10 @@ def bracket(
     xa, xb = a.mat, b.mat
     mat = xa * xb - xb * xa
     if not a.d_coef.is_zero:
-        mat = mat + xb.d_dt().scale(_T).scale(a.d_coef)
+        mat = mat + xb.d_dt().shift(1).scale(a.d_coef)
     if not b.d_coef.is_zero:
-        mat = mat - xa.d_dt().scale(_T).scale(b.d_coef)
-    c_part = form_t(xa.d_dt(), xb, kappa).residue()
+        mat = mat - xa.d_dt().shift(1).scale(b.d_coef)
+    c_part = kappa * trace_coeff(xa, xb, -1, derivative=True)
     return AffineElement(mat, c_part, GR_ZERO)
 
 
@@ -210,6 +208,16 @@ def adjoint_act(
     The sign of the c-correction is the one forced by the bracket's cocycle
     res<x', y>: for g = exp(Y), Ad g = exp(ad Y), so Ad g is a Lie-algebra
     automorphism, Ad g [a, b] = [Ad g a, Ad g b].
+
+    Evaluation order: y = x g^-1 first, since x is usually sparse, then
+    g y.  By the cyclic trace, tr(g^-1 g' x) = tr(g' y), and with
+    M = g' g^-1, tr((g^-1 g')^2) = tr(M^2); so the correction is
+    kappa res tr(g' y) - 1/2 mu kappa [t^-2] tr(M M), each one coefficient
+    read by :func:`trace_coeff` without forming g', g^-1 g' or the trace
+    product, and M is formed only when mu != 0, where the matrix part needs
+    it anyway.  :func:`trace_coeff` keeps the truncation bound of every entry
+    product, so a truncated g gives the correction only where its full
+    products would know it, and raises :class:`PrecisionExhausted` otherwise.
     """
     if g.n != a.n:
         raise DimensionMismatch("group and algebra elements of different sizes")
@@ -219,17 +227,14 @@ def adjoint_act(
         raise CertifiedDetWithDerivation(
             "derivation part needs an exact det-1 conjugator"
         )
-    x = a.mat
     ginv = g.g.inv(working_prec)
-    dg = g.g.d_dt()
-    log_der = ginv * dg
-    mat = g.g * x * ginv
-    if mu.is_zero:
-        corr = form_t(log_der, x, kappa).residue()
-    else:
-        mat = mat - (dg * ginv).scale(_T).scale(mu)
-        shifted = x - log_der.scale(_T).scale(mu / gr(2))
-        corr = form_t(log_der, shifted, kappa).residue()
+    y = a.mat * ginv
+    mat = g.g * y
+    corr = kappa * trace_coeff(g.g, y, -1, derivative=True)
+    if not mu.is_zero:
+        m = g.g.d_dt() * ginv
+        mat = mat - m.shift(1).scale(mu)
+        corr = corr - mu * kappa * trace_coeff(m, m, -2) / gr(2)
     if g.z != GR_ONE:
         mat = mat.scale_t(g.z)
     return AffineElement(mat, a.c_coef + corr, mu)

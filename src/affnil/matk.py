@@ -54,6 +54,7 @@ from .errors import (
     ExactDivisionError,
     PrecisionExhausted,
     Singular,
+    ZeroScale,
 )
 from .gaussian import GaussianRational
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement, format_laurent
@@ -214,8 +215,24 @@ class MatK:
     def d_dt(self) -> "MatK":
         return MatK([[e.d_dt() for e in r] for r in self.rows])
 
+    def shift(self, k: int) -> "MatK":
+        """Multiply every entry by the monomial t^k."""
+        return MatK([[e.shift(k) for e in r] for r in self.rows])
+
     def scale_t(self, z) -> "MatK":
-        return MatK([[e.scale_t(z) for e in r] for r in self.rows])
+        """The substitution t -> z*t in every entry; each power z^e is taken
+        once per matrix, not once per term."""
+        z = GaussianRational(z) if not isinstance(z, GaussianRational) else z
+        if z.is_zero:
+            raise ZeroScale("t -> 0*t is not a field automorphism")
+        powers = {e: z**e for e in {e for r in self.rows for x in r for e in x.coeffs}}
+        return MatK(
+            [
+                [LaurentElement({e: c * powers[e] for e, c in x.coeffs.items()}, x.prec)
+                 for x in r]
+                for r in self.rows
+            ]
+        )
 
     def is_zero_3v(self) -> Optional[bool]:
         undetermined = False
@@ -256,13 +273,25 @@ class MatK:
 
         Exact input goes through one fraction-free Gauss–Jordan pass on
         [A | I], which yields d·A⁻¹ and d = ±det A together; only the final
-        scaling by d⁻¹ can truncate.  Truncated input uses division-based
-        Gauss–Jordan at ``working_prec``.  Raises :class:`Singular` when the
-        matrix is exactly singular.
+        scaling by d⁻¹ can truncate.  A monomial d (usually ±1) is divided
+        out while the entries are converted back to Laurent elements, at no
+        Laurent product.  Truncated input uses division-based Gauss–Jordan at
+        ``working_prec``.  Raises :class:`Singular` when the matrix is exactly
+        singular.
         """
         if self.all_exact():
-            d, scaled = _inv_bareiss(self)
-            return scaled.scale(d.inv(working_prec))
+            d, shift, den, right = _inv_dense(self)
+            if zipoly.terms(d) == 1:
+                # d·A⁻¹ = t^shift·right/den and d = t^(shift+j)·(a+bi)/den, so
+                # A⁻¹ = t^(−j)·right/(a+bi) = t^(−j)·right·(a−bi)/(a²+b²)
+                j = zipoly.low(d)
+                a, b = d[j]
+                if b:
+                    right = [[zipoly.mul(e, [(a, -b)]) for e in r] for r in right]
+                return MatK([[zipoly.to_laurent(e, -j, a * a + b * b if b else a)
+                              for e in r] for r in right])
+            return _to_laurent_rows(right, shift, den).scale(
+                zipoly.to_laurent(d, shift, den).inv(working_prec))
         inverse = _gauss_jordan(self, working_prec, inverse=True)
         if inverse is None:
             raise Singular("matrix is exactly singular")
@@ -298,6 +327,76 @@ class MatK:
                 v[c] = (-acc) * row[c].inv(working_prec)
             basis.append(normalize_vector(tuple(v)))
         return basis
+
+
+def trace_coeff(a, b, e: int, derivative: bool = False) -> GaussianRational:
+    """The coefficient of t^e in tr(a·b), or in tr(a′·b) with `derivative`,
+    for matrices a and b; for Laurent elements, the same of a·b.
+
+    Neither a′ nor a·b is formed: the sum runs over the pairs of terms whose
+    exponents add up to e, each coefficient of a at t^k weighted by k when
+    `derivative` (a′ has k·c at t^(k−1)).  Precision is kept as the full
+    product would keep it: each entry pair a_ik, b_ki takes the truncation
+    bound that ``LaurentElement.__mul__`` gives it, a pair with an exactly
+    zero side (a_ik′ exactly zero with `derivative`) is skipped as
+    ``MatK.__mul__`` skips it, and :class:`PrecisionExhausted` is raised when
+    t^e is not below the least bound, exactly where
+    ``(a * b).trace().coeff(e)``, or ``(a.d_dt() * b).trace().coeff(e)``
+    with `derivative`, would raise.
+    """
+    if isinstance(a, LaurentElement):
+        pairs = ((a, b),)
+    else:
+        a._check_dim(b)
+        pairs = ((x, b_row[i]) for i, a_row in enumerate(a.rows)
+                 for x, b_row in zip(a_row, b.rows))
+    shift = 1 if derivative else 0  # a′ at t^(k−1) pairs with b at t^(e+1−k)
+    bound = None
+    sa = sb = 0
+    sd = 1
+    for x, y in pairs:
+        xc, yc = x.coeffs, y.coeffs
+        if not yc and y.prec is None:
+            continue
+        x_prec = x.prec
+        if derivative:
+            if x_prec is None and not any(xc):
+                continue  # a constant: its derivative is the exact zero
+            if x_prec is not None:
+                x_prec -= 1
+        elif not xc and x_prec is None:
+            continue
+        if x_prec is not None or y.prec is not None:
+            if derivative:
+                x_low = min((k for k in xc if k), default=None)
+                x_low = x_prec if x_low is None else x_low - 1
+            else:
+                x_low = min(xc) if xc else x_prec
+            if x_prec is not None:
+                pb = x_prec + (min(yc) if yc else y.prec)
+                bound = pb if bound is None else min(bound, pb)
+            if y.prec is not None:
+                pb = y.prec + x_low
+                bound = pb if bound is None else min(bound, pb)
+        if len(xc) <= len(yc):
+            terms = ((k, c, yc.get(e + shift - k)) for k, c in xc.items())
+        else:
+            terms = ((e + shift - m, xc.get(e + shift - m), d) for m, d in yc.items())
+        for k, c, d in terms:
+            if c is None or d is None:
+                continue
+            w = k if derivative else 1
+            if not w:
+                continue
+            pd = c.d * d.d
+            g = math.gcd(sd, pd)
+            to_s, to_p = pd // g, sd // g * w
+            sa = sa * to_s + (c.a * d.a - c.b * d.b) * to_p
+            sb = sb * to_s + (c.a * d.b + c.b * d.a) * to_p
+            sd *= to_s
+    if bound is not None and e >= bound:
+        raise PrecisionExhausted(f"t^{e} coefficient unknown modulo t^{bound}")
+    return GaussianRational._norm(sa, sb, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -674,17 +773,28 @@ def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
     denominator D and by t^(-s), with s its least exponent (at most 0, since
     the row holds a 1), so the whole pass stays in Z[i][t].
     """
+    d, shift, den, right = _inv_dense(mat)
+    return zipoly.to_laurent(d, shift, den), _to_laurent_rows(right, shift, den)
+
+
+def _inv_dense(mat: MatK):
+    """The pass of :func:`_inv_bareiss` before conversion: (d, shift, den,
+    right) with d·A⁻¹ = t^shift·right/den and d = ±det A = t^shift·d/den,
+    where d and the entries of right are polynomials of Z[i][t]."""
     n = mat.n
     if n == 0:
-        return _L_ONE, mat
+        return [(1, 0)], 0, 1, []
     unit = MatK.identity(n).rows
     dens, shifts, rows = _dense_rows([r + u for r, u in zip(mat.rows, unit)])
     shift, den = sum(shifts), math.prod(dens)
     cols, _, d = _eliminate(rows, shifts, n, _Plain, jordan=True)
     if len(cols) < n:
         raise Singular("matrix is exactly singular")
-    right = [[zipoly.to_laurent(e, shift, den) for e in r[n:]] for r in rows]
-    return zipoly.to_laurent(d, shift, den), MatK(right)
+    return d, shift, den, [r[n:] for r in rows]
+
+
+def _to_laurent_rows(rows, shift: int, den: int) -> MatK:
+    return MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ The level is lambda + res<h^-1 h', x>_t, the c-part of Ad h applied along
 the computed conjugator h = S T.  For T = P^-1 the correction collapses to
 -kappa * res tr(P^-1 x P'), and tr(adj(P) x P')
 comes out of a single dual-number determinant, so the whole computation stays
-in exact arithmetic with one scalar series inversion at the end.
+in exact arithmetic with one scalar series inversion at the end, taken to
+exactly the length that the t^-1 coefficient reads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
-from .matk import MatK, det_and_adj_trace
+from .matk import MatK, det_and_adj_trace, trace_coeff
 from .normalform import (
     OrbitLabel,
     QuasiJordanForm,
@@ -68,11 +69,16 @@ def classify(
         direction = a.mat * p_mat.d_dt()
         if p_mat.all_exact() and direction.all_exact():
             det_p, adj_trace = det_and_adj_trace(p_mat, direction)
-            series = adj_trace * det_p.inv(working_prec)
+            # the t^-1 coefficient of adj_trace / det_p reads 1/det_p up to
+            # t^(-1 - ord adj_trace): ord det_p - ord adj_trace terms, which
+            # may be more than working_prec, since both sides are exact
+            terms = 1
+            if adj_trace.coeffs:
+                terms = max(1, det_p.order() - adj_trace.order())
+            residue = trace_coeff(adj_trace, det_p.inv(terms), -1)
         else:
-            inv_p = p_mat.inv(working_prec)
-            series = (inv_p * direction).trace()
-        level = a.c_coef - kappa * series.residue()
+            residue = trace_coeff(p_mat.inv(working_prec), direction, -1)
+        level = a.c_coef - kappa * residue
     return OrbitLabel(sigma, k, level)
 
 

@@ -10,8 +10,10 @@ from affnil import (
     CertifiedDetWithDerivation,
     DetMode,
     GroupElement,
+    LaurentElement,
     MatK,
     NotTraceless,
+    PrecisionExhausted,
     adjoint_act,
     bracket,
     form_t,
@@ -309,3 +311,74 @@ def test_adjoint_is_bracket_automorphism_with_derivation_parts():
         diff = lhs - rhs
         assert diff.mat.is_zero_3v() is not False
         assert diff.c_coef == gr(0) and diff.d_coef == gr(0)
+
+
+def _adjoint_four_products(g, a, working_prec, kappa):
+    """Ad g by the defining formula, every product formed in full:
+    g x g^-1 - mu t g' g^-1 + (la + res<g^-1 g', x - 1/2 mu t g^-1 g'>) c."""
+    mu = a.d_coef
+    t = LaurentElement.monomial(1)
+    ginv = g.g.inv(working_prec)
+    dg = g.g.d_dt()
+    log_der = ginv * dg
+    mat = g.g * a.mat * ginv - (dg * ginv).scale(t).scale(mu)
+    shifted = a.mat - log_der.scale(t).scale(mu / gr(2))
+    corr = form_t(log_der, shifted, kappa).residue()
+    if g.z != gr(1):
+        mat = mat.scale_t(g.z)
+    return AffineElement(mat, a.c_coef + corr, mu)
+
+
+def _truncate_one_entry(rng, g, margin):
+    rows = [list(r) for r in g.g.rows]
+    i, j = rng.choice([(i, j) for i in range(g.n) for j in range(g.n) if rows[i][j].coeffs])
+    rows[i][j] = rows[i][j].truncated(max(rows[i][j].coeffs) + margin)
+    return GroupElement(g.z, MatK(rows), g.det_mode)
+
+
+def _shear_pair(rng, n):
+    """(I + a t^e E_ij)(I + b t^f E_ji): unlike a single shear, its
+    tr((g^-1 g')^2) has t^-2 terms, which the 1/2 mu correction reads."""
+    i, j = rng.sample(range(n), 2)
+    g = GroupElement.identity(n)
+    for a, b in ((i, j), (j, i)):
+        p = LaurentElement.monomial(rng.choice([-2, -1, 1, 2]), rng.choice([gr(1), gr(-2), gr(1, 1)]))
+        g = g.compose(GroupElement.from_shear(n, a, b, p))
+    return g
+
+
+def test_adjoint_matches_the_four_product_formula():
+    # exact g: byte-identical.  Truncated g: g (x g^-1) and (g x) g^-1 may
+    # carry different O(t^N), and the correction read as tr(g' y) and
+    # tr(M M) may run out of precision where the four products do not, or
+    # the other way round; where both give a result, they agree
+    rng = random.Random(11)
+    outcomes = {"exact": 0, "truncated": 0, "raised": 0, "mu term": 0}
+    for trial in range(60):
+        n = rng.randint(2, 4)
+        g = random_group(rng, n, rng.randint(1, 3)).compose(_shear_pair(rng, n))
+        if trial % 5:
+            g = GroupElement.loop_rotation(n, rng.choice([gr(2), gr(1, 1), gr(-1, 2)])).compose(g)
+        truncated = trial % 2 == 1
+        if truncated:
+            g = _truncate_one_entry(rng, g, rng.choice([1, 3, 8]))
+        mu = gr(trial % 3 - 1)
+        x = AffineElement(random_traceless(rng, n), random_gaussian(rng), mu)
+        kappa = killing_coef(n) if trial % 4 else gr(1)
+        try:
+            expected = _adjoint_four_products(g, x, 16, kappa)
+            out = adjoint_act(g, x, 16, kappa)
+        except PrecisionExhausted:
+            assert truncated, trial
+            outcomes["raised"] += 1
+            continue
+        if truncated:
+            assert (out.mat - expected.mat).is_zero_3v() is not False, trial
+            assert (out.c_coef, out.d_coef) == (expected.c_coef, expected.d_coef), trial
+        else:
+            assert out == expected, trial
+        outcomes["truncated" if truncated else "exact"] += 1
+        if not (truncated or mu.is_zero):
+            log_der = g.g.inv() * g.g.d_dt()
+            outcomes["mu term"] += bool((log_der * log_der).trace().coeff(-2))
+    assert min(outcomes.values()) >= 5, outcomes

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from affnil import (
     DimensionMismatch,
@@ -11,9 +12,10 @@ from affnil import (
     MatK,
     PrecisionExhausted,
     Singular,
+    ZeroScale,
     gr,
 )
-from affnil.affine import adjoint_act
+from affnil.affine import adjoint_act, form_t
 from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil import zipoly
 from affnil.errors import ExactDivisionError
@@ -25,6 +27,7 @@ from affnil.matk import (
     _rank,
     det_and_adj_trace,
     normalize_vector,
+    trace_coeff,
 )
 from affnil.zipoly import P
 from affnil.normalform import nilpotent_powers
@@ -863,3 +866,91 @@ def test_dense_kernel_singular_cases():
     last = mat([["1", "0"], ["0", "0"]])
     assert det_and_adj_trace(last, mat([["0", "0"], ["0", "t"]])) == (lp("0"), lp("t"))
     assert MatK.zero(0).det() == lp("1")
+
+
+# -- coefficients of products, read without forming them -----------------------
+
+_small_gr = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
+                     st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+# exact entries, exact constants and zeros, truncated ones and empty O(t^N)
+_entries = st.builds(
+    lambda items, prec: LaurentElement(dict(items), prec),
+    st.lists(st.tuples(st.integers(-3, 3), _small_gr), max_size=2),
+    st.one_of(st.none(), st.none(), st.integers(-3, 4)),
+)
+_matrix_pairs = st.builds(
+    lambda n, es: tuple(MatK([es[k + 2 * i:k + 2 * i + n] for i in range(n)]) for k in (0, 4)),
+    st.integers(1, 2),
+    st.lists(_entries, min_size=8, max_size=8),
+)
+
+
+def _value_or_raise(f):
+    try:
+        return f()
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@given(_matrix_pairs, st.integers(-5, 5), _small_gr)
+def test_trace_coeff_matches_the_full_products(pair, e, kappa):
+    a, b = pair
+    x, y = a.rows[0][0], b.rows[0][0]
+    # one comparison, so that a failure is one example to shrink
+    assert [
+        _value_or_raise(lambda: trace_coeff(a, b, e)),
+        _value_or_raise(lambda: trace_coeff(a, b, e, derivative=True)),
+        _value_or_raise(lambda: kappa * trace_coeff(a, b, -1, derivative=True)),
+        _value_or_raise(lambda: trace_coeff(x, y, e)),
+    ] == [
+        _value_or_raise(lambda: (a * b).trace().coeff(e)),
+        _value_or_raise(lambda: (a.d_dt() * b).trace().coeff(e)),
+        _value_or_raise(lambda: form_t(a.d_dt(), b, kappa).residue()),
+        _value_or_raise(lambda: (x * y).coeff(e)),
+    ]
+
+
+def test_trace_coeff_examples():
+    a = mat([["t^-1 + 2", "0"], ["3*t", "1"]])
+    b = mat([["t^-2", "1"], ["1", "t^2"]])
+    assert trace_coeff(a, b, -3) == gr(1)
+    assert trace_coeff(a, b, 1) == gr(3)
+    # a' = [[-t^-2, 0], [3, 0]]: tr(a' b) = -t^-4 + 3
+    assert trace_coeff(a, b, -4, derivative=True) == gr(-1)
+    assert trace_coeff(a, b, 0, derivative=True) == gr(3)
+    assert trace_coeff(a, b, -1, derivative=True) == gr(0)
+    # a constant truncated entry still bounds its derivative: O(t^1) * t^-2
+    c = MatK([[LaurentElement({0: gr(5)}, 2)]])
+    with pytest.raises(PrecisionExhausted, match="modulo t\\^-1"):
+        trace_coeff(c, mat([["t^-2"]]), -1, derivative=True)
+    # an exact constant has the exact zero as derivative, and is skipped
+    assert trace_coeff(mat([["5"]]), MatK([[LaurentElement({}, -9)]]), -1,
+                       derivative=True) == gr(0)
+    with pytest.raises(DimensionMismatch):
+        trace_coeff(a, MatK.identity(3), 0)
+
+
+def test_scale_t_matches_the_entrywise_substitution():
+    rng = random.Random(31)
+    for z in (gr(2), gr(-1, 3), gr(Fraction(1, 3))):
+        m = MatK([[random_laurent(rng) for _ in range(3)] for _ in range(3)])
+        rows = [list(r) for r in m.rows]
+        rows[1][2] = LaurentElement({-3: gr(1), 2: gr(5)}, 4)
+        m = MatK(rows)
+        assert m.scale_t(z) == MatK([[e.scale_t(z) for e in r] for r in m.rows])
+    assert m.shift(-2) == MatK([[e * lp("t^-2") for e in r] for r in m.rows])
+    with pytest.raises(ZeroScale):
+        m.scale_t(gr(0))
+
+
+@pytest.mark.parametrize("d", ["1", "-1", "2*t^3", "(1+i)*t^-2", "(-3i)", "1 + t"])
+def test_exact_inverse_divides_by_its_determinant(d):
+    rng = random.Random(32)
+    m = _shear_product(rng, 3, 3)
+    m = _scale_row(m, 1, lp(d))
+    inverse = m.inv()
+    scaled_d, scaled = _inv_bareiss(m)
+    assert inverse == scaled.scale(scaled_d.inv(DEFAULT_WORKING_PREC))
+    if d != "1 + t":
+        assert inverse.all_exact()
+        assert m * inverse == MatK.identity(3)

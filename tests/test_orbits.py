@@ -9,6 +9,7 @@ import pytest
 from affnil import (
     AffineElement,
     DetMode,
+    GroupElement,
     MatK,
     NotConjugate,
     NotNilpotent,
@@ -254,6 +255,17 @@ def test_classify_truncated_input_via_general_pipeline():
     )
     label = classify(AffineElement(lower, gr(5)))
     assert label == OrbitLabel((2,), 0, gr(5))
+
+
+def test_classify_exact_level_past_the_working_precision():
+    # entries over t^-1700 .. t^2000: the t^-1 coefficient of
+    # adj_trace / det P reads 1/det P further than the default 64 terms
+    x = AffineElement(canonical_rep((3, 2), 0), gr(1))
+    for text, (i, j) in (("t^-1000 + 1", (0, 3)), ("t^-700 + 2", (4, 1)),
+                         ("t^500 - 1", (2, 4)), ("t^1000 + 3", (1, 0))):
+        x = adjoint_act(GroupElement.from_shear(5, i, j, lp(text)), x)
+    assert x.mat.all_exact()
+    assert classify(x) == OrbitLabel((3, 2), 0, gr(1))
 
 
 def test_classify_raises_when_nilpotency_is_undecidable():
