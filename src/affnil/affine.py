@@ -174,7 +174,7 @@ def bracket(
         raise DimensionMismatch("bracket of elements with different sizes")
     kappa = killing_coef(a.n) if kappa_coef is None else kappa_coef
     xa, xb = a.mat, b.mat
-    mat = xa * xb - xb * xa
+    mat = xa.commutator(xb)
     if not a.d_coef.is_zero:
         mat = mat + xb.d_dt().shift(1).scale(a.d_coef)
     if not b.d_coef.is_zero:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
     DivisionByZero,
@@ -48,6 +48,47 @@ def _min_prec(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is None:
         return a
     return min(a, b)
+
+
+def product_bound(
+    a_prec: Optional[int], a_low: int, b_prec: Optional[int], b_low: int
+) -> Optional[int]:
+    """Truncation bound of a·b for a and b not exactly zero, each given by its
+    precision (None when exact) and a lower bound for its valuation (its least
+    exponent, or its precision when it has no known term): a·b is known below
+    a.prec + low(b) and below b.prec + low(a); None when both are exact."""
+    if a_prec is None:
+        return None if b_prec is None else b_prec + a_low
+    if b_prec is None:
+        return a_prec + b_low
+    return min(a_prec + b_low, b_prec + a_low)
+
+
+def common_den(coeffs: Iterable[GaussianRational]) -> int:
+    """Least common denominator of an iterable of Gaussian rationals."""
+    return math.lcm(*{c.d for c in coeffs})
+
+
+def integer_terms(coeffs: Mapping[int, GaussianRational], den: int) -> list:
+    """The terms of den·f as (exponent, re, im) integer triples, for a
+    multiple den of every coefficient's denominator; a negative den negates."""
+    return [(e, c.a * (den // c.d), c.b * (den // c.d)) for e, c in coeffs.items()]
+
+
+def convolve(acc: Dict[int, list], terms1: list, terms2: list, bound: Optional[int]):
+    """Add the product of two lists of integer terms (see :func:`integer_terms`)
+    into acc, a map exponent -> [re, im], skipping exponents from bound on."""
+    for e1, a1, b1 in terms1:
+        for e2, a2, b2 in terms2:
+            e = e1 + e2
+            if bound is not None and e >= bound:
+                continue
+            cell = acc.get(e)
+            if cell is None:
+                acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+            else:
+                cell[0] += a1 * a2 - b1 * b2
+                cell[1] += a1 * b2 + b1 * a2
 
 
 class LaurentElement:
@@ -185,36 +226,16 @@ class LaurentElement:
             return self
         if not other.coeffs and other.prec is None:
             return other
-        bound: Optional[int] = None
-        if self.prec is not None:
-            lb = other._min_exp_lb()
-            bound = _min_prec(bound, self.prec + lb if lb is not None else None)
-        if other.prec is not None:
-            lb = self._min_exp_lb()
-            bound = _min_prec(bound, other.prec + lb if lb is not None else None)
+        bound = None
+        if self.prec is not None or other.prec is not None:
+            bound = product_bound(self.prec, self._min_exp_lb(), other.prec, other._min_exp_lb())
         if not self.coeffs or not other.coeffs:
             return LaurentElement.zero(bound)
         # integer-normalized convolution: pull each factor onto one denominator
-        d1 = 1
-        for c in self.coeffs.values():
-            d1 = d1 * c.d // math.gcd(d1, c.d)
-        d2 = 1
-        for c in other.coeffs.values():
-            d2 = d2 * c.d // math.gcd(d2, c.d)
-        items1 = [(e, c.a * (d1 // c.d), c.b * (d1 // c.d)) for e, c in self.coeffs.items()]
-        items2 = [(e, c.a * (d2 // c.d), c.b * (d2 // c.d)) for e, c in other.coeffs.items()]
+        d1 = common_den(self.coeffs.values())
+        d2 = common_den(other.coeffs.values())
         acc: Dict[int, list] = {}
-        for e1, a1, b1 in items1:
-            for e2, a2, b2 in items2:
-                e = e1 + e2
-                if bound is not None and e >= bound:
-                    continue
-                cell = acc.get(e)
-                if cell is None:
-                    acc[e] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    cell[0] += a1 * a2 - b1 * b2
-                    cell[1] += a1 * b2 + b1 * a2
+        convolve(acc, integer_terms(self.coeffs, d1), integer_terms(other.coeffs, d2), bound)
         den = d1 * d2
         out = {e: GaussianRational._norm(ra, rb, den) for e, (ra, rb) in acc.items()}
         return LaurentElement(out, bound)

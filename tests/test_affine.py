@@ -135,6 +135,33 @@ def test_bracket_antisymmetry_and_jacobi():
         assert jac.mat.is_zero_3v() is True and jac.c_coef == gr(0)
 
 
+def _with_entry(m: MatK, i: int, j: int, value: LaurentElement) -> MatK:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = value
+    return MatK(rows)
+
+
+def test_bracket_matrix_part_is_the_commutator():
+    rng = random.Random(17)
+    for trial in range(60):
+        n = 2 + trial % 3
+        xa, xb = random_traceless(rng, n), random_traceless(rng, n)
+        if trial % 2:
+            # truncated inputs, one an empty O(t^k); the bounds keep the
+            # residue of the c-part known
+            e = xa.rows[0][1]
+            xa = _with_entry(xa, 0, 1, e.truncated(max(e.coeffs, default=0) + rng.randint(7, 9)))
+            xb = _with_entry(xb, 1, 0, LaurentElement.zero(rng.randint(4, 6)))
+        got = bracket(AffineElement(xa, random_gaussian(rng)), AffineElement(xb))
+        assert got.mat == xa * xb - xb * xa
+        assert got.d_coef == gr(0)
+    # [x, x] is exactly zero for exact x, and [E_01, E_10] = E_00 - E_11
+    x = random_traceless(rng, 3)
+    assert x.commutator(x) == MatK.zero(3)
+    assert bracket(AffineElement(E(2, 0, 1)), AffineElement(E(2, 1, 0))).mat == mat(
+        [["1", "0"], ["0", "-1"]])
+
+
 # -- nilpotency -------------------------------------------------------------------
 
 

@@ -954,3 +954,100 @@ def test_exact_inverse_divides_by_its_determinant(d):
     if d != "1 + t":
         assert inverse.all_exact()
         assert m * inverse == MatK.identity(3)
+
+
+# -- the product kernel -----------------------------------------------------------
+
+
+def _entrywise_product(a_rows, b_rows):
+    """Reference for the product kernel: each entry of A·B summed from its n
+    Laurent products one at a time, skipping pairs with an exactly zero side."""
+    out = []
+    for row in a_rows:
+        out_row = []
+        for j in range(len(b_rows[0])):
+            acc = LaurentElement.zero()
+            for x, b_row in zip(row, b_rows):
+                y = b_row[j]
+                if (x.coeffs or x.prec is not None) and (y.coeffs or y.prec is not None):
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _entry_data(rows):
+    return [[(e.coeffs, e.prec) for e in r] for r in rows]
+
+
+_KERNEL_COEFS = [gr(1), gr(-2), gr(Fraction(1, 2)), gr(Fraction(-1, 3)),
+                 gr(Fraction(1, 2), 1), gr(0, Fraction(2, 3)), gr(Fraction(5, 6), -1)]
+
+
+def _kernel_entry(rng):
+    """Exact zero, an O(t^k) with no term, an exact polynomial or a truncated
+    one, with Gaussian coefficients over 1, 2, 3 and 6."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return LaurentElement.zero()
+    if kind == 1:
+        return LaurentElement.zero(rng.randint(-2, 3))
+    coeffs = {rng.randint(-3, 3): rng.choice(_KERNEL_COEFS) for _ in range(rng.randint(1, 3))}
+    return LaurentElement(coeffs, None if kind < 4 else max(coeffs) + rng.randint(-1, 3))
+
+
+def test_product_kernel_matches_the_entrywise_loop():
+    rng = random.Random(41)
+    for trial in range(300):
+        n = 1 + trial % 5
+        a = MatK([[_kernel_entry(rng) for _ in range(n)] for _ in range(n)])
+        b_rows = [[_kernel_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1:
+            # column 0 is (a_01, -a_00, 0, ...): entry (0, 0) is a_00 a_01 - a_01 a_00
+            column = [a.rows[0][1], -a.rows[0][0]] + [LaurentElement.zero()] * (n - 2)
+            for row, y in zip(b_rows, column):
+                row[0] = y
+        b = MatK(b_rows)
+        product = a * b
+        assert _entry_data(product.rows) == _entry_data(_entrywise_product(a.rows, b.rows))
+        if n > 1 and a.rows[0][0].is_exact and a.rows[0][1].is_exact:
+            assert product.rows[0][0] == LaurentElement.zero()
+        v = tuple(_kernel_entry(rng) for _ in range(n))
+        assert [(e.coeffs, e.prec) for e in a.apply(v)] == [
+            r[0] for r in _entry_data(_entrywise_product(a.rows, [(x,) for x in v]))]
+
+
+def test_product_kernel_examples():
+    a = mat([["1/2*t^-1 + O(t^2)", "(1/3+i)"], ["0", "O(t^1)"]])
+    b = mat([["2*t", "t^-3"], ["3", "0"]])
+    # (0, 0): 1 + O(t^3) plus (1 + 3i)*1: the sum keeps the least bound
+    # (0, 1): 1/2 t^-4 + O(t^-1); (1, 0): O(t^1) * 3; (1, 1): O(t^1) * 0 is skipped
+    assert a * b == MatK([[LaurentElement({0: gr(2, 3)}, 3),
+                           LaurentElement({-4: gr(Fraction(1, 2))}, -1)],
+                          [LaurentElement.zero(1), LaurentElement.zero()]])
+    assert a.apply((lp("2*t"), lp("3"))) == (LaurentElement({0: gr(2, 3)}, 3),
+                                             LaurentElement.zero(1))
+    # exact products that cancel give the exact zero: t^-1 * t + t * (-t^-1)
+    assert mat([["t^-1", "t"], ["0", "0"]]) * mat([["t", "0"], ["-t^-1", "0"]]) == MatK.zero(2)
+
+
+# three n x n operands, n = 1..5, of the entries drawn for trace_coeff above
+_kernel_operands = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    min_size=3, max_size=3))
+
+
+@given(_kernel_operands)
+def test_product_kernel_matches_the_entrywise_loop_on_drawn_operands(operands):
+    a_rows, b_rows, v_rows = operands
+    a, b = MatK(a_rows), MatK(b_rows)
+    v = tuple(r[0] for r in v_rows)
+    ab = _entrywise_product(a.rows, b.rows)
+    ba = _entrywise_product(b.rows, a.rows)
+    # one comparison, so that a failure is one example to shrink
+    assert [_entry_data((a * b).rows),
+            _entry_data(a.commutator(b).rows),
+            [(e.coeffs, e.prec) for e in a.apply(v)]] == [
+        _entry_data(ab),
+        _entry_data([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]),
+        [r[0] for r in _entry_data(_entrywise_product(a.rows, [(x,) for x in v]))]]
