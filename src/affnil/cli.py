@@ -99,20 +99,28 @@ def _parse_matrix(doc: Dict[str, Any], path: str) -> MatK:
     n = doc.get("n", len(matrix))
     if n != len(matrix) or any(not isinstance(r, list) or len(r) != n for r in matrix):
         raise DocumentError(f"{path}: matrix must be {n}x{n}")
+    # Documents are sparse and repeat a few literals ("0", "1") many times.
+    # LaurentElement is immutable, so each distinct text is parsed and
+    # checked once, at its first entry, and the value is shared after that.
+    parsed: Dict[str, LaurentElement] = {}
     rows: List[List[LaurentElement]] = []
     for i, row in enumerate(matrix):
         out = []
         for j, lit in enumerate(row):
-            try:
-                el = parse_laurent(str(lit))
-            except LaurentSyntaxError as exc:
-                raise DocumentError(f"{path}: entry ({i},{j}): {exc}") from exc
-            top = _max_abs_exponent(el)
-            if top > MAX_EXPONENT:
-                raise DocumentError(
-                    f"{path}: entry ({i},{j}): exponent magnitude {top} exceeds "
-                    f"the limit {MAX_EXPONENT}"
-                )
+            text = str(lit)
+            el = parsed.get(text)
+            if el is None:
+                try:
+                    el = parse_laurent(text)
+                except LaurentSyntaxError as exc:
+                    raise DocumentError(f"{path}: entry ({i},{j}): {exc}") from exc
+                top = _max_abs_exponent(el)
+                if top > MAX_EXPONENT:
+                    raise DocumentError(
+                        f"{path}: entry ({i},{j}): exponent magnitude {top} exceeds "
+                        f"the limit {MAX_EXPONENT}"
+                    )
+                parsed[text] = el
             out.append(el)
         rows.append(out)
     return MatK(rows)

@@ -380,22 +380,33 @@ class LaurentElement:
     def d_dt(self) -> "LaurentElement":
         """Termwise derivative; the truncation bound drops by one degree."""
         prec = None if self.prec is None else self.prec - 1
+        norm = GaussianRational._norm
         return LaurentElement(
-            {e - 1: c * e for e, c in self.coeffs.items() if e != 0}, prec
+            {e - 1: norm(c.a * e, c.b * e, c.d) for e, c in self.coeffs.items() if e != 0},
+            prec,
         )
 
 
 # ---------------------------------------------------------------------------
 # Text literals
 #
-# laurent  := term (("+"|"-") term)* ["+" "O(t^N)"] | "0" | "O(t^N)"
+# laurent  := sign? term (sign term)* (sign big_o)? | sign? big_o
 # term     := coef ("*"? tpow)? | tpow
 # tpow     := "t" ("^" int)?
-# coef     := rat | "(" complex ")"
-# rat      := int ("/" posint)?
+# big_o    := "O" "(" "t" ("^" int)? ")"
+# coef     := urat | "(" complex ")"
+# complex  := rat (sign urat? "i")? | rat "i" | sign? "i"
+# rat      := sign? urat
+# urat     := digits ("/" digits)?
+# int      := sign? digits
+# sign     := "+" | "-"
 #
-# The O(t^N) tail encodes a truncation bound so that every value the library
-# can produce has a parseable rendering.
+# Whitespace may separate any two tokens except the sign and `i` of `(-i)`,
+# digits are ASCII, and a denominator must be nonzero.
+# `(i)`, `(3i)` and `(-i)` are imaginary shorthands; a repeated exponent adds
+# its coefficients.  The O(t^N) tail encodes a truncation bound (its sign is
+# ignored) so that every value the library can produce has a parseable
+# rendering.
 # ---------------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,8 +10,11 @@ import pytest
 
 import affnil.cli
 import affnil.laurent
-from affnil import parse_laurent, parse_scalar
+from affnil import AffineElement, MatK, parse_laurent, parse_scalar
 from affnil.cli import main
+from affnil.selfcheck import random_orbit_case
+
+from conftest import lp
 
 
 def write(tmp_path, name, doc):
@@ -300,6 +304,60 @@ def test_overlong_integer_literal_exits_2(tmp_path, capsys):
     doc = {"n": 2, "matrix": [["0", "7" * 5000 + "*t"], ["0", "0"]]}
     assert main(["classify", write(tmp_path, "elem.json", doc)]) == 2
     assert "too long" in _one_line_error(capsys)
+
+
+def test_repeated_bad_literal_is_reported_at_its_first_entry(tmp_path, capsys):
+    doc = {"n": 3, "matrix": [["0", "t", "0"], ["0", "0", "3*"], ["3*", "0", "3*"]]}
+    path = write(tmp_path, "elem.json", doc)
+    assert main(["classify", path]) == 2
+    err = _one_line_error(capsys)
+    assert "entry (1,2): " in err and "(2," not in err
+    with pytest.raises(affnil.cli.DocumentError) as first:
+        affnil.cli.load_element(path)
+    doc["matrix"][2] = ["0", "0", "0"]  # the same literal, now only once
+    with pytest.raises(affnil.cli.DocumentError) as single:
+        affnil.cli.load_element(write(tmp_path, "elem.json", doc))
+    assert str(first.value) == str(single.value)
+
+
+def test_repeated_over_limit_exponent_is_rejected_at_its_first_entry(tmp_path, capsys):
+    group = write(tmp_path, "group.json", {"matrix": [["1", "t^2000"], ["t^2000", "1"]]})
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "0"], ["t", "0"]]})
+    assert main(["act", group, elem]) == 2
+    err = _one_line_error(capsys)
+    assert "entry (0,1): exponent magnitude 2000 exceeds the limit 1000" in err
+
+
+def test_json_numbers_and_literals_mix(tmp_path):
+    doc = {"n": 2, "matrix": [[0, "t"], ["0", 0]], "c": 0}
+    elem = affnil.cli.load_element(write(tmp_path, "elem.json", doc))
+    assert elem.mat == MatK([[lp("0"), lp("t")], [lp("0"), lp("0")]])
+    doc = {"matrix": [[1, "t"], ["0", "1"]]}
+    g = affnil.cli.load_group(write(tmp_path, "group.json", doc), 64)
+    assert g.g == MatK([[lp("1"), lp("t")], [lp("0"), lp("1")]])
+
+
+def _entrywise(doc) -> MatK:
+    return MatK([[parse_laurent(str(lit)) for lit in row] for row in doc["matrix"]])
+
+
+def test_loaders_match_entrywise_parsing_on_seeded_documents(tmp_path):
+    rng = random.Random(15)
+    for trial in range(24):
+        n = rng.randint(2, 6)
+        _, _, _, elem, g = random_orbit_case(rng, n)
+        if trial % 4 == 3:  # one truncated entry above the diagonal
+            rows = [list(row) for row in elem.mat.rows]
+            rows[0][n - 1] = rows[0][n - 1].truncated(rng.randint(-3, 8))
+            elem = AffineElement(MatK(rows), elem.c_coef)
+        elem_doc = affnil.cli.element_doc(elem)
+        loaded = affnil.cli.load_element(write(tmp_path, "elem.json", elem_doc))
+        assert loaded.mat == _entrywise(elem_doc) == elem.mat
+        assert loaded.c_coef == elem.c_coef and loaded.d_coef == elem.d_coef
+        group_doc = affnil.cli.group_doc(g)
+        loaded_g = affnil.cli.load_group(write(tmp_path, "group.json", group_doc), 64)
+        assert loaded_g.g == _entrywise(group_doc) == g.g
+        assert loaded_g.z == g.z
 
 
 def test_act_result_over_the_output_digit_limit_exits_2(tmp_path, capsys):

@@ -369,6 +369,15 @@ def test_d_dt_examples():
     assert LaurentElement({0: gr(1)}, 5).d_dt().prec == 4
 
 
+@given(laurents, st.one_of(st.none(), st.integers(-5, 6)))
+def test_d_dt_matches_the_entrywise_formula(s, bound):
+    s = s.truncated(bound)
+    d = s.d_dt()
+    assert d.coeffs == {e - 1: c * e for e, c in s.coeffs.items() if e != 0}
+    assert -1 not in d.coeffs  # the t^0 term drops out
+    assert d.prec == (None if bound is None else bound - 1)
+
+
 @given(laurents)
 def test_residue_of_derivative_vanishes(s):
     assert s.d_dt().residue() == gr(0)
