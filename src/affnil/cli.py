@@ -280,7 +280,8 @@ def _cmd_act(args) -> int:
     g = load_group(args.group_file, args.prec)
     elem = load_element(args.elem_file)
     kappa = _kappa(args)
-    # Ad (z, g) = Ad d_z o Ad g: the size of the rotation is checked on Ad g
+    # Ad (z, g) = Ad d_z o Ad g, and Ad d_z is t -> z t on the matrix part
+    # alone; the size of the rotation is checked on Ad g
     result = adjoint_act(GroupElement(gr(1), g.g, g.det_mode), elem, args.prec, kappa)
     if g.z != gr(1):
         digits = _rotation_digits(result.mat, g.z)
@@ -289,7 +290,7 @@ def _cmd_act(args) -> int:
                 f"{args.group_file}: t -> z t would give coefficients of about "
                 f"{digits:.0f} digits, over the limit {MAX_ROTATION_DIGITS}"
             )
-        result = adjoint_act(GroupElement.loop_rotation(g.n, g.z), result, args.prec, kappa)
+        result = AffineElement(result.mat.scale_t(g.z), result.c_coef, result.d_coef)
     print(json.dumps(element_doc(result), indent=None if args.json else 2))
     return EXIT_OK
 

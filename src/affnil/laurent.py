@@ -401,8 +401,8 @@ class LaurentElement:
 # int      := sign? digits
 # sign     := "+" | "-"
 #
-# Whitespace may separate any two tokens except the sign and `i` of `(-i)`,
-# digits are ASCII, and a denominator must be nonzero.
+# Whitespace may separate any two tokens, digits are ASCII, and a denominator
+# must be nonzero.
 # `(i)`, `(3i)` and `(-i)` are imaginary shorthands; a repeated exponent adds
 # its coefficients.  The O(t^N) tail encodes a truncation bound (its sign is
 # ignored) so that every value the library can produce has a parseable
@@ -474,14 +474,16 @@ def _scan_rat(sc: _Scanner, signed: bool = True) -> Fraction:
 def _scan_complex(sc: _Scanner) -> GaussianRational:
     """Contents of a parenthesized coefficient, opening paren consumed."""
     sc.skip_ws()
-    if sc.peek() == "i":  # (i), tolerated shorthand
+    start = sc.i
+    sign = 1
+    if sc.peek() in ("+", "-"):
+        sign = -1 if sc.take() == "-" else 1
+        sc.skip_ws()
+    if sc.peek() == "i":  # (i), (-i), (+ i), tolerated shorthands
         sc.take()
-        re, im = Fraction(0), Fraction(1)
-    elif sc.peek() in "+-" and sc.text[sc.i : sc.i + 2] in ("+i", "-i"):
-        im = Fraction(-1) if sc.take() == "-" else Fraction(1)
-        sc.take()
-        re = Fraction(0)
+        re, im = Fraction(0), Fraction(sign)
     else:
+        sc.i = start  # the sign belongs to the number
         first = _scan_rat(sc)
         sc.skip_ws()
         if sc.peek() == "i":  # (3i), tolerated shorthand

@@ -11,20 +11,19 @@ never taken: the determinant certificate is carried instead, which loses
 nothing because scalar matrices act trivially by conjugation and contribute
 nothing to the level of trace-zero elements.
 
-Everything here is exact when the input matrix is exact.  Exact x is written
-once as t^s·X/D with X over the Gaussian-integer polynomials Z[i][t] of
-:mod:`affnil.zipoly`, and three things run there on integers only: the powers
-X^j, the images of the chain tops under x, and the final check x P = P J (whose
-right side needs no product: column j of P J is column j - 1 of P, or 0).
-Each power and each chain vector enters Laurent form once; truncated input is
-multiplied in Laurent form.  A quasi-Jordan input is read off directly, with no
-powers: it is strictly upper triangular, hence nilpotent.  The kernels of the
-powers come from fraction-free elimination with exact divisions, and each
-kernel vector is scaled only by the pivots its back-substitution could not
-divide by, so the chain tops, and with them P and det P, stay small.  Choosing
-the chain tops only needs yes/no independence answers, and for exact input
-those are taken at a point, t = t0 and i = sqrt(-1) in F_p, on the
-Gaussian-integer forms of x and of the kernel vectors
+Everything here is exact when the input matrix is exact.  Exact and truncated
+input take one path: the powers of x, the images of the chain tops under x and
+the final check x P = P J are :class:`MatK` products and applications, which
+run the sparse integer-term kernel of :mod:`affnil.matk`.  The right side of
+the check needs no product (:func:`times_jordan`: column j of P J is column
+j - 1 of P, or 0), and for exact x the check is exact.  A quasi-Jordan input
+is read off directly, with no powers: it is strictly upper triangular, hence
+nilpotent.  The kernels of the powers come from fraction-free elimination with
+exact divisions, and each kernel vector is scaled only by the pivots its
+back-substitution could not divide by, so the chain tops, and with them P and
+det P, stay small.  Choosing the chain tops only needs yes/no independence
+answers, and for exact input those are taken at a point, t = t0 and i = sqrt(-1)
+in F_p, on the Gaussian-integer forms of x and of the kernel vectors
 (:func:`zipoly.values_mod_p`).  Those forms are nonzero K-multiples of the
 vectors they stand for and evaluation is a ring map Z[i][t] -> F_p, so an
 independent set at the point stays independent over K, and every value is
@@ -207,78 +206,35 @@ def read_quasi_jordan(x: MatK) -> Optional[QuasiJordanForm]:
 # ---------------------------------------------------------------------------
 
 
-class _ExactMatrix:
-    """An exact matrix x written once as t^shift·X/den, with X over Z[i][t]
-    (one common denominator and shift for all entries, :func:`zipoly.from_row`).
-
-    X's rows are held as the :func:`zipoly.sparse` lists of their nonzero
-    entries, built once, so that the powers of x, its images of vectors and
-    the check x·P = P·J are products over Z[i][t] (:meth:`times`) that touch
-    integers only and skip zero entries.
-    """
-
-    def __init__(self, x: MatK):
-        n = x.n
-        self.den, self.shift, flat = zipoly.from_row([e for row in x.rows for e in row])
-        self.columns = [flat[j::n] for j in range(n)]
-        self.rows = [
-            [(k, zipoly.sparse(f)) for k, f in enumerate(flat[i * n:(i + 1) * n]) if f]
-            for i in range(n)
-        ]
-
-    def times(self, v: List[zipoly.Poly]) -> List[zipoly.Poly]:
-        """X·v for a vector v over Z[i][t]."""
-        vz = [zipoly.sparse(f) for f in v]
-        return [zipoly.sparse_dot([(fz, vz[k]) for k, fz in row if vz[k]]) for row in self.rows]
-
-    def apply(self, v: Vector) -> Vector:
-        """x·v for an exact vector v."""
-        den, shift, polys = zipoly.from_row(v)
-        shift += self.shift
-        den *= self.den
-        return tuple(
-            zipoly.to_laurent(f, shift, den) if f else _L_ZERO for f in self.times(polys)
-        )
-
-
 def nilpotent_powers(x: MatK) -> List[MatK]:
     """[x^0, x^1, ..., x^m] with x^m = 0; raises NotNilpotent when x^n != 0,
-    and PrecisionExhausted when a truncated power is undetermined."""
-    return _powers(x)[0]
+    and PrecisionExhausted when a truncated power is undetermined.
 
-
-def _powers(x: MatK) -> Tuple[List[MatK], Optional[_ExactMatrix]]:
-    """The powers of x, and x as an :class:`_ExactMatrix` when x is exact.
-
-    For exact x = t^s·X/D, X^j = X·X^(j-1) runs over Z[i][t], and nilpotency
-    is exactly "X^j is empty"; each power enters Laurent form once, as
-    x^j = t^(j·s)·X^j/D^j.  Truncated x is multiplied in Laurent form.
+    Each power is one :meth:`MatK.__mul__`, so exact input stays exact and
+    nilpotency is then decided exactly.
     """
     n = x.n
     powers = [MatK.identity(n), x]
-    if not x.all_exact():
-        while True:
-            z = powers[-1].is_zero_3v()
-            if z is True:
-                return powers, None
-            if z is None:
-                raise PrecisionExhausted("nilpotency undetermined at current precision")
-            if len(powers) > n:
-                raise NotNilpotent(f"{n}-th power does not vanish")
-            powers.append(powers[-1] * x)
-    exact = _ExactMatrix(x)
-    power = exact.columns  # the columns of X^j, j = len(powers) - 1
-    while any(f for col in power for f in col):
+    while True:
+        z = powers[-1].is_zero_3v()
+        if z is True:
+            return powers
+        if z is None:
+            raise PrecisionExhausted("nilpotency undetermined at current precision")
         if len(powers) > n:
             raise NotNilpotent(f"{n}-th power does not vanish")
-        power = [exact.times(col) for col in power]
-        j = len(powers)
-        shift, den = j * exact.shift, exact.den ** j
-        powers.append(MatK([
-            [zipoly.to_laurent(f, shift, den) if f else _L_ZERO for f in row]
-            for row in zip(*power)
-        ]))
-    return powers, exact
+        powers.append(powers[-1] * x)
+
+
+def times_jordan(m: MatK, sigma: Tuple[int, ...]) -> MatK:
+    """M·J for J the Jordan matrix of sigma (superdiagonal ones, blocks of
+    sizes sigma), with no product: column j of M·J is column j - 1 of M, or
+    0 where a block starts."""
+    starts = {sum(sigma[:b]) for b in range(len(sigma))}
+    return MatK([
+        [_L_ZERO if j in starts else row[j - 1] for j in range(m.n)]
+        for row in m.rows
+    ])
 
 
 class _Echelon:
@@ -300,7 +256,6 @@ class _Echelon:
 class ChainData(NamedTuple):
     p_mat: MatK
     sigma: Tuple[int, ...]
-    j_mat: MatK
 
 
 # Independence tests at a point: t -> t0 and i -> a square root of -1 in F_p.
@@ -416,22 +371,12 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     t-power content of its kernel-end vector, which keeps P close to
     unimodular on simple inputs.
     """
-    return _chains_from_powers(x, *_powers(x), working_prec)
-
-
-def _chains_from_powers(
-    x: MatK, powers: List[MatK], exact: Optional[_ExactMatrix], working_prec: int
-) -> ChainData:
-    """Jordan chains from the powers of x; `exact` is x as an
-    :class:`_ExactMatrix` when x is exact (then so are its powers and their
-    kernel vectors), else None."""
     n = x.n
-    m = len(powers) - 1
-    kernels = [powers[j].kernel_basis(working_prec) for j in range(1, m + 1)]
-    tops = None if exact is None else _modular_tops(x, kernels)
-    apply = x.apply if exact is None else exact.apply
+    powers = nilpotent_powers(x)
+    kernels = [power.kernel_basis(working_prec) for power in powers[1:]]
+    tops = _modular_tops(x, kernels) if x.all_exact() else None
     if tops is None:
-        tops = _greedy_tops(kernels, apply, lambda: _Echelon(n))
+        tops = _greedy_tops(kernels, x.apply, lambda: _Echelon(n))
     sigma = tuple(height for height, _ in tops)
     if sum(sigma) != n:
         raise PrecisionExhausted("chain construction did not span the space")
@@ -439,7 +384,7 @@ def _chains_from_powers(
     for height, idx in tops:
         seq = [kernels[height - 1][idx]]
         for _ in range(height - 1):
-            seq.append(apply(seq[-1]))
+            seq.append(x.apply(seq[-1]))
         seq.reverse()  # kernel end first
         content = vector_content(seq[0])
         if content is not None:
@@ -448,39 +393,16 @@ def _chains_from_powers(
             seq = [tuple(e.shift(-exp).scale(inv) for e in vec) for vec in seq]
         columns.extend(seq)
     p_mat = MatK([[columns[j][i] for j in range(n)] for i in range(n)])
-    j_mat = canonical_rep(sigma, 0)
-    if exact is not None:
-        _check_jordan_basis(exact, p_mat, sigma)
-    elif (x * p_mat - p_mat * j_mat).is_zero_3v() is False:
-        # truncated input must at least be consistent
+    _check_jordan_basis(x, p_mat, sigma)
+    return ChainData(p_mat, sigma)
+
+
+def _check_jordan_basis(x: MatK, p_mat: MatK, sigma: Tuple[int, ...]):
+    """Raise AssertionError when x·P - P·J is provably nonzero, J the Jordan
+    matrix of sigma: an exact test for exact x, and a consistency test for
+    truncated x."""
+    if (x * p_mat - times_jordan(p_mat, sigma)).is_zero_3v() is False:
         raise AssertionError("chain construction produced an invalid basis")
-    return ChainData(p_mat, sigma, j_mat)
-
-
-def _check_jordan_basis(exact: _ExactMatrix, p_mat: MatK, sigma: Tuple[int, ...]):
-    """Raise AssertionError unless x·P = P·J exactly, J the Jordan matrix of
-    sigma.
-
-    Column j of P·J is column j - 1 of P, or 0 where a block starts, so only
-    x·P is a product.  With x = t^s·X/D and P = t^r·Q/E over Z[i][t], the
-    check is t^s·X·Q = D·Q·J: column j of t^s·X·Q against D times column
-    j - 1 of Q, with the t-power put on whichever side keeps it a polynomial.
-    """
-    n = p_mat.n
-    _, _, flat = zipoly.from_row([e for row in p_mat.rows for e in row])
-    starts = {sum(sigma[:b]) for b in range(len(sigma))}
-    lift_xq = [(0, 0)] * max(0, exact.shift)
-    lift_q = [(0, 0)] * max(0, -exact.shift)
-    d = exact.den
-    for j in range(n):
-        lhs = [lift_xq + f if f else f for f in exact.times(flat[j::n])]
-        if j in starts:
-            rhs = [[]] * n
-        else:
-            rhs = [lift_q + [(a * d, b * d) for a, b in f] if f else f
-                   for f in flat[j - 1::n]]
-        if lhs != rhs:
-            raise AssertionError("chain construction produced an invalid basis")
 
 
 def rank_profile_partition(x: MatK) -> Tuple[int, ...]:

@@ -13,10 +13,12 @@ gcd(sigma) * Z, so those sums are all the shifts there are.
 
 The level is lambda + res<h^-1 h', x>_t, the c-part of Ad h applied along
 the computed conjugator h = S T.  For T = P^-1 the correction collapses to
--kappa * res tr(P^-1 x P'), and tr(adj(P) x P')
-comes out of a single dual-number determinant, so the whole computation stays
-in exact arithmetic with one scalar series inversion at the end, taken to
-exactly the length that the t^-1 coefficient reads.
+-kappa * res tr(P^-1 x P'), and tr(adj(P) x P') comes out of a single
+dual-number determinant, so the whole computation stays in exact arithmetic
+with one scalar series inversion at the end, taken to exactly the length that
+the t^-1 coefficient reads.  For exact x the reduction has checked x P = P J
+exactly, so x P' enters that determinant as P' J (tr(P^-1 x P') =
+tr(J P^-1 P') = tr(P^-1 P' J)): a shift of the columns of P', with no product.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .normalform import (
     canonical_rep,
     mult_order,
     reduce_to_quasi_jordan,
+    times_jordan,
 )
 
 _L_ONE = LaurentElement.one()
@@ -66,7 +69,11 @@ def classify(
         level = a.c_coef
     else:
         p_mat = data.p_mat
-        direction = a.mat * p_mat.d_dt()
+        if a.mat.all_exact():
+            # x·P = P·J holds exactly, so tr(adj(P)·x·P′) = tr(adj(P)·P′·J)
+            direction = times_jordan(p_mat.d_dt(), sigma)
+        else:
+            direction = a.mat * p_mat.d_dt()
         if p_mat.all_exact() and direction.all_exact():
             det_p, adj_trace = det_and_adj_trace(p_mat, direction)
             # the t^-1 coefficient of adj_trace / det_p reads 1/det_p up to

@@ -25,11 +25,10 @@ whatever the denominators.
 Products run over the nonzero pairs only (:func:`sparse`), but a dense entry
 still costs time and memory in proportion to its exponent span: building it,
 scanning it for its nonzero pairs, and every accumulator, exact division and
-conversion walk the whole list.  Where a whole matrix shares one shift, as the
-powers of x in :mod:`affnil.normalform` do, every entry starts at the least
-exponent of the matrix, so its span is up to the matrix's exponent range.  For
-documents the CLI's exponent cap of ±1000 bounds it; a library caller with
-entries like t^500000 − 1 pays for 500000 pairs.
+conversion walk the whole list.  Every entry of a row starts at the row's
+least exponent, so its span is up to the row's exponent range.  For documents
+the CLI's exponent cap of ±1000 bounds it; a library caller with entries like
+t^500000 − 1 pays for 500000 pairs.
 """
 
 from __future__ import annotations
@@ -180,13 +179,7 @@ def mul_sub(p: Poly, x: Poly, f: Poly, y: Poly) -> Poly:
 
 def dot(fs: Sequence[Poly], gs: Sequence[Poly]) -> Poly:
     """The sum of f·g over the pairs of fs and gs."""
-    return sparse_dot([(sparse(f), sparse(g)) for f, g in zip(fs, gs) if f and g])
-
-
-def sparse_dot(pairs: Sequence[Tuple[Sparse, Sparse]]) -> Poly:
-    """The sum of f·g over pairs of nonzero polynomials given as their
-    :func:`sparse` lists, so that a matrix product builds each entry's list
-    once, not once per product, and passes only its nonzero pairs."""
+    pairs = [(sparse(f), sparse(g)) for f, g in zip(fs, gs) if f and g]
     if not pairs:
         return []
     size = max(fz[-1][0] + gz[-1][0] for fz, gz in pairs) + 1

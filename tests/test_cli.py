@@ -10,7 +10,9 @@ import pytest
 
 import affnil.cli
 import affnil.laurent
-from affnil import AffineElement, MatK, parse_laurent, parse_scalar
+from affnil import (
+    AffineElement, GroupElement, MatK, adjoint_act, gr, parse_laurent, parse_scalar,
+)
 from affnil.cli import main
 from affnil.selfcheck import random_orbit_case
 
@@ -245,6 +247,22 @@ def test_act_output_reparses(tmp_path, capsys):
         for entry in row:
             parse_laurent(entry)
     parse_scalar(doc["c"])
+
+
+def test_act_with_rotation_matches_the_library(tmp_path, capsys):
+    # the CLI applies d_z as t -> z t on Ad g; the library composes (z, g)
+    rng = random.Random("act-rotation")
+    for trial in range(12):
+        n = rng.randint(2, 5)
+        _, _, _, elem, g = random_orbit_case(rng, n)
+        g = GroupElement(gr(2), g.g, g.det_mode)
+        if trial % 3 == 1:  # a derivation part
+            elem = AffineElement(elem.mat, elem.c_coef, gr(rng.choice((-1, 1))))
+        elem_path = write(tmp_path, "elem.json", affnil.cli.element_doc(elem))
+        group_path = write(tmp_path, "group.json", affnil.cli.group_doc(g))
+        assert main(["act", group_path, elem_path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == affnil.cli.element_doc(adjoint_act(g, elem))
 
 
 def test_act_truncated_output_reparses(tmp_path, capsys):

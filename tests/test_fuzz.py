@@ -28,7 +28,8 @@ literals = st.text(alphabet=_LITERAL_CHARS, max_size=40)
 structured_literals = st.lists(
     st.sampled_from(
         ["t", "t^", "^-", "3", "-", "+", "*", "/", "(", ")", "i", "1/2", "O(t^",
-         "9" * 30, "0", " ", "t^-7", "(1+i)", "(-i)", "/0", "^1001", "²"]
+         "9" * 30, "0", " ", "t^-7", "(1+i)", "(-i)", "(- i)", "(+ i)",
+         "/0", "^1001", "²"]
     ),
     max_size=12,
 ).map("".join)

@@ -84,6 +84,16 @@ def test_parse_imaginary_shorthands():
     assert parse_laurent("(1/2-i)") == LaurentElement({0: gr(Fraction(1, 2), -1)})
 
 
+def test_parse_imaginary_shorthand_with_spaced_sign():
+    assert parse_laurent("(- i)") == LaurentElement({0: gr(0, -1)})
+    assert parse_laurent("(+ i)*t") == LaurentElement({1: gr(0, 1)})
+    assert parse_laurent("( -\ti )") == parse_laurent("(-i)")
+    # a sign that is not the shorthand's still belongs to the number
+    assert parse_laurent("(- 3 + i)") == LaurentElement({0: gr(-3, 1)})
+    with pytest.raises(LaurentSyntaxError, match="position 1"):
+        parse_laurent("(- - i)")
+
+
 def test_coeff_query_respects_precision():
     s = LaurentElement({0: gr(1)}, 5)
     assert s.coeff(3) == gr(0)

@@ -36,7 +36,7 @@ from affnil import (
 from affnil import normalform, zipoly
 from affnil.matk import normalize_vector
 from affnil.normalform import jordan_chains, nilpotent_powers
-from affnil.selfcheck import random_group, random_orbit_case
+from affnil.selfcheck import random_group, random_laurent, random_orbit_case
 
 from conftest import lp, mat
 
@@ -440,12 +440,12 @@ def test_modular_pass_evaluates_wide_entries_term_by_term(monkeypatch):
     assert peak < 10**6
 
 
-# -- powers, chain images and the basis check over Z[i][t] ----------------------------------
+# -- powers and the basis check --------------------------------------------------------------
 
 
 def _laurent_powers(x):
-    """Oracle: the powers by repeated MatK.__mul__, as nilpotent_powers took
-    them for every input before exact input moved to Z[i][t]."""
+    """Oracle: the powers by repeated MatK.__mul__, stated apart from
+    nilpotent_powers."""
     powers = [MatK.identity(x.n), x]
     while True:
         z = powers[-1].is_zero_3v()
@@ -477,19 +477,14 @@ def test_exact_powers_equal_the_laurent_products():
 
 
 def _count_products(monkeypatch):
-    """Count the matrix products of nilpotent_powers on both paths."""
-    calls = {"dense": 0, "laurent": 0}
-    dot, mul = zipoly.sparse_dot, MatK.__mul__
-
-    def counted_dot(pairs):
-        calls["dense"] += 1
-        return dot(pairs)
+    """Count the MatK products taken."""
+    calls = {"products": 0}
+    mul = MatK.__mul__
 
     def counted_mul(a, b):
-        calls["laurent"] += 1
+        calls["products"] += 1
         return mul(a, b)
 
-    monkeypatch.setattr(zipoly, "sparse_dot", counted_dot)
     monkeypatch.setattr(MatK, "__mul__", counted_mul)
     return calls
 
@@ -504,11 +499,8 @@ def test_exact_non_nilpotent_raises_after_the_same_powers(monkeypatch, rows):
     calls = _count_products(monkeypatch)
     with pytest.raises(NotNilpotent, match=f"{x.n}-th power"):
         nilpotent_powers(x)
-    assert calls["laurent"] == 0
-    with pytest.raises(NotNilpotent, match=f"{x.n}-th power"):
-        _laurent_powers(x)
-    # the oracle took x^2 .. x^n; each dense power is n^2 entry products
-    assert calls["dense"] == calls["laurent"] * x.n ** 2 == (x.n - 1) * x.n ** 2
+    # x^2 .. x^n, one product each
+    assert calls["products"] == x.n - 1
 
 
 def test_truncated_powers_stay_laurent_products(monkeypatch):
@@ -516,7 +508,7 @@ def test_truncated_powers_stay_laurent_products(monkeypatch):
     x = MatK([[lp("0"), cut, lp("t")], [lp("0"), lp("0"), cut], [lp("0"), lp("0"), lp("0")]])
     calls = _count_products(monkeypatch)
     powers = nilpotent_powers(x)
-    assert calls == {"dense": 0, "laurent": 2}
+    assert calls["products"] == 2
     assert [p.rows for p in powers] == [p.rows for p in _laurent_powers(x)]
     assert len(powers) == 4 and powers[2].rows[0][2] == cut * cut
     undetermined = MatK([[lp("0"), LaurentElement({}, 5)], [lp("0"), lp("0")]])
@@ -524,21 +516,26 @@ def test_truncated_powers_stay_laurent_products(monkeypatch):
         nilpotent_powers(undetermined)
 
 
+def test_times_jordan_is_the_product_with_j():
+    rng = random.Random("times-jordan")
+    for n in range(1, 7):
+        for sigma in partitions(n):
+            m = MatK([[random_laurent(rng, max_terms=2) for _ in range(n)] for _ in range(n)])
+            assert normalform.times_jordan(m, sigma) == m * canonical_rep(sigma, 0)
+
+
 def _with_column(p_mat, j, column):
     return MatK([row[:j] + (column[i],) + row[j + 1:] for i, row in enumerate(p_mat.rows)])
 
 
 def test_exact_basis_check_rejects_a_wrong_column():
-    shifts = set()
     cases = list(_seeded_conjugates("basis-check", range(2, 7), 3))
     for x in cases + [x.scale(lp("t^6")) for x in cases]:
         chains = jordan_chains(x)
         if chains.sigma[0] < 2:
             continue
-        exact = normalform._ExactMatrix(x)
-        shifts.add((exact.shift > 0) - (exact.shift < 0))
         p_mat = chains.p_mat
-        normalform._check_jordan_basis(exact, p_mat, chains.sigma)
+        normalform._check_jordan_basis(x, p_mat, chains.sigma)
         columns = list(zip(*p_mat.rows))
         top = chains.sigma[0] - 1  # the top of the tallest chain; column 0 is its kernel end
         wrong = [
@@ -547,15 +544,14 @@ def test_exact_basis_check_rejects_a_wrong_column():
         ]
         for bad in wrong:
             with pytest.raises(AssertionError, match="invalid basis"):
-                normalform._check_jordan_basis(exact, bad, chains.sigma)
-    assert shifts == {-1, 0, 1}
+                normalform._check_jordan_basis(x, bad, chains.sigma)
 
 
 def test_quasi_jordan_input_takes_no_powers(monkeypatch):
     def unreachable(x):
         raise AssertionError("powers computed")
 
-    monkeypatch.setattr(normalform, "_powers", unreachable)
+    monkeypatch.setattr(normalform, "nilpotent_powers", unreachable)
     for n in range(1, 7):
         for sigma in partitions(n):
             for k in range(sigma[-1]):

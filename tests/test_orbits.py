@@ -28,7 +28,8 @@ from affnil import (
     partitions,
     quasi_jordanize,
 )
-from affnil.normalform import jordan_chains
+from affnil.matk import det_and_adj_trace
+from affnil.normalform import jordan_chains, times_jordan
 from affnil.selfcheck import random_group, random_orbit_case
 
 from conftest import lp, mat
@@ -327,3 +328,23 @@ def test_stress_jordan_basis_stays_small():
     _, _, _, moved = _stress_case(8, 15, 3)
     p_mat = jordan_chains(moved.mat).p_mat
     assert max(len(e.coeffs) for row in p_mat.rows for e in row) <= 40
+
+
+def _direction_cases():
+    rng = random.Random("direction")
+    for n in range(2, 7):
+        for _ in range(8):
+            _, _, _, elem, g = random_orbit_case(rng, n)
+            yield adjoint_act(g, elem).mat
+    for shears in (15, 20):
+        for j in range(4):
+            yield _stress_case(8, shears, j)[3].mat
+
+
+def test_level_direction_p_prime_j_matches_x_p_prime():
+    # classify reads tr(adj(P)·x·P′) as tr(adj(P)·P′·J) once x·P = P·J is checked
+    for x in _direction_cases():
+        chains = jordan_chains(x)
+        p_prime = chains.p_mat.d_dt()
+        assert det_and_adj_trace(chains.p_mat, x * p_prime) == det_and_adj_trace(
+            chains.p_mat, times_jordan(p_prime, chains.sigma))
