@@ -18,7 +18,7 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
 * the row echelon form behind :meth:`MatK.rank` and :meth:`MatK.kernel_basis`
   (:func:`_dense_echelon`), whose rows enter primitive (content 1 and least
   exponent 0, as :func:`normalize_vector`);
-* :meth:`MatK.inv` (:func:`_inv_bareiss`): Gauss–Jordan on [A | I], which
+* :meth:`MatK.inv` (:func:`_inv_dense`): Gauss–Jordan on [A | I], which
   yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
   truncate, when d is not a monomial.
 
@@ -64,7 +64,6 @@ broken by the lowest row, which protects precision.  The exact loop and
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import zipoly
@@ -297,8 +296,8 @@ class MatK:
                     right = [[zipoly.mul(e, [(a, -b)]) for e in r] for r in right]
                 return MatK([[zipoly.to_laurent(e, -j, a * a + b * b if b else a)
                               for e in r] for r in right])
-            return _to_laurent_rows(right, shift, den).scale(
-                zipoly.to_laurent(d, shift, den).inv(working_prec))
+            scaled = MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in right])
+            return scaled.scale(zipoly.to_laurent(d, shift, den).inv(working_prec))
         inverse = _gauss_jordan(self, working_prec, inverse=True)
         if inverse is None:
             raise Singular("matrix is exactly singular")
@@ -497,32 +496,24 @@ def vector_content(v: Vector) -> Optional[Tuple[GaussianRational, int]]:
     """(c, e) with v = c·t^e·w, where the real and imaginary parts of w's
     coefficients are integers with gcd 1 and w's least exponent is 0.
 
-    None when v is zero or carries a truncated entry.
+    None when v is zero or carries a truncated entry.  Read off the integer
+    form of v (:func:`zipoly.from_row`) by :func:`zipoly.row_content`.
     """
-    num_gcd = 0
-    den_lcm = 1
-    min_exp = None
-    for el in v:
-        if el.prec is not None:
-            return None
-        for exp, c in el.coeffs.items():
-            num_gcd = math.gcd(num_gcd, c.a, c.b)
-            den_lcm = den_lcm * c.d // math.gcd(den_lcm, c.d)
-            if min_exp is None or exp < min_exp:
-                min_exp = exp
-    if min_exp is None:
+    if any(el.prec is not None for el in v):
         return None
-    return GaussianRational(Fraction(num_gcd, den_lcm)), min_exp
+    den, shift, polys = zipoly.from_row(v)
+    g, lo = zipoly.row_content(polys)
+    if lo is None:
+        return None
+    return GaussianRational._norm(g, 0, den), shift + lo
 
 
 def normalize_vector(v: Vector) -> Vector:
-    """Divide an exact vector by its content (see :func:`vector_content`)."""
-    content = vector_content(v)
-    if content is None:
+    """w of :func:`vector_content`, as :func:`zipoly.primitive` of the integer
+    form of v; a truncated vector is returned as is."""
+    if any(el.prec is not None for el in v):
         return v
-    scalar, exp = content
-    inv = scalar.inverse()
-    return tuple(el.shift(-exp).scale(inv) for el in v)
+    return tuple(zipoly.to_laurent(f) for f in zipoly.primitive(zipoly.from_row(v)[2]))
 
 
 def _echelon(
@@ -652,20 +643,17 @@ class _Dual:
 
     @staticmethod
     def mul(x, y):
-        return zipoly.mul(x[0], y[0]), zipoly.mul_sub(x[0], y[1], zipoly.neg(x[1]), y[0])
+        return zipoly.mul(x[0], y[0]), zipoly.combine([(1, x[0], y[1]), (1, x[1], y[0])])
 
     @staticmethod
     def div(x, y):
         q = zipoly.exact_div(x[0], y[0])
-        return q, zipoly.exact_div(zipoly.sub(x[1], zipoly.mul(q, y[1])), y[0])
+        return q, zipoly.exact_div(zipoly.combine([(1, x[1], [(1, 0)]), (-1, q, y[1])]), y[0])
 
     @staticmethod
     def combine(p, x, f, y, prev):
         a = zipoly.mul_sub(p[0], x[0], f[0], y[0])
-        b = zipoly.add(
-            zipoly.mul_sub(p[0], x[1], f[0], y[1]),
-            zipoly.mul_sub(p[1], x[0], f[1], y[0]),
-        )
+        b = zipoly.combine([(1, p[0], x[1]), (-1, f[0], y[1]), (1, p[1], x[0]), (-1, f[1], y[0])])
         return (a, b) if prev is None else _Dual.div((a, b), prev)
 
 
@@ -775,8 +763,9 @@ def _dense_kernel(ech: List[Tuple[int, List[zipoly.Poly]]], width: int) -> List[
     h divides it in Z[i][t].  Then the vector is scaled by the rational
     integer N(c) = c·conj(c) and by t^lo, and the new entry is
     −conj(c)·(acc / h); otherwise the vector is scaled by the pivot itself.
-    Both scalings keep the vector a positive rational multiple of t^k times
-    the one that divides over K where it can, so the final
+    The accumulated entry is taken negated, −Σ row_j·v_j, in one
+    :func:`zipoly.combine`.  Both scalings keep the vector a positive rational
+    multiple of t^k times the one that divides over K where it can, so the final
     :func:`zipoly.primitive` gives what :func:`normalize_vector` gives there.
     A vector thus carries only the pivots it needs, not their product.
     """
@@ -784,26 +773,26 @@ def _dense_kernel(ech: List[Tuple[int, List[zipoly.Poly]]], width: int) -> List[
     free_cols = [c for c in range(width) if c not in pivot_cols]
     if not free_cols:
         return []
-    pivots = []  # per echelon row: (h, −conj(c), N(c)·t^lo)
+    pivots = []  # per echelon row: (h, conj(c), N(c)·t^lo)
     for c, row in ech:
         lo = zipoly.low(row[c])
         a, b = zipoly.content(row[c])
         h = zipoly.exact_div(row[c][lo:], [(a, b)])
-        pivots.append((h, [(-a, b)], [(0, 0)] * lo + [(a * a + b * b, 0)]))
+        pivots.append((h, [(a, -b)], [(0, 0)] * lo + [(a * a + b * b, 0)]))
     basis: List[Vector] = []
     for f in free_cols:
         v: List[zipoly.Poly] = [[] for _ in range(width)]
         v[f] = [(1, 0)]
-        for (c, row), (h, neg_conj, scale) in zip(reversed(ech), reversed(pivots)):
-            acc = zipoly.dot(row[c + 1:], v[c + 1:])
-            if not acc:
+        for (c, row), (h, conj, scale) in zip(reversed(ech), reversed(pivots)):
+            neg_acc = zipoly.combine([(-1, x, y) for x, y in zip(row[c + 1:], v[c + 1:])])
+            if not neg_acc:
                 continue
             try:
-                q = zipoly.exact_div(acc, h)
+                q = zipoly.exact_div(neg_acc, h)
             except ExactDivisionError:
-                factor, entry = row[c], zipoly.neg(acc)
+                factor, entry = row[c], neg_acc
             else:
-                factor, entry = scale, zipoly.mul(neg_conj, q)
+                factor, entry = scale, zipoly.mul(conj, q)
             if factor != [(1, 0)]:
                 v = [zipoly.mul(e, factor) for e in v]
             v[c] = entry
@@ -824,24 +813,18 @@ def _det_bareiss(mat: MatK) -> LaurentElement:
     return zipoly.to_laurent(rows[-1][-1], shift, sign * math.prod(dens))
 
 
-def _inv_bareiss(mat: MatK) -> Tuple[LaurentElement, MatK]:
+def _inv_dense(mat: MatK):
     """Fraction-free Gauss–Jordan on [A | I] for exact A (Bareiss 1968).
 
-    Returns (d, d·A⁻¹) with d = ±det A, the last pivot.  The pivot order only
-    flips the sign of d and d·A⁻¹ together; :func:`_pick_short` prefers a
-    monomial pivot, which makes the next division a shift instead of a long
-    division.  Row r of [A | I] enters scaled by its
-    denominator D and by t^(-s), with s its least exponent (at most 0, since
-    the row holds a 1), so the whole pass stays in Z[i][t].
+    Returns (d, shift, den, right) with d·A⁻¹ = t^shift·right/den and
+    ±det A = t^shift·d/den, where d, the last pivot, and the entries of right
+    are polynomials of Z[i][t].  The pivot order only flips the sign of d and
+    d·A⁻¹ together; :func:`_pick_short` prefers a monomial pivot, which makes
+    the next division a shift instead of a long division.  Row r of [A | I]
+    enters scaled by its denominator D and by t^(-s), with s its least
+    exponent (at most 0, since the row holds a 1), so the whole pass stays in
+    Z[i][t].
     """
-    d, shift, den, right = _inv_dense(mat)
-    return zipoly.to_laurent(d, shift, den), _to_laurent_rows(right, shift, den)
-
-
-def _inv_dense(mat: MatK):
-    """The pass of :func:`_inv_bareiss` before conversion: (d, shift, den,
-    right) with d·A⁻¹ = t^shift·right/den and d = ±det A = t^shift·d/den,
-    where d and the entries of right are polynomials of Z[i][t]."""
     n = mat.n
     if n == 0:
         return [(1, 0)], 0, 1, []
@@ -854,10 +837,6 @@ def _inv_dense(mat: MatK):
     return d, shift, den, [r[n:] for r in rows]
 
 
-def _to_laurent_rows(rows, shift: int, den: int) -> MatK:
-    return MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # Dual-number determinant: det(P + s*M) mod s^2 = det(P) + s*tr(adj(P) M).
 # One fraction-free elimination produces both the determinant of P and the
@@ -868,10 +847,15 @@ def _to_laurent_rows(rows, shift: int, den: int) -> MatK:
 def det_and_adj_trace(
     p_mat: MatK, m_mat: MatK
 ) -> Tuple[LaurentElement, LaurentElement]:
+    """(det P, tr(adj(P)·M)) for exact P and M, from one elimination over dual
+    numbers; (1, 0) for 0×0 matrices, whose determinant is 1.  Raises
+    :class:`Singular` when P has rank below n − 1."""
     p_mat._check_dim(m_mat)
     if not (p_mat.all_exact() and m_mat.all_exact()):
         raise PrecisionExhausted("dual-number determinant needs exact matrices")
     n = p_mat.n
+    if n == 0:
+        return _L_ONE, _L_ZERO
     dens, shifts, flat = _dense_rows([p + m for p, m in zip(p_mat.rows, m_mat.rows)])
     shift, den = sum(shifts), math.prod(dens)
     rows = [list(zip(r[:n], r[n:])) for r in flat]

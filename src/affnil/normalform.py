@@ -147,20 +147,13 @@ def canonical_rep(sigma: Tuple[int, ...], k: int) -> MatK:
     canonical representatives (fixed points of classify)."""
     parts = tuple(sigma)
     _check_partition(parts)
-    if not 0 <= k < parts[-1]:
-        raise InvalidShift(f"k = {k} outside [0, {parts[-1]})")
-    n = sum(parts)
-    rows = [[_L_ZERO] * n for _ in range(n)]
-    offset = 0
-    for b, size in enumerate(parts):
-        last_block = b == len(parts) - 1
-        for i in range(size - 1):
-            if last_block and i == size - 2:
-                rows[offset + i][offset + i + 1] = LaurentElement.monomial(k)
-            else:
-                rows[offset + i][offset + i + 1] = _L_ONE
-        offset += size
-    return MatK(rows)
+    smallest = parts[-1]
+    if not 0 <= k < smallest:
+        raise InvalidShift(f"k = {k} outside [0, {smallest})")
+    blocks = [(size, (_L_ONE,) * (size - 1)) for size in parts]
+    if smallest > 1:
+        blocks[-1] = (smallest, (_L_ONE,) * (smallest - 2) + (LaurentElement.monomial(k),))
+    return QuasiJordanForm(tuple(blocks)).matrix()
 
 
 def read_quasi_jordan(x: MatK) -> Optional[QuasiJordanForm]:
@@ -168,9 +161,12 @@ def read_quasi_jordan(x: MatK) -> Optional[QuasiJordanForm]:
 
     Returns None when x has an entry off the superdiagonal that is not known
     to vanish, an undetermined superdiagonal entry, or block sizes that
-    increase (the general reduction handles those).
+    increase (the general reduction handles those).  Raises
+    :class:`InvalidPartition` on the 0×0 matrix, which has no blocks.
     """
     n = x.n
+    if n == 0:
+        raise InvalidPartition("a 0x0 matrix has no quasi-Jordan form")
     for i in range(n):
         for j in range(n):
             if j == i + 1:

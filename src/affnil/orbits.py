@@ -55,7 +55,8 @@ def classify(
     """The complete orbit invariant (sigma, k, level) of a nilpotent element.
 
     k is the multiplicity valuation of the reduced form mod gcd(sigma); the
-    level is lambda plus the c-correction of the reducing conjugator.
+    level is lambda plus the c-correction of the reducing conjugator.  A 0×0
+    element has no partition: :class:`InvalidPartition`.
     """
     if not a.d_coef.is_zero:
         raise NotNilpotent("element has nonzero derivation component")

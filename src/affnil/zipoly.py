@@ -13,9 +13,15 @@ products and exact divisions touch integers only: no coefficient is reduced
 to lowest terms and no gcd is taken.  That is what makes the fraction-free
 elimination in :mod:`affnil.matk` cheap, compared with the same loop on
 :class:`LaurentElement`, whose every coefficient is a reduced fraction.
-Gcds are taken only outside that loop: :func:`primitive` for the rows of the
-echelon form and the kernel vectors, :func:`content` for the pivots that
-back-substitution divides by.
+The products are :func:`mul` (f·g), :func:`mul_sub` (p·x − f·y, the Bareiss
+step) and :func:`combine` (a signed sum of any number of products, for the
+dual-number parts and for back-substitution).
+
+Gcds are taken only outside the elimination loop.  :func:`row_content` is the
+one content routine: :func:`primitive` divides it out of the echelon rows and
+the kernel vectors, and ``matk.vector_content`` and ``matk.normalize_vector``
+read it off a vector's integer form.  :func:`content`, the gcd over Z[i] of
+one polynomial, is for the pivots that back-substitution divides by.
 
 :func:`values_mod_p` evaluates the same integer form at a point of F_p,
 p = 998244353, with i mapped to a square root of −1 (p = 1 mod 4), for the
@@ -177,36 +183,18 @@ def mul_sub(p: Poly, x: Poly, f: Poly, y: Poly) -> Poly:
     return _pack(re, im)
 
 
-def dot(fs: Sequence[Poly], gs: Sequence[Poly]) -> Poly:
-    """The sum of f·g over the pairs of fs and gs."""
-    pairs = [(sparse(f), sparse(g)) for f, g in zip(fs, gs) if f and g]
-    if not pairs:
+def combine(triples: Sequence[Tuple[int, Poly, Poly]]) -> Poly:
+    """The sum of sign·f·g over the (sign, f, g) triples, sign = ±1, in one
+    accumulator; no terms, or terms that cancel, give the zero polynomial."""
+    products = [(sign < 0, sparse(f), sparse(g)) for sign, f, g in triples if f and g]
+    if not products:
         return []
-    size = max(fz[-1][0] + gz[-1][0] for fz, gz in pairs) + 1
+    size = max(fz[-1][0] + gz[-1][0] for _, fz, gz in products) + 1
     re = [0] * size
     im = [0] * size
-    for fz, gz in pairs:
-        _add_product(re, im, fz, gz, False)
+    for negate, fz, gz in products:
+        _add_product(re, im, fz, gz, negate)
     return _pack(re, im)
-
-
-def add(f: Poly, g: Poly) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    re = [a for a, _ in f]
-    im = [b for _, b in f]
-    for k, (c, d) in enumerate(g):
-        re[k] += c
-        im[k] += d
-    return _pack(re, im)
-
-
-def neg(f: Poly) -> Poly:
-    return [(-a, -b) for a, b in f]
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    return add(f, neg(g))
 
 
 def _divide_pair(a: int, b: int, c: int, d: int, norm: int) -> Tuple[int, int]:
@@ -285,12 +273,12 @@ def content(f: Poly) -> Tuple[int, int]:
     return a, b
 
 
-def primitive(row: List[Poly]) -> List[Poly]:
-    """The row divided by the gcd of all its integers, with the zero pairs
-    that every entry has at its low end removed; a zero row is returned as is.
+def row_content(row: Sequence[Poly]) -> Tuple[int, Optional[int]]:
+    """(g, lo): the gcd of all the integers of the row and the least index of
+    a nonzero pair in it; (0, None) for a zero row.
 
-    The result is the unique row of Gaussian-integer polynomials with content
-    1 and least index 0 that is a positive rational multiple of t^k·row.
+    When the row is D·t^(-s)·v (:func:`from_row`), v = (g/D)·t^(s+lo)·w with
+    w of content 1 and least index 0.
     """
     g = 0
     lo = None
@@ -300,6 +288,18 @@ def primitive(row: List[Poly]) -> List[Poly]:
             i = low(f)
             if lo is None or i < lo:
                 lo = i
+    return g, lo
+
+
+def primitive(row: List[Poly]) -> List[Poly]:
+    """The row divided by its :func:`row_content`: by the gcd of all its
+    integers, with the zero pairs that every entry has at its low end removed;
+    a zero row is returned as is.
+
+    The result is the unique row of Gaussian-integer polynomials with content
+    1 and least index 0 that is a positive rational multiple of t^k·row.
+    """
+    g, lo = row_content(row)
     if lo is None or (g == 1 and lo == 0):
         return row
     if g == 1:

@@ -21,13 +21,14 @@ from affnil import zipoly
 from affnil.errors import ExactDivisionError
 from affnil.matk import (
     _dense_echelon,
-    _inv_bareiss,
+    _inv_dense,
     _pick_pivot,
     _pick_short,
     _rank,
     det_and_adj_trace,
     normalize_vector,
     trace_coeff,
+    vector_content,
 )
 from affnil.zipoly import P
 from affnil.normalform import nilpotent_powers
@@ -39,7 +40,7 @@ from affnil.selfcheck import (
     random_traceless,
 )
 
-from conftest import lp, mat
+from conftest import content_oracle, lp, mat, normalize_oracle
 
 
 def E(n, i, j, value="1"):
@@ -564,6 +565,46 @@ def test_kernel_basis_with_p_in_a_denominator_divides_exactly():
     assert _check_kernel(m) == [(lp("-2 - t"), lp("1"))]
 
 
+_CONTENT_COEFS = [
+    gr(1), gr(-2), gr(0, 3), gr(Fraction(1, 2)), gr(Fraction(-3, 4), 1),
+    gr(2, Fraction(-5, 6)), gr(Fraction(7, 9), Fraction(2, 3)), gr(0, Fraction(-1, 12)),
+]
+
+
+def _content_vectors(rng: random.Random):
+    """Seeded exact vectors with complex and rational coefficients and
+    negative exponents, each scaled by a common factor c·t^e."""
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        v = [LaurentElement({rng.randint(-5, 5): rng.choice(_CONTENT_COEFS)
+                             for _ in range(rng.randint(0, 3))}) for _ in range(width)]
+        factor = LaurentElement({rng.randint(-4, 4): rng.choice(_CONTENT_COEFS)
+                                 * rng.choice((1, 2, 6, -15))})
+        yield tuple(e * factor for e in v)
+
+
+def test_vector_content_matches_the_gcd_lcm_loop():
+    rng = random.Random("vector-content")
+    zero_seen = 0
+    for v in _content_vectors(rng):
+        want = content_oracle(v)
+        zero_seen += want is None
+        assert vector_content(v) == want, v
+        w = normalize_vector(v)
+        assert w == normalize_oracle(v), v
+        if want is not None:
+            c, e = want
+            assert tuple(x.shift(e).scale(c) for x in w) == v
+    assert zero_seen
+    zero = (lp("0"), lp("0"), lp("0"))
+    assert vector_content(zero) is None
+    assert normalize_vector(zero) == zero
+    cut = (lp("2*t^-1 + 4"), LaurentElement({0: gr(6)}, 3))
+    assert vector_content(cut) is None and content_oracle(cut) is None
+    assert normalize_vector(cut) == cut
+    assert vector_content((lp("(3/2+3i)*t^-2"), lp("(-9/4)*t"))) == (gr(Fraction(3, 4)), -2)
+
+
 def test_det_and_adj_trace_matches_direct_formula():
     rng = random.Random(9)
     for _ in range(10):
@@ -707,6 +748,13 @@ def _oracle_kernel(m: MatK):
     return basis
 
 
+def _scaled_inverse(m: MatK):
+    """(d, d·A⁻¹) as Laurent elements, from the pass of :func:`_inv_dense`."""
+    d, shift, den, right = _inv_dense(m)
+    return (zipoly.to_laurent(d, shift, den),
+            MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in right]))
+
+
 def _oracle_inv_bareiss(m: MatK):
     n = m.n
     left = [list(r) for r in m.rows]
@@ -806,7 +854,7 @@ def test_dense_kernel_matches_the_laurent_loops():
                 with pytest.raises(Singular):
                     m.inv()
                 continue
-            assert _inv_bareiss(m) == (d, scaled), where
+            assert _scaled_inverse(m) == (d, scaled), where
             if n <= 4 or kind == "shears":
                 assert m.inv() == scaled.scale(d.inv(DEFAULT_WORKING_PREC)), where
             if kind == "shears":
@@ -846,7 +894,7 @@ def test_dense_kernel_raises_on_an_inexact_division(monkeypatch):
     real = zipoly.exact_div
 
     def off_by_one(num, den):
-        return real(num, zipoly.add(den, [(1, 0)]))
+        return real(num, zipoly.combine([(1, den, [(1, 0)]), (1, [(1, 0)], [(1, 0)])]))
 
     monkeypatch.setattr(zipoly, "exact_div", off_by_one)
     with pytest.raises(ExactDivisionError):
@@ -866,6 +914,11 @@ def test_dense_kernel_singular_cases():
     last = mat([["1", "0"], ["0", "0"]])
     assert det_and_adj_trace(last, mat([["0", "0"], ["0", "t"]])) == (lp("0"), lp("t"))
     assert MatK.zero(0).det() == lp("1")
+
+
+def test_det_and_adj_trace_of_the_empty_matrix():
+    # det of 0x0 is 1, as MatK.det gives it, and its adjugate is empty
+    assert det_and_adj_trace(MatK([]), MatK([])) == (lp("1"), lp("0"))
 
 
 # -- coefficients of products, read without forming them -----------------------
@@ -949,7 +1002,7 @@ def test_exact_inverse_divides_by_its_determinant(d):
     m = _shear_product(rng, 3, 3)
     m = _scale_row(m, 1, lp(d))
     inverse = m.inv()
-    scaled_d, scaled = _inv_bareiss(m)
+    scaled_d, scaled = _scaled_inverse(m)
     assert inverse == scaled.scale(scaled_d.inv(DEFAULT_WORKING_PREC))
     if d != "1 + t":
         assert inverse.all_exact()

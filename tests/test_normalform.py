@@ -102,6 +102,41 @@ def test_canonical_rep_is_mult_order_fixed_point():
                 assert mult_order(form) == k
 
 
+def _hand_built_rep(sigma, k):
+    """D_{sigma,k} filled in entry by entry: superdiagonal ones, and t^k in
+    the last slot of the smallest block."""
+    n = sum(sigma)
+    rows = [["0"] * n for _ in range(n)]
+    offset = 0
+    for b, size in enumerate(sigma):
+        for i in range(size - 1):
+            last = b == len(sigma) - 1 and i == size - 2
+            rows[offset + i][offset + i + 1] = f"t^{k}" if last else "1"
+        offset += size
+    return mat(rows)
+
+
+def test_canonical_rep_matches_the_hand_built_matrix():
+    count = 0
+    for n in range(1, 10):
+        for sigma in partitions(n):
+            for k in range(sigma[-1]):
+                assert canonical_rep(sigma, k) == _hand_built_rep(sigma, k), (sigma, k)
+                count += 1
+    assert count == 162
+
+
+def test_empty_matrix_has_no_quasi_jordan_form():
+    empty = MatK([])
+    with pytest.raises(InvalidPartition):
+        read_quasi_jordan(empty)
+    with pytest.raises(InvalidPartition):
+        quasi_jordanize(empty)
+    with pytest.raises(InvalidPartition):
+        classify(AffineElement(empty))
+    assert jordan_chains(empty).sigma == ()
+
+
 def test_read_quasi_jordan_rejects_non_forms():
     assert read_quasi_jordan(mat([["0", "1"], ["1", "0"]])) is None
     increasing = E(3, 1, 2) + E(3, 2, 2, "0")  # sizes (1, 2)
@@ -443,19 +478,33 @@ def test_modular_pass_evaluates_wide_entries_term_by_term(monkeypatch):
 # -- powers and the basis check --------------------------------------------------------------
 
 
+def _entrywise_times(a: MatK, b: MatK) -> MatK:
+    """A·B with each entry summed from its n LaurentElement products, one at a
+    time, skipping pairs with an exactly zero side; no MatK product."""
+    def nonzero(e):
+        return e.coeffs or e.prec is not None
+
+    rows = []
+    for row in a.rows:
+        out = []
+        for j in range(b.n):
+            acc = LaurentElement.zero()
+            for x, b_row in zip(row, b.rows):
+                if nonzero(x) and nonzero(b_row[j]):
+                    acc = acc + x * b_row[j]
+            out.append(acc)
+        rows.append(out)
+    return MatK(rows)
+
+
 def _laurent_powers(x):
-    """Oracle: the powers by repeated MatK.__mul__, stated apart from
-    nilpotent_powers."""
+    """Oracle: x^0, x^1, ... up to the first exactly zero power, each one from
+    the last by entrywise Laurent products."""
     powers = [MatK.identity(x.n), x]
-    while True:
-        z = powers[-1].is_zero_3v()
-        if z is True:
-            return powers
-        if z is None:
-            raise PrecisionExhausted("nilpotency undetermined at current precision")
-        if len(powers) > x.n:
-            raise NotNilpotent(f"{x.n}-th power does not vanish")
-        powers.append(powers[-1] * x)
+    while powers[-1].is_zero_3v() is not True:
+        assert len(powers) <= x.n, "not nilpotent"
+        powers.append(_entrywise_times(powers[-1], x))
+    return powers
 
 
 def _seeded_conjugates(seed, sizes, per_size):

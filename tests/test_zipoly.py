@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from affnil import zipoly
 from affnil.errors import DivisionByZero, ExactDivisionError
@@ -14,7 +15,7 @@ from affnil.laurent import LaurentElement
 from affnil.matk import normalize_vector
 from affnil.zipoly import P
 
-from conftest import lp
+from conftest import lp, normalize_oracle
 
 
 def _random_poly(rng: random.Random, size: int, low_zeros: int = 0) -> zipoly.Poly:
@@ -66,9 +67,7 @@ def test_products_and_sums_match_laurent_arithmetic():
         lf, lg, lx, ly = map(zipoly.to_laurent, (f, g, x, y))
         assert zipoly.to_laurent(zipoly.mul(f, g)) == lf * lg
         assert zipoly.to_laurent(zipoly.mul_sub(f, x, g, y)) == lf * lx - lg * ly
-        assert zipoly.to_laurent(zipoly.add(f, g)) == lf + lg
-        assert zipoly.to_laurent(zipoly.sub(f, g)) == lf - lg
-        for h in (zipoly.mul(f, g), zipoly.mul_sub(f, x, g, y), zipoly.sub(f, f)):
+        for h in (zipoly.mul(f, g), zipoly.mul_sub(f, x, g, y), zipoly.mul_sub(f, g, g, f)):
             assert not h or h[-1] != (0, 0)
 
 
@@ -119,17 +118,54 @@ def test_exact_div_by_zero_and_of_zero():
     assert zipoly.exact_div([], [(0, 0), (3, 1)]) == []
 
 
-def test_dot_is_the_sum_of_products():
+def _laurent_signed_sum(terms) -> LaurentElement:
+    """Oracle: the sum of sign·f·g in Laurent arithmetic."""
+    acc = lp("0")
+    for sign, f, g in terms:
+        product = zipoly.to_laurent(f) * zipoly.to_laurent(g)
+        acc = acc + product if sign > 0 else acc - product
+    return acc
+
+
+def _check_combine(terms):
+    got = zipoly.combine(terms)
+    assert zipoly.to_laurent(got) == _laurent_signed_sum(terms)
+    assert not got or got[-1] != (0, 0)
+
+
+def test_combine_is_the_signed_sum_of_products():
     rng = random.Random(35)
-    for _ in range(30):
-        fs = [_random_poly(rng, rng.randint(0, 4), rng.randint(0, 2)) for _ in range(3)]
-        gs = [_random_poly(rng, rng.randint(0, 4), rng.randint(0, 2)) for _ in range(3)]
-        expected = lp("0")
-        for f, g in zip(fs, gs):
-            expected = expected + zipoly.to_laurent(f) * zipoly.to_laurent(g)
-        assert zipoly.to_laurent(zipoly.dot(fs, gs)) == expected
-    assert zipoly.dot([[(1, 0)], [(1, 0)]], [[(2, 0)], [(-2, 0)]]) == []
-    assert zipoly.dot([], []) == []
+    for _ in range(60):
+        terms = [
+            (rng.choice((1, -1)),
+             _random_poly(rng, rng.randint(0, 4), rng.randint(0, 2)),
+             _random_poly(rng, rng.randint(0, 4), rng.randint(0, 2)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        _check_combine(terms)
+    assert zipoly.combine([]) == []
+    assert zipoly.combine([(1, [], [(1, 0)]), (-1, [(2, 1)], [])]) == []
+    # full cancellation: f·g − g·f, and 1·2 + 1·(−2)
+    f, g = [(1, 2), (0, 0), (-3, 1)], [(0, 0), (2, -1)]
+    assert zipoly.combine([(1, f, g), (-1, g, f)]) == []
+    assert zipoly.combine([(1, [(1, 0)], [(2, 0)]), (1, [(1, 0)], [(-2, 0)])]) == []
+    # the top cancels and the rest does not
+    assert zipoly.combine([(1, [(1, 0), (1, 0)], [(0, 0), (1, 0)]),
+                           (-1, [(0, 0), (1, 0)], [(0, 0), (1, 0)])]) == [(0, 0), (1, 0)]
+
+
+def _strip(f):
+    while f and f[-1] == (0, 0):
+        f = f[:-1]
+    return f
+
+
+_polys = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=6).map(_strip)
+
+
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), _polys, _polys), max_size=5))
+def test_combine_matches_laurent_arithmetic_on_drawn_terms(terms):
+    _check_combine(terms)
 
 
 def _divides(g, x):
@@ -168,6 +204,7 @@ def test_content_is_the_gaussian_gcd_of_the_coefficients():
 
 
 def test_primitive_matches_normalize_vector():
+    """Both against the gcd/lcm loop over the Laurent coefficients."""
     rng = random.Random(33)
     for _ in range(40):
         row = [
@@ -176,8 +213,15 @@ def test_primitive_matches_normalize_vector():
         scale = rng.choice((1, 2, 6, -3))
         row = [[(a * scale, b * scale) for a, b in f] for f in row]
         got = zipoly.primitive(row)
-        expected = normalize_vector(tuple(zipoly.to_laurent(f) for f in row))
+        v = tuple(zipoly.to_laurent(f) for f in row)
+        expected = normalize_oracle(v)
+        assert normalize_vector(v) == expected
         assert tuple(zipoly.to_laurent(f) for f in got) == expected
+        lows = [zipoly.low(f) for f in row if f]
+        assert zipoly.row_content(row) == (
+            math.gcd(*[x for f in row for pair in f for x in pair]),
+            min(lows) if lows else None,
+        )
         if any(row):
             assert min(zipoly.low(f) for f in got if f) == 0
     assert zipoly.primitive([[], []]) == [[], []]
