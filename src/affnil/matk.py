@@ -496,16 +496,20 @@ def vector_content(v: Vector) -> Optional[Tuple[GaussianRational, int]]:
     """(c, e) with v = c·t^e·w, where the real and imaginary parts of w's
     coefficients are integers with gcd 1 and w's least exponent is 0.
 
-    None when v is zero or carries a truncated entry.  Read off the integer
-    form of v (:func:`zipoly.from_row`) by :func:`zipoly.row_content`.
+    None when v is zero or carries a truncated entry.  Read off the sparse
+    integer terms of D·v, D the least common denominator of v's
+    coefficients (:func:`laurent.integer_terms`): c = g/D for g the gcd of
+    their integers, and e the least exponent.  So the cost grows with the
+    number of terms, not with the exponent span.
     """
     if any(el.prec is not None for el in v):
         return None
-    den, shift, polys = zipoly.from_row(v)
-    g, lo = zipoly.row_content(polys)
-    if lo is None:
+    exponents = [e for el in v for e in el.coeffs]
+    if not exponents:
         return None
-    return GaussianRational._norm(g, 0, den), shift + lo
+    den = common_den(c for el in v for c in el.coeffs.values())
+    g = math.gcd(*[k for el in v for _, a, b in integer_terms(el.coeffs, den) for k in (a, b)])
+    return GaussianRational._norm(g, 0, den), min(exponents)
 
 
 def normalize_vector(v: Vector) -> Vector:

@@ -11,29 +11,33 @@ never taken: the determinant certificate is carried instead, which loses
 nothing because scalar matrices act trivially by conjugation and contribute
 nothing to the level of trace-zero elements.
 
-Everything here is exact when the input matrix is exact.  Exact and truncated
-input take one path: the powers of x, the images of the chain tops under x and
-the final check x P = P J are :class:`MatK` products and applications, which
-run the sparse integer-term kernel of :mod:`affnil.matk`.  The right side of
-the check needs no product (:func:`times_jordan`: column j of P J is column
-j - 1 of P, or 0), and for exact x the check is exact.  A quasi-Jordan input
-is read off directly, with no powers: it is strictly upper triangular, hence
-nilpotent.  The kernels of the powers come from fraction-free elimination with
-exact divisions, and each kernel vector is scaled only by the pivots its
-back-substitution could not divide by, so the chain tops, and with them P and
-det P, stay small.  Choosing the chain tops only needs yes/no independence
-answers, and for exact input those are taken at a point, t = t0 and i = sqrt(-1)
-in F_p, on the Gaussian-integer forms of x and of the kernel vectors
-(:func:`zipoly.values_mod_p`).  Those forms are nonzero K-multiples of the
-vectors they stand for and evaluation is a ring map Z[i][t] -> F_p, so an
-independent set at the point stays independent over K, and every value is
-defined.  A false dependence there is rare (Schwartz-Zippel) and can only
-mis-steer the choice, so the chains are kept only under a certificate: the
-heights sum to n, the chain vectors have rank n at the point (so det P != 0),
-and x P = P J holds exactly.  Otherwise the next point is tried.  When no
-point certifies, and for truncated input, each independence answer is a rank
-over K from the echelon form of :mod:`affnil.matk`, which is dense and
-fraction-free for exact input.
+Everything here is exact when the input matrix is exact.  The powers of x,
+the images of the chain tops under x and the final check x P = P J are
+:class:`MatK` products and applications, which run the sparse integer-term
+kernel of :mod:`affnil.matk`.  The right side of the check needs no product
+(:func:`times_jordan`: column j of P J is column j - 1 of P, or 0), and for
+exact x the check is exact.  A quasi-Jordan input is read off directly, with
+no powers: it is strictly upper triangular, hence nilpotent.  The kernels of
+the powers come from fraction-free elimination with exact divisions, and each
+kernel vector is scaled only by the pivots its back-substitution could not
+divide by, so the chain tops, and with them P and det P, stay small.
+
+For exact x, the partition and the choice of chain tops are made at a point,
+t = t0 and i = sqrt(-1) in F_p, on the Gaussian-integer forms of x and of the
+candidate tops (:func:`zipoly.values_mod_p`); see :func:`_point_chains`.
+Evaluation is a ring map Z[i][t] -> F_p, so x(t0)^n != 0 proves that x is not
+nilpotent, and a set independent at the point stays independent over K.  The
+powers of x at the point give the partition sigma and the kernels ker x^(j-1)
+that a top at height j must avoid, so only the heights that are parts of
+sigma need an exact power and an exact kernel, and the tallest needs neither.
+A degenerate point can only mis-steer the choice, so the chains are kept only
+under a certificate: the heights sum to n, the chain vectors have rank n at
+the point (so det P != 0), and x P = P J holds exactly, which together prove
+that x is nilpotent of type sigma.  Otherwise the next point is tried.  When
+no point certifies, and for truncated input, the exact pass takes all powers
+of x and all their kernels, and each independence answer is a rank over K
+from the echelon form of :mod:`affnil.matk`, which is dense and fraction-free
+for exact input.
 """
 
 from __future__ import annotations
@@ -207,7 +211,9 @@ def nilpotent_powers(x: MatK) -> List[MatK]:
     and PrecisionExhausted when a truncated power is undetermined.
 
     Each power is one :meth:`MatK.__mul__`, so exact input stays exact and
-    nilpotency is then decided exactly.
+    nilpotency is then decided exactly.  :func:`jordan_chains` takes all of
+    them for truncated input, and for exact input only when no point
+    certifies its chains.
     """
     n = x.n
     powers = [MatK.identity(n), x]
@@ -231,6 +237,19 @@ def times_jordan(m: MatK, sigma: Tuple[int, ...]) -> MatK:
         [_L_ZERO if j in starts else row[j - 1] for j in range(m.n)]
         for row in m.rows
     ])
+
+
+def _partition_from_ranks(ranks: List[int]) -> Tuple[int, ...]:
+    """Jordan block sizes, largest first, of a nilpotent matrix whose powers
+    x^0, ..., x^m (x^m = 0) have these ranks: rank x^(j-1) - rank x^j blocks
+    have size at least j."""
+    m = len(ranks) - 1
+    blocks_ge = [ranks[j - 1] - ranks[j] for j in range(1, m + 1)]
+    parts: List[int] = []
+    for size in range(m, 0, -1):
+        count = blocks_ge[size - 1] - (blocks_ge[size] if size < m else 0)
+        parts.extend([size] * count)
+    return tuple(parts)
 
 
 class _Echelon:
@@ -282,23 +301,24 @@ class _ModEchelon:
         return True
 
 
-def _greedy_tops(kernels: list, apply, echelon) -> List[Tuple[int, int]]:
-    """(height j, index in kernels[j - 1]) of each chain top, tallest first.
+def _greedy_tops(candidates: list, excluded: list, apply, echelon) -> List[Tuple[int, int]]:
+    """(height j, index in candidates[j - 1]) of each chain top, tallest first.
 
-    Tops at height j are the vectors of ker x^j independent of ker x^(j-1)
+    Tops at height j are the vectors of candidates[j - 1], which lie in
+    ker x^j, independent of excluded[j - 2], which spans ker x^(j-1),
     together with the once-applied images of all taller chains.  The vectors
     are exact or evaluated at a point; ``apply`` is x on the same kind of
     vector and ``echelon()`` a fresh independence test for it.
     """
     chains: List[list] = []  # [height, index, image of the top under x^(height - j)]
-    for j in range(len(kernels), 0, -1):
+    for j in range(len(candidates), 0, -1):
         ech = echelon()
         if j >= 2:
-            for v in kernels[j - 2]:
+            for v in excluded[j - 2]:
                 ech.add(v)
         for ch in chains:
             ech.add(ch[2])
-        for idx, v in enumerate(kernels[j - 1]):
+        for idx, v in enumerate(candidates[j - 1]):
             if ech.add(v):
                 chains.append([j, idx, v])
         if j > 1:
@@ -307,33 +327,79 @@ def _greedy_tops(kernels: list, apply, echelon) -> List[Tuple[int, int]]:
     return [(height, idx) for height, idx, _ in chains]
 
 
-def _modular_tops(
-    x: MatK, kernels: List[List[Vector]]
-) -> Optional[List[Tuple[int, int]]]:
-    """Chain tops chosen by independence tests at a point, certified.
+def _kernel_mod_p(columns: List[List[int]]) -> List[List[int]]:
+    """A basis of the right kernel over F_p of the square matrix with these
+    columns: the rows [column k | e_k] go through one :class:`_ModEchelon`,
+    and the rows it keeps whose left part vanishes, pivot n or later, carry
+    in their right part the combinations of columns that vanish."""
+    n = len(columns)
+    ech = _ModEchelon()
+    for k, col in enumerate(columns):
+        ech.add(col + [int(i == k) for i in range(n)])
+    return [row[n:] for pivot, row in ech.rows if pivot >= n]
 
-    The tests run on Gaussian-integer forms (:func:`zipoly.values_mod_p`):
-    x as one t^(-s)·D·x over all n² entries, so that every image of a vector
-    is scaled alike (scaling each row apart would change the images), and
-    each kernel vector v as D_v·t^(-s_v)·v.  These are nonzero K-multiples of
-    x and v, and evaluation is a ring map Z[i][t] -> F_p, so a set
-    independent at the point is independent over K.  A false dependence at
-    the point can change later choices; so the result is kept only when the
-    heights sum to n and the chain vectors at the point have rank n.  They are
-    the columns of P up to nonzero K-multiples, so det P != 0, and with the
-    exact check x P = P J (done by the caller) P^-1 x P = J holds exactly.
-    None when no point certifies; the caller then runs the exact pass.
+
+def _point_chains(x: MatK, working_prec: int) -> Optional[ChainData]:
+    """Jordan chains of exact x with every choice made at a point, certified.
+
+    At each point t0 of ``_POINTS``, x is evaluated once as one t^(-s)·D·x
+    over all n² entries (:func:`zipoly.values_mod_p`), so that every image
+    of a vector is scaled alike.  Its powers are taken at the point until
+    they vanish; when x(t0)^n != 0, x^n != 0, since evaluation is a ring map
+    Z[i][t] -> F_p, and :class:`NotNilpotent` is raised.  The partition
+    sigma is read off the ranks of the powers at the point, and the kernels
+    at the point, ker x(t0)^(j-1), are the sets that a top at height j must
+    be independent of.  Only heights h that are parts of sigma offer tops:
+    for h below the nilpotency index m at the point they are the vectors of
+    ``kernel_basis`` of the exact x^h, each evaluated as D_v·t^(-s_v)·v, and
+    for h = m the identity basis, which is the kernel basis of the zero
+    matrix.  Exact powers and kernels are computed once, for the first
+    point that needs them.
+
+    A choice at a point can only be wrong where the point is degenerate, so
+    the chains are kept only under a certificate: the heights sum to n, the
+    chain vectors have rank n at the point, and x P = P J holds exactly.
+    The chain vectors at the point are the values of nonzero K-multiples of
+    the columns of P, so their rank n proves det P != 0, and then
+    P^-1 x P = J proves that x is nilpotent of type sigma, whatever happened
+    at the point.  Otherwise the next point is tried, and None is returned
+    when none certifies.
     """
     n = x.n
     entries = [e for row in x.rows for e in row]
+    powers = [x]  # exact x^1, x^2, ...
+    kernels = {}  # height -> kernel_basis of the exact power
     for t0 in _POINTS:
         flat = zipoly.values_mod_p(entries, t0)
         x_p = [flat[i * n:(i + 1) * n] for i in range(n)]
-        kernels_p = [[zipoly.values_mod_p(v, t0) for v in ker] for ker in kernels]
         apply = partial(_apply_mod_p, x_p)
-        tops = _greedy_tops(kernels_p, apply, _ModEchelon)
-        if _chains_form_basis(tops, kernels_p, apply, n):
-            return tops
+        columns = [[row[k] for row in x_p] for k in range(n)]
+        excluded: List[List[List[int]]] = [[]]  # ker x(t0)^j for j = 0, 1, ...
+        while any(any(col) for col in columns):
+            if len(excluded) == n:
+                raise NotNilpotent(f"{n}-th power does not vanish")
+            excluded.append(_kernel_mod_p(columns))
+            columns = [apply(col) for col in columns]
+        m = len(excluded)
+        parts = _partition_from_ranks([n - len(ker) for ker in excluded] + [0])
+        candidates: List[List[Vector]] = [[] for _ in range(m)]
+        for h in set(parts):
+            if h == m:
+                candidates[h - 1] = list(MatK.identity(n).rows)
+                continue
+            if h not in kernels:
+                while len(powers) < h:
+                    powers.append(powers[-1] * x)
+                kernels[h] = powers[h - 1].kernel_basis(working_prec)
+            candidates[h - 1] = kernels[h]
+        candidates_p = [[zipoly.values_mod_p(v, t0) for v in c] for c in candidates]
+        tops = _greedy_tops(candidates_p, excluded[1:], apply, _ModEchelon)
+        if not _chains_form_basis(tops, candidates_p, apply, n):
+            continue
+        sigma = tuple(height for height, _ in tops)
+        p_mat = _chain_basis(x, candidates, tops)
+        if _is_jordan_basis(x, p_mat, sigma):
+            return ChainData(p_mat, sigma)
     return None
 
 
@@ -366,19 +432,38 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     factor may remain.  Each finished chain is scaled by the scalar and
     t-power content of its kernel-end vector, which keeps P close to
     unimodular on simple inputs.
+
+    Exact x goes through :func:`_point_chains`: the partition and every
+    independence answer come from a point, and only the heights that carry
+    a chain top below the nilpotency index get an exact power and kernel.
+    When no point certifies, and for truncated x, all powers and all their
+    kernels are exact, and each answer is a rank over K (:class:`_Echelon`).
+    Both passes choose the same tops when the first point is not degenerate.
     """
     n = x.n
+    if x.all_exact():
+        chains = _point_chains(x, working_prec)
+        if chains is not None:
+            return chains
     powers = nilpotent_powers(x)
     kernels = [power.kernel_basis(working_prec) for power in powers[1:]]
-    tops = _modular_tops(x, kernels) if x.all_exact() else None
-    if tops is None:
-        tops = _greedy_tops(kernels, x.apply, lambda: _Echelon(n))
+    tops = _greedy_tops(kernels, kernels, x.apply, lambda: _Echelon(n))
     sigma = tuple(height for height, _ in tops)
     if sum(sigma) != n:
         raise PrecisionExhausted("chain construction did not span the space")
+    p_mat = _chain_basis(x, kernels, tops)
+    _check_jordan_basis(x, p_mat, sigma)
+    return ChainData(p_mat, sigma)
+
+
+def _chain_basis(x: MatK, candidates: list, tops: List[Tuple[int, int]]) -> MatK:
+    """P whose columns are the chains x^(height-1) v, ..., x v, v of the tops
+    v = candidates[height - 1][index], each scaled by the content of its
+    kernel end."""
+    n = x.n
     columns: List[Vector] = []
     for height, idx in tops:
-        seq = [kernels[height - 1][idx]]
+        seq = [candidates[height - 1][idx]]
         for _ in range(height - 1):
             seq.append(x.apply(seq[-1]))
         seq.reverse()  # kernel end first
@@ -388,33 +473,27 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
             inv = scalar.inverse()
             seq = [tuple(e.shift(-exp).scale(inv) for e in vec) for vec in seq]
         columns.extend(seq)
-    p_mat = MatK([[columns[j][i] for j in range(n)] for i in range(n)])
-    _check_jordan_basis(x, p_mat, sigma)
-    return ChainData(p_mat, sigma)
+    return MatK([[columns[j][i] for j in range(n)] for i in range(n)])
+
+
+def _is_jordan_basis(x: MatK, p_mat: MatK, sigma: Tuple[int, ...]) -> Optional[bool]:
+    """Whether x·P = P·J, J the Jordan matrix of sigma: exact for exact x,
+    and None when a truncated entry leaves it undetermined."""
+    return (x * p_mat - times_jordan(p_mat, sigma)).is_zero_3v()
 
 
 def _check_jordan_basis(x: MatK, p_mat: MatK, sigma: Tuple[int, ...]):
-    """Raise AssertionError when x·P - P·J is provably nonzero, J the Jordan
-    matrix of sigma: an exact test for exact x, and a consistency test for
-    truncated x."""
-    if (x * p_mat - times_jordan(p_mat, sigma)).is_zero_3v() is False:
+    """Raise AssertionError when x·P - P·J is provably nonzero."""
+    if _is_jordan_basis(x, p_mat, sigma) is False:
         raise AssertionError("chain construction produced an invalid basis")
 
 
 def rank_profile_partition(x: MatK) -> Tuple[int, ...]:
     """Jordan block sizes from the ranks of powers (conjugate partition)."""
-    n = x.n
-    powers = nilpotent_powers(x)
-    ranks = [p.rank() for p in powers]
-    m = len(powers) - 1
-    blocks_ge = [ranks[j - 1] - ranks[j] for j in range(1, m + 1)]
-    parts: List[int] = []
-    for size in range(m, 0, -1):
-        count = blocks_ge[size - 1] - (blocks_ge[size] if size < m else 0)
-        parts.extend([size] * count)
-    if sum(parts) != n:
+    parts = _partition_from_ranks([p.rank() for p in nilpotent_powers(x)])
+    if sum(parts) != x.n:
         raise AssertionError("rank profile inconsistent")
-    return tuple(parts)
+    return parts
 
 
 class ReductionData(NamedTuple):

@@ -60,8 +60,10 @@ def classify(
     """
     if not a.d_coef.is_zero:
         raise NotNilpotent("element has nonzero derivation component")
-    # the matrix part is checked by the reduction, which raises NotNilpotent
-    # or PrecisionExhausted while computing its powers
+    # the matrix part is checked by the reduction: NotNilpotent comes from a
+    # power x(t0)^n != 0 at a point or from the exact powers, which run when
+    # no point certifies the chains, and PrecisionExhausted from a truncated
+    # power that is undetermined
     kappa = killing_coef(a.n) if kappa_coef is None else kappa_coef
     data = reduce_to_quasi_jordan(a.mat, working_prec)
     sigma = data.form.sizes()

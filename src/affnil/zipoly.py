@@ -18,10 +18,13 @@ step) and :func:`combine` (a signed sum of any number of products, for the
 dual-number parts and for back-substitution).
 
 Gcds are taken only outside the elimination loop.  :func:`row_content` is the
-one content routine: :func:`primitive` divides it out of the echelon rows and
-the kernel vectors, and ``matk.vector_content`` and ``matk.normalize_vector``
-read it off a vector's integer form.  :func:`content`, the gcd over Z[i] of
-one polynomial, is for the pivots that back-substitution divides by.
+content of a dense row: :func:`primitive` divides it out of the echelon rows
+and the kernel vectors, and ``matk.normalize_vector`` reads it off a vector's
+integer form.  ``matk.vector_content``, which only reports the content, reads
+the same gcd off the vector's sparse integer terms instead, so that its cost
+follows the number of terms, not the exponent span.  :func:`content`, the gcd
+over Z[i] of one polynomial, is for the pivots that back-substitution divides
+by.
 
 :func:`values_mod_p` evaluates the same integer form at a point of F_p,
 p = 998244353, with i mapped to a square root of −1 (p = 1 mod 4), for the

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from fractions import Fraction
 from typing import Sequence
@@ -8,7 +9,16 @@ from typing import Sequence
 import pytest
 from hypothesis import settings
 
-from affnil import GaussianRational, LaurentElement, MatK, parse_laurent
+from affnil import (
+    AffineElement,
+    GaussianRational,
+    LaurentElement,
+    MatK,
+    adjoint_act,
+    gr,
+    parse_laurent,
+)
+from affnil.selfcheck import random_group, random_orbit_case
 
 # When a @given test fails, hypothesis imports this module to print a patch;
 # it pulls in libcst, whose import warns DeprecationWarning, and the
@@ -29,6 +39,19 @@ def lp(text: str) -> LaurentElement:
 
 def mat(rows: Sequence[Sequence[str]]) -> MatK:
     return MatK([[parse_laurent(e) for e in row] for row in rows])
+
+
+_STRESS_LEVELS = (gr(0), gr(1), gr(Fraction(-3, 2)))
+
+
+def stress_case(n: int, shears: int, j: int):
+    """The benchmark's classify-stress case stress:n:shears:j, with a level
+    fixed by j: (sigma, k, level, the conjugated element)."""
+    rng = random.Random(f"stress:{n}:{shears}:{j}")
+    sigma, k, _, elem, _ = random_orbit_case(rng, n)
+    g = random_group(rng, n, shears)
+    level = _STRESS_LEVELS[j % len(_STRESS_LEVELS)]
+    return sigma, k, level, adjoint_act(g, AffineElement(elem.mat, level), 64)
 
 
 def content_oracle(v):

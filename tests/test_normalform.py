@@ -34,11 +34,12 @@ from affnil import (
     read_quasi_jordan,
 )
 from affnil import normalform, zipoly
+from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil.matk import normalize_vector
 from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import random_group, random_laurent, random_orbit_case
 
-from conftest import lp, mat
+from conftest import lp, mat, stress_case
 
 
 def E(n, i, j, value="1"):
@@ -319,7 +320,7 @@ def _kernels(x):
 
 
 def _exact_tops(x, kernels):
-    return normalform._greedy_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
+    return normalform._greedy_tops(kernels, kernels, x.apply, lambda: normalform._Echelon(x.n))
 
 
 class _LaurentEchelon:
@@ -367,30 +368,84 @@ def test_exact_pass_matches_the_laurent_echelon():
             cases.append(adjoint_act(g, elem).mat)
     for x in cases:
         kernels = _kernels(x)
-        oracle = normalform._greedy_tops(kernels, x.apply, lambda: _LaurentEchelon(x.n))
+        oracle = normalform._greedy_tops(kernels, kernels, x.apply, lambda: _LaurentEchelon(x.n))
         assert _exact_tops(x, kernels) == oracle
     assert _exact_tops(truncated, _kernels(truncated)) == [(2, 0)]
 
 
-def _without_modular_pass(monkeypatch):
-    monkeypatch.setattr(normalform, "_modular_tops", lambda x, kernels: None)
+def _without_point_path(monkeypatch):
+    monkeypatch.setattr(normalform, "_point_chains", lambda x, working_prec: None)
 
 
-def test_modular_pass_matches_exact_pass_on_random_conjugates(monkeypatch):
-    rng = random.Random("modular-vs-exact")
-    cases = []
-    for n in range(2, 7):
-        for _ in range(3):
-            sigma, k, level, elem, g = random_orbit_case(rng, n)
-            x = adjoint_act(g, elem).mat
-            kernels = _kernels(x)
-            assert normalform._modular_tops(x, kernels) == _exact_tops(x, kernels)
-            cases.append((x, sigma, jordan_chains(x)))
-    _without_modular_pass(monkeypatch)
-    for x, sigma, chains in cases:
+def _point_and_exact(x):
+    """The chains of the point path and of the exact pass, for exact x."""
+    point = normalform._point_chains(x, DEFAULT_WORKING_PREC)
+    with pytest.MonkeyPatch.context() as patch:
+        _without_point_path(patch)
         exact = jordan_chains(x)
-        assert chains.sigma == exact.sigma == sigma
-        assert chains.p_mat == exact.p_mat
+    return point, exact
+
+
+def test_modular_pass_matches_exact_pass_on_random_conjugates():
+    # the 8 classify-stress cases and 126 seeded conjugates, n = 2..8: the
+    # point path, with exact kernels only at the heights of chain tops,
+    # gives the same P and sigma byte for byte
+    cases = []
+    for shears in (15, 20):
+        for j in range(4):
+            sigma, _, _, moved = stress_case(8, shears, j)
+            cases.append((sigma, moved.mat))
+    rng = random.Random("point-vs-exact")
+    for n in range(2, 9):
+        for _ in range(18):
+            sigma, _, _, elem, g = random_orbit_case(rng, n)
+            cases.append((sigma, adjoint_act(g, elem).mat))
+    for sigma, x in cases:
+        point, exact = _point_and_exact(x)
+        assert point is not None
+        assert point.sigma == exact.sigma == sigma
+        assert repr(point.p_mat) == repr(exact.p_mat)
+
+
+def _count_kernels_and_products(monkeypatch):
+    calls = {"kernels": 0, "products": 0}
+    kernel_basis, mul = MatK.kernel_basis, MatK.__mul__
+
+    def counted_kernel(m, *args):
+        calls["kernels"] += 1
+        return kernel_basis(m, *args)
+
+    def counted_mul(a, b):
+        calls["products"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(MatK, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(MatK, "__mul__", counted_mul)
+    return calls
+
+
+def test_single_block_takes_no_kernel_and_one_product(monkeypatch):
+    # sigma = (n): the only chain top has the nilpotency index as height, so
+    # its candidates are the identity basis; the one product is x·P
+    rng = random.Random("single-block")
+    cases = [stress_case(8, 20, 1)[3].mat, stress_case(8, 20, 3)[3].mat]
+    for n in range(2, 7):
+        cases.append(adjoint_act(random_group(rng, n, 4), AffineElement(canonical_rep((n,), 0))).mat)
+    for x in cases:
+        calls = _count_kernels_and_products(monkeypatch)
+        assert jordan_chains(x).sigma == (x.n,)
+        assert calls == {"kernels": 0, "products": 1}
+        monkeypatch.undo()
+
+
+def test_exact_kernels_only_at_heights_that_carry_a_top(monkeypatch):
+    # sigma = (5, 3, 1): x^3 and x take one kernel each, x^2 and x^4 none,
+    # and x^2, x^3 cost one product each besides the check
+    rng = random.Random("top-heights")
+    x = adjoint_act(random_group(rng, 9, 4), AffineElement(canonical_rep((5, 3, 1), 0))).mat
+    calls = _count_kernels_and_products(monkeypatch)
+    assert jordan_chains(x).sigma == (5, 3, 1)
+    assert calls == {"kernels": 2, "products": 3}
 
 
 def _rank_one_nilpotent():
@@ -404,23 +459,24 @@ def _rank_one_nilpotent():
 
 
 def test_modular_pass_moves_on_when_kernel_vectors_degenerate_at_the_point(monkeypatch):
-    # at t0 the greedy pass takes two tops of height 2 and the certificate
-    # fails; the next point certifies the tops of the exact pass
+    # at t0 the chain of e1 takes x e1 = a, which is v1 and v2 there, so no
+    # top of height 1 is left and the certificate fails; the next point
+    # certifies the chains of the exact pass
     t0 = normalform._POINTS[0]
     x = _rank_one_nilpotent()
     kernels = _kernels(x)
     at_t0 = [zipoly.values_mod_p(v, t0) for v in kernels[0]]
     ech = normalform._ModEchelon()
     assert [ech.add(v) for v in at_t0] == [True, False]
-    exact = _exact_tops(x, kernels)
-    assert normalform._modular_tops(x, kernels) == exact
+    point, exact = _point_and_exact(x)
+    assert point == exact and exact.sigma == (2, 1)
     with monkeypatch.context() as patch:
         patch.setattr(normalform, "_POINTS", normalform._POINTS[:1])
-        assert normalform._modular_tops(x, kernels) is None
+        assert normalform._point_chains(x, DEFAULT_WORKING_PREC) is None
     elem = AffineElement(x, gr(1))
     label = classify(elem)
     assert (label.partition, label.k) == ((2, 1), 0)
-    _without_modular_pass(monkeypatch)
+    _without_point_path(monkeypatch)
     assert classify(elem) == label
 
 
@@ -439,6 +495,25 @@ def test_certificate_rejects_dependent_chains_whose_heights_sum_to_n():
     assert normalform._chains_form_basis([(2, 0), (1, 1)], kernels_p, apply, 3)
 
 
+def test_kernel_mod_p_spans_the_kernel_at_the_point():
+    rng = random.Random("kernel-mod-p")
+    p = zipoly.P
+    for n in range(1, 7):
+        for rank in range(n + 1):
+            # a random n×n matrix of the given rank, as its columns
+            left = [[rng.randrange(p) for _ in range(rank)] for _ in range(n)]
+            right = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+            columns = [[sum(left[i][r] * right[r][k] for r in range(rank)) % p
+                        for i in range(n)] for k in range(n)]
+            kernel = normalform._kernel_mod_p(columns)
+            assert len(kernel) == n - rank  # the random factors have full rank
+            for v in kernel:
+                assert all(sum(col[i] * c for col, c in zip(columns, v)) % p == 0
+                           for i in range(n))
+            ech = normalform._ModEchelon()
+            assert all(ech.add(v) for v in kernel)
+
+
 def test_denominator_divisible_by_p_is_certified_at_the_point(monkeypatch):
     # the tests at the point read D·t^(-s)·x and D_v·t^(-s_v)·v, which have
     # no denominator, so p | D leaves every value defined
@@ -448,17 +523,16 @@ def test_denominator_divisible_by_p_is_certified_at_the_point(monkeypatch):
     moved = adjoint_act(g, AffineElement(canonical_rep((3, 1), 0), level))
     x = moved.mat
     assert any(c.d % zipoly.P == 0 for row in x.rows for e in row for c in e.coeffs.values())
-    kernels = _kernels(x)
-    assert normalform._modular_tops(x, kernels) == _exact_tops(x, kernels)
+    point, exact = _point_and_exact(x)
+    assert point == exact
     label = classify(moved)
     assert (label.partition, label.k, label.level) == ((3, 1), 0, level)
-    _without_modular_pass(monkeypatch)
+    _without_point_path(monkeypatch)
     assert classify(moved) == label
 
 
 def test_modular_pass_evaluates_wide_entries_term_by_term(monkeypatch):
     x = mat([["0", "t^1000000 - 1"], ["0", "0"]])
-    kernels = _kernels(x)
 
     def dense_row(row):
         raise AssertionError("a dense row was built")
@@ -466,13 +540,84 @@ def test_modular_pass_evaluates_wide_entries_term_by_term(monkeypatch):
     monkeypatch.setattr(zipoly, "from_row", dense_row)
     tracemalloc.start()
     try:
-        tops = normalform._modular_tops(x, kernels)
+        chains = normalform._point_chains(x, DEFAULT_WORKING_PREC)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tops == [(2, 1)]
+    assert chains.sigma == (2,)
+    assert chains.p_mat == mat([["t^1000000 - 1", "0"], ["0", "1"]])
     # the list of the entry's 10^6 dense pairs alone would take 8 MB
     assert peak < 10**6
+
+
+# -- input that vanishes at the points: the exact pass decides ---------------------------------
+
+
+def _vanishing_at_the_points(points=None):
+    """f(t) = prod (t - t0) over the points, default all of ``_POINTS``."""
+    f = lp("1")
+    for t0 in normalform._POINTS if points is None else points:
+        f = f * lp(f"t - {t0}")
+    return f
+
+
+def test_nilpotent_vanishing_at_every_point_takes_the_exact_pass(monkeypatch):
+    rng = random.Random("vanishing-nilpotent")
+    f = _vanishing_at_the_points()
+    for sigma in ((3,), (2, 1), (3, 2), (2, 2, 1)):
+        n = sum(sigma)
+        g = random_group(rng, n, 3)
+        x = adjoint_act(g, AffineElement(canonical_rep(sigma, 0))).mat.scale(f)
+        assert normalform._point_chains(x, DEFAULT_WORKING_PREC) is None
+        elem = AffineElement(x, gr(1))
+        label = classify(elem)
+        chains = jordan_chains(x)
+        assert label.partition == chains.sigma == sigma
+        with monkeypatch.context() as patch:
+            _without_point_path(patch)
+            assert classify(elem) == label
+            assert repr(jordan_chains(x).p_mat) == repr(chains.p_mat)
+
+
+@pytest.mark.parametrize("rows", [
+    [["1", "0"], ["0", "-1"]],
+    [["0", "1"], ["t", "0"]],
+    [["0", "1", "0"], ["0", "0", "1"], ["t^-1", "0", "0"]],
+])
+def test_non_nilpotent_vanishing_at_every_point_raises_from_the_exact_pass(monkeypatch, rows):
+    x = mat(rows).scale(_vanishing_at_the_points())
+    calls = {"powers": 0}
+    powers = normalform.nilpotent_powers
+
+    def counted_powers(m):
+        calls["powers"] += 1
+        return powers(m)
+
+    monkeypatch.setattr(normalform, "nilpotent_powers", counted_powers)
+    with pytest.raises(NotNilpotent, match=f"{x.n}-th power"):
+        classify(AffineElement(x))
+    assert calls["powers"] == 1
+
+
+def test_non_nilpotent_at_a_point_is_refuted_there(monkeypatch):
+    # x(t0)^n != 0 proves x^n != 0: no exact power is taken
+    calls = _count_kernels_and_products(monkeypatch)
+    with pytest.raises(NotNilpotent, match="3-th power"):
+        jordan_chains(mat([["0", "1", "0"], ["0", "0", "1"], ["t^-1", "0", "0"]]))
+    assert calls == {"kernels": 0, "products": 0}
+
+
+def test_entry_vanishing_at_the_first_point_is_certified_at_the_second(monkeypatch):
+    f = _vanishing_at_the_points(normalform._POINTS[:1])
+    rng = random.Random("first-point")
+    g = random_group(rng, 4, 3)
+    x = adjoint_act(g, AffineElement(canonical_rep((2, 1, 1), 0))).mat.scale(f)
+    point, exact = _point_and_exact(x)
+    assert point is not None and point.sigma == (2, 1, 1)
+    assert repr(point.p_mat) == repr(exact.p_mat)
+    with monkeypatch.context() as patch:
+        patch.setattr(normalform, "_POINTS", normalform._POINTS[:1])
+        assert normalform._point_chains(x, DEFAULT_WORKING_PREC) is None
 
 
 # -- powers and the basis check --------------------------------------------------------------

@@ -32,7 +32,7 @@ from affnil.matk import det_and_adj_trace
 from affnil.normalform import jordan_chains, times_jordan
 from affnil.selfcheck import random_group, random_orbit_case
 
-from conftest import lp, mat
+from conftest import lp, mat, stress_case
 
 
 def E(n, i, j, value="1"):
@@ -303,29 +303,17 @@ def test_rotation_preserves_labels():
 
 # -- the benchmark's stress seeds ----------------------------------------------
 
-_STRESS_LEVELS = (gr(0), gr(1), gr(Fraction(-3, 2)))
-
-
-def _stress_case(n: int, shears: int, j: int):
-    """The classify-stress case stress:n:shears:j, with a level fixed by j."""
-    rng = random.Random(f"stress:{n}:{shears}:{j}")
-    sigma, k, _, elem, _ = random_orbit_case(rng, n)
-    g = random_group(rng, n, shears)
-    level = _STRESS_LEVELS[j % len(_STRESS_LEVELS)]
-    return sigma, k, level, adjoint_act(g, AffineElement(elem.mat, level), 64)
-
-
 @pytest.mark.parametrize("shears", [20, 15])
 @pytest.mark.parametrize("j", range(4))
 def test_stress_seeds_classify_to_their_generating_label(shears, j):
-    sigma, k, level, moved = _stress_case(8, shears, j)
+    sigma, k, level, moved = stress_case(8, shears, j)
     assert classify(moved) == OrbitLabel(sigma, k, level)
 
 
 def test_stress_jordan_basis_stays_small():
     # the kernel vectors carry only the pivots they need; with the product of
     # all pivots this P had entries of 80 terms
-    _, _, _, moved = _stress_case(8, 15, 3)
+    _, _, _, moved = stress_case(8, 15, 3)
     p_mat = jordan_chains(moved.mat).p_mat
     assert max(len(e.coeffs) for row in p_mat.rows for e in row) <= 40
 
@@ -338,7 +326,7 @@ def _direction_cases():
             yield adjoint_act(g, elem).mat
     for shears in (15, 20):
         for j in range(4):
-            yield _stress_case(8, shears, j)[3].mat
+            yield stress_case(8, shears, j)[3].mat
 
 
 def test_level_direction_p_prime_j_matches_x_p_prime():
