@@ -97,6 +97,12 @@ def _parse_matrix(doc: Dict[str, Any], path: str) -> MatK:
     if not isinstance(matrix, list) or not matrix:
         raise DocumentError(f"{path}: missing matrix")
     n = doc.get("n", len(matrix))
+    # a JSON integer only: bool is an int subclass, and 2.0 or "2" are not n
+    if type(n) is not int:
+        shown = json.dumps(n)
+        if len(shown) > 20:
+            shown = shown[:17] + "..."
+        raise DocumentError(f"{path}: n must be a JSON integer, not {shown}")
     if n != len(matrix) or any(not isinstance(r, list) or len(r) != n for r in matrix):
         raise DocumentError(f"{path}: matrix must be {n}x{n}")
     # Documents are sparse and repeat a few literals ("0", "1") many times.

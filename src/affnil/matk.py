@@ -22,6 +22,13 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
   yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
   truncate, when d is not a monomial.
 
+A row update touches only what can change.  When the pivot quotient
+p / prev is exact, an entry x under a zero of the pivot row becomes
+(p·x − f·0) / prev = (p / prev)·x, one product with the quotient (nothing
+when it is 1), and the Bareiss step with its division runs only at the
+pivot row's nonzero columns.  The matrices that ``adjoint_act`` inverts are
+sparse, so most of [A | I] is zero, and zero entries cost nothing.
+
 Exact kernel vectors are back-substituted on the dense echelon rows
 (:func:`_dense_kernel`), and each is scaled only by the echelon pivots that
 do not divide during its back-substitution, not by the product of all of
@@ -227,7 +234,9 @@ class MatK:
 
     def scale_t(self, z) -> "MatK":
         """The substitution t -> z*t in every entry; each power z^e is taken
-        once per matrix, not once per term."""
+        once per matrix, not once per term.  An entry with no coefficients,
+        the exact zero or a bare O(t^N), is its own image and is returned
+        as it is, not rebuilt."""
         z = GaussianRational(z) if not isinstance(z, GaussianRational) else z
         if z.is_zero:
             raise ZeroScale("t -> 0*t is not a field automorphism")
@@ -235,7 +244,7 @@ class MatK:
         return MatK(
             [
                 [LaurentElement({e: c * powers[e] for e, c in x.coeffs.items()}, x.prec)
-                 for x in r]
+                 if x.coeffs else x for x in r]
                 for r in self.rows
             ]
         )
@@ -686,8 +695,15 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
     from the next column on, where p is the pivot, f the row's entry in the
     pivot column and prev the previous pivot.  By Sylvester's identity every
     entry is then a minor of the input on the pivot rows and columns chosen so
-    far, so every division is exact in Z[i][t], and it is checked.  A row with
-    f = 0 is multiplied by p / prev instead, when that quotient is exact.
+    far, so every division is exact in Z[i][t], and it is checked.
+
+    When the quotient p / prev is exact (checked like every division), a row
+    runs the Bareiss step only at the columns where the pivot row is nonzero,
+    listed once per step, and only when f ≠ 0.  Everywhere else its entry x
+    becomes (p·x − f·0) / prev, which is (p / prev)·x exactly: a product with
+    the quotient, skipped when the quotient is 1 or x is 0.  A row with f = 0
+    is thus only scaled.  When p / prev is not exact, every row with an
+    entry to change takes the Bareiss step, with its exact division.
 
     Returns (pivot columns, sign of the row permutation, last pivot).
     """
@@ -710,31 +726,39 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
             sign = -sign
         pivot_row = rows[top]
         p = pivot_row[col]
-        # a row with f = 0 only becomes p·row / prev: scale it by the quotient
-        # when prev divides p, which spares a division per entry
         try:
             scale = p if prev is None else ring.div(p, prev)
         except ExactDivisionError:
             scale = None
+        if scale is not None:
+            # where the pivot row is zero, (p·x − f·0) / prev = scale·x for
+            # every row, so combine runs only at the pivot row's nonzero columns
+            live = [j for j in range(col + 1, width) if pivot_row[j] != zero]
+            unit = scale == ring.one
         for i in range(0 if jordan else top + 1, len(rows)):
             if i == top:
                 continue
             row = rows[i]
             f = row[col]
             f_zero = f == zero
-            if f_zero and scale is not None:
-                if scale != ring.one:
-                    for j in range(col + 1, width):
-                        if row[j] != zero:
-                            row[j] = mul(scale, row[j])
+            if scale is None:
+                for j in range(col + 1, width):
+                    x = row[j]
+                    # (p·0 − f·y) / prev is 0 when f·y is: most entries, when sparse
+                    if x == zero and (f_zero or pivot_row[j] == zero):
+                        continue
+                    row[j] = combine(p, x, f, pivot_row[j], prev)
+                row[col] = zero
                 continue
-            for j in range(col + 1, width):
-                x = row[j]
-                # (p·0 − f·y) / prev is 0 when f·y is: most entries, when sparse
-                if x == zero and (f_zero or pivot_row[j] == zero):
-                    continue
-                row[j] = combine(p, x, f, pivot_row[j], prev)
-            row[col] = zero
+            if not f_zero:
+                for j in live:
+                    row[j] = combine(p, row[j], f, pivot_row[j], prev)
+                row[col] = zero
+            if not unit:
+                for j in range(col + 1, width):
+                    x = row[j]
+                    if x != zero and (f_zero or pivot_row[j] == zero):
+                        row[j] = mul(scale, x)
         prev = p
         cols.append(col)
     return cols, sign, prev

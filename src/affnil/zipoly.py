@@ -13,9 +13,13 @@ products and exact divisions touch integers only: no coefficient is reduced
 to lowest terms and no gcd is taken.  That is what makes the fraction-free
 elimination in :mod:`affnil.matk` cheap, compared with the same loop on
 :class:`LaurentElement`, whose every coefficient is a reduced fraction.
-The products are :func:`mul` (f·g), :func:`mul_sub` (p·x − f·y, the Bareiss
-step) and :func:`combine` (a signed sum of any number of products, for the
-dual-number parts and for back-substitution).
+The products are :func:`mul` (f·g; a monomial factor c·t^k makes it a shift
+of the other factor and one Gaussian-integer product per pair, which is what
+the elimination's scalings by a monomial quotient p / prev are),
+:func:`mul_sub` (p·x − f·y, the Bareiss step) and :func:`combine` (a signed
+sum of any number of products, for the dual-number parts and for
+back-substitution).  :func:`to_laurent` returns one shared exact zero for
+the zero polynomial, so the zeros of a sparse result cost no new element.
 
 Gcds are taken only outside the elimination loop.  :func:`row_content` is the
 content of a dense row: :func:`primitive` divides it out of the echelon rows
@@ -53,6 +57,7 @@ Poly = List[Tuple[int, int]]
 Sparse = List[Tuple[int, int, int]]
 
 _ZERO_PAIR = (0, 0)
+_L_ZERO = LaurentElement.zero()
 
 P = 998244353  # prime, p = 1 mod 4
 I_MOD_P = pow(3, (P - 1) // 4, P)  # 3 generates F_p^*, so this squares to -1
@@ -105,7 +110,10 @@ def values_mod_p(row: Sequence[LaurentElement], t0: int) -> List[int]:
 
 
 def to_laurent(f: Poly, shift: int = 0, den: int = 1) -> LaurentElement:
-    """The Laurent element t^shift·f/den (den a nonzero integer)."""
+    """The Laurent element t^shift·f/den (den a nonzero integer); the zero
+    polynomial gives one shared exact zero, built once."""
+    if not f:
+        return _L_ZERO
     if den == 1:
         make = GaussianRational._raw
     else:
@@ -160,13 +168,28 @@ def _pack(re: List[int], im: List[int]) -> Poly:
 
 
 def mul(f: Poly, g: Poly) -> Poly:
+    """f·g; a monomial factor c·t^k makes it a shift of the other factor and
+    one Gaussian-integer product per pair."""
     if not f or not g:
         return []
-    size = len(f) + len(g) - 1
-    re = [0] * size
-    im = [0] * size
-    _add_product(re, im, sparse(f), sparse(g), False)
-    return _pack(re, im)
+    # a monomial's one nonzero pair is its top one
+    if f.count(_ZERO_PAIR) == len(f) - 1:
+        mono, other = f, g
+    elif g.count(_ZERO_PAIR) == len(g) - 1:
+        mono, other = g, f
+    else:
+        size = len(f) + len(g) - 1
+        re = [0] * size
+        im = [0] * size
+        _add_product(re, im, sparse(f), sparse(g), False)
+        return _pack(re, im)
+    k = len(mono) - 1
+    c, d = mono[k]
+    if d:
+        out = [(a * c - b * d, a * d + b * c) for a, b in other]
+    else:
+        out = [(a * c, b * c) for a, b in other]
+    return [_ZERO_PAIR] * k + out if k else out
 
 
 def mul_sub(p: Poly, x: Poly, f: Poly, y: Poly) -> Poly:

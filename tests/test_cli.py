@@ -102,6 +102,20 @@ def test_malformed_matrix_shape_exits_2(tmp_path):
     assert main(["classify", path]) == 2
 
 
+@pytest.mark.parametrize("n, shown", [("2", '"2"'), (2.5, "2.5"), (2.0, "2.0"), (True, "true")])
+def test_n_must_be_a_json_integer(tmp_path, capsys, n, shown):
+    # "2" and 2.0 would match a 2x2 matrix by value, and true would be read as 1
+    elem = write(tmp_path, "elem.json", {"n": n, "matrix": [["0", "t"], ["0", "0"]]})
+    assert main(["classify", elem]) == 2
+    assert f"n must be a JSON integer, not {shown}" in capsys.readouterr().err
+    one = write(tmp_path, "one.json", {"n": n, "matrix": [["0"]]})
+    assert main(["classify", one]) == 2
+    assert f"n must be a JSON integer, not {shown}" in capsys.readouterr().err
+    group = write(tmp_path, "group.json", {"n": n, "z": "1", "matrix": [["1", "0"], ["0", "1"]]})
+    assert main(["act", group, write(tmp_path, "ok.json", {"n": 2, "matrix": [["0", "t"], ["0", "0"]]})]) == 2
+    assert "n must be a JSON integer" in capsys.readouterr().err
+
+
 def test_classify_precision_exhausted_exits_4(tmp_path, capsys):
     doc = {
         "n": 2,

@@ -20,7 +20,10 @@ from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil import zipoly
 from affnil.errors import ExactDivisionError
 from affnil.matk import (
+    _Plain,
     _dense_echelon,
+    _dense_rows,
+    _gauss_jordan,
     _inv_dense,
     _pick_pivot,
     _pick_short,
@@ -921,6 +924,171 @@ def test_det_and_adj_trace_of_the_empty_matrix():
     assert det_and_adj_trace(MatK([]), MatK([])) == (lp("1"), lp("0"))
 
 
+# -- the exact loop combines only at the pivot row's nonzero columns -------------
+#
+# When p/prev is exact, an entry whose pivot-row column is zero becomes
+# (p·x − f·0)/prev = (p/prev)·x, so `_eliminate` runs `combine` only at the
+# pivot row's nonzero columns.  The reference below takes the Bareiss step at
+# every column of a row with f ≠ 0 that is not zero on both sides, so the
+# pass must give its polynomials, byte for byte, with fewer combines.
+
+
+def _dense_loop_inverse(m: MatK):
+    """(d, right, combine calls) of the Gauss–Jordan pass of :func:`_inv_dense`
+    with the dense row update: a row with f ≠ 0, or any row when p/prev is not
+    exact, takes (p·x − f·y)/prev at every column where x or f·y is nonzero."""
+    n = m.n
+    unit = MatK.identity(n).rows
+    _, shifts, rows = _dense_rows([r + u for r, u in zip(m.rows, unit)])
+    calls = 0
+    prev = None
+    for col in range(n):
+        idx = _pick_short([(i, shifts[i], rows[i][col]) for i in range(col, n)])
+        if idx is None:
+            raise Singular("matrix is exactly singular")
+        rows[col], rows[idx] = rows[idx], rows[col]
+        shifts[col], shifts[idx] = shifts[idx], shifts[col]
+        pivot_row = rows[col]
+        p = pivot_row[col]
+        try:
+            scale = p if prev is None else zipoly.exact_div(p, prev)
+        except ExactDivisionError:
+            scale = None
+        for i in range(n):
+            if i == col:
+                continue
+            row = rows[i]
+            f = row[col]
+            if not f and scale is not None:
+                row[col + 1:] = [zipoly.mul(scale, x) for x in row[col + 1:]]
+                continue
+            for j in range(col + 1, 2 * n):
+                if row[j] or (f and pivot_row[j]):
+                    num = zipoly.mul_sub(p, row[j], f, pivot_row[j])
+                    row[j] = num if prev is None or not num else zipoly.exact_div(num, prev)
+                    calls += 1
+            row[col] = []
+        prev = p
+    return prev, [r[n:] for r in rows], calls
+
+
+def _counted(monkeypatch, fn, *args):
+    """fn(*args), and how often the exact loop called combine, took a scale
+    product, and found p/prev inexact."""
+    counts = {"combine": 0, "scale": 0, "inexact": 0}
+    plain_combine, plain_mul, plain_div = _Plain.combine, _Plain.mul, _Plain.div
+
+    def combine(*a):
+        counts["combine"] += 1
+        return plain_combine(*a)
+
+    def mul(*a):
+        counts["scale"] += 1
+        return plain_mul(*a)
+
+    def div(*a):
+        try:
+            return plain_div(*a)
+        except ExactDivisionError:
+            counts["inexact"] += 1
+            raise
+
+    for name, wrapped in (("combine", combine), ("mul", mul), ("div", div)):
+        monkeypatch.setattr(_Plain, name, staticmethod(wrapped))
+    result = fn(*args)
+    monkeypatch.undo()
+    return result, counts
+
+
+def _agrees_with_division_path(exact: MatK, divided: MatK) -> bool:
+    """Each entry equal, or, where the division path truncated, equal below
+    its bound."""
+    return all(x == y if y.prec is None else x.truncated(y.prec) == y
+               for rx, ry in zip(exact.rows, divided.rows) for x, y in zip(rx, ry))
+
+
+def _sparse_groups(rng: random.Random, n: int):
+    """Seeded shear products, rotated t -> z·t, and times diagonal factors of
+    det 1 that are not units."""
+    diag = MatK.diag([lp("2"), lp("1/2")] + [lp("1")] * (n - 2))
+    diag_t = MatK.diag([lp("(1+i)*t"), lp("(1/2-1/2i)*t^-1")] + [lp("1")] * (n - 2))
+    for z in (gr(1), gr(2), gr(1, 1)):
+        g = _shear_product(rng, n, rng.randint(1, 5)).scale_t(z)
+        yield f"z={z}", g
+        yield f"diag·g, z={z}", diag * g
+        yield f"g·diag_t, z={z}", g * diag_t
+
+
+def _check_inverse(m: MatK, where):
+    d, right, _ = _dense_loop_inverse(m)
+    got_d, _, _, got_right = _inv_dense(m)
+    assert (got_d, got_right) == (d, right), where
+    inverse = m.inv()
+    assert inverse.all_exact() and m * inverse == MatK.identity(m.n), where
+    assert _agrees_with_division_path(inverse, _gauss_jordan(m, 64, inverse=True)), where
+    if m.n <= 6:
+        assert inverse == _cofactor_inverse(m), where
+
+
+def test_exact_inverse_of_sparse_groups_matches_the_oracles():
+    rng = random.Random(2026)
+    for n in range(4, 13):
+        for kind, m in _sparse_groups(rng, n):
+            where = (n, kind)
+            _check_inverse(m, where)
+            assert m.det() == _oracle_det(m) == lp("1"), where
+            # rank n - 1: the last row becomes row 0 + t·row 1
+            rows = [list(r) for r in m.rows]
+            rows[-1] = [a + lp("t") * b for a, b in zip(rows[0], rows[1])]
+            low = MatK(rows)
+            assert low.det() == _oracle_det(low) == lp("0"), where
+            basis = low.kernel_basis()
+            oracle = _oracle_kernel(low)
+            assert len(basis) == len(oracle) == 1, where
+            assert all(e.is_zero_3v() is True for e in low.apply(basis[0])), where
+            assert _rank([list(basis[0]), list(oracle[0])], n) == 1, where
+
+
+def test_exact_loop_row_branches(monkeypatch):
+    # f = 0, and an exact quotient p/prev = 2 with zero pivot-row columns: with
+    # A = diag(2, 1/2, 1)·(I + t·E_10), [A | I] enters as the rows
+    # (2, 0, 0 | 1, 0, 0), (t, 1, 0 | 0, 2, 0) and (0, 0, 1 | 0, 0, 1).  The
+    # first pivot is 2 and prev is 1; row 1 (f = t) combines at column 3
+    # only, where the pivot row is nonzero, and becomes 2·x at columns 1 and
+    # 4; row 2 (f = 0) is scaled by 2.  The later quotients are 1.
+    m = MatK.diag([lp("2"), lp("1/2"), lp("1")]) * MatK.shear(3, 1, 0, lp("t"))
+    (d, _, _, right), counts = _counted(monkeypatch, _inv_dense, m)
+    assert counts == {"combine": 1, "scale": 4, "inexact": 0}
+    assert d == [(2, 0)]
+    assert right == [[[(1, 0)], [], []], [[(0, 0), (-1, 0)], [(4, 0)], []], [[], [], [(2, 0)]]]
+    _check_inverse(m, "diag·shear")
+    # an inexact quotient: in [[2, 1], [1, 1]] the second pivot is 1 and prev
+    # is 2, so row 0 runs the division loop at every nonzero column
+    m = mat([["2", "1"], ["1", "1"]])
+    (d, _, _, right), counts = _counted(monkeypatch, _inv_dense, m)
+    assert counts == {"combine": 4, "scale": 1, "inexact": 1}
+    assert d == [(1, 0)] and right == [[[(1, 0)], [(-1, 0)]], [[(-1, 0)], [(2, 0)]]]
+    _check_inverse(m, "inexact quotient")
+    # the same matrices through det and the dual-number det
+    for m in (MatK.diag([lp("2"), lp("1/2"), lp("1")]) * MatK.shear(3, 1, 0, lp("t")),
+              mat([["2", "1"], ["1", "1"]])):
+        assert m.det() == _oracle_det(m)
+        direction = MatK([[lp("t")] * m.n] * m.n)
+        assert det_and_adj_trace(m, direction) == _oracle_dual_det(m, direction)
+
+
+def test_exact_inverse_combines_only_at_pivot_row_columns(monkeypatch):
+    # n = 12, eight shears, 21 nonzero entries of 144: the dense loop makes
+    # 67 combines, and 19 of them are at a zero of the pivot row in a row
+    # with f != 0, where the entry only becomes (p/prev)·x.  Those are now
+    # scale products (or nothing, when p/prev = 1), so 48 combines are left.
+    m = _shear_product(random.Random(12), 12, 8)
+    d, right, dense_calls = _dense_loop_inverse(m)
+    (got_d, _, _, got_right), counts = _counted(monkeypatch, _inv_dense, m)
+    assert (got_d, got_right) == (d, right)
+    assert (counts["combine"], dense_calls) == (48, 67)
+
+
 # -- coefficients of products, read without forming them -----------------------
 
 _small_gr = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
@@ -989,8 +1157,13 @@ def test_scale_t_matches_the_entrywise_substitution():
         m = MatK([[random_laurent(rng) for _ in range(3)] for _ in range(3)])
         rows = [list(r) for r in m.rows]
         rows[1][2] = LaurentElement({-3: gr(1), 2: gr(5)}, 4)
+        rows[2][0] = LaurentElement.zero()
+        rows[0][1] = LaurentElement.zero(3)
         m = MatK(rows)
-        assert m.scale_t(z) == MatK([[e.scale_t(z) for e in r] for r in m.rows])
+        scaled = m.scale_t(z)
+        assert scaled == MatK([[e.scale_t(z) for e in r] for r in m.rows])
+        # entries with no coefficients, 0 and O(t^3), are passed through
+        assert scaled.rows[2][0] is m.rows[2][0] and scaled.rows[0][1] is m.rows[0][1]
     assert m.shift(-2) == MatK([[e * lp("t^-2") for e in r] for r in m.rows])
     with pytest.raises(ZeroScale):
         m.scale_t(gr(0))

@@ -45,6 +45,8 @@ def test_to_laurent_reduces_each_coefficient():
     )
     assert zipoly.to_laurent([(1, -1)], 2, -1) == lp("(-1+i)*t^2")
     assert zipoly.to_laurent([]) == lp("0")
+    # the zero polynomial is one shared exact zero, whatever the shift and den
+    assert zipoly.to_laurent([], 4, 6) is zipoly.to_laurent([])
     c = zipoly.to_laurent([(4, 6)], 0, 2).coeffs[0]
     assert (c.a, c.b, c.d) == (2, 3, 1)
 
@@ -69,6 +71,34 @@ def test_products_and_sums_match_laurent_arithmetic():
         assert zipoly.to_laurent(zipoly.mul_sub(f, x, g, y)) == lf * lx - lg * ly
         for h in (zipoly.mul(f, g), zipoly.mul_sub(f, x, g, y), zipoly.mul_sub(f, g, g, f)):
             assert not h or h[-1] != (0, 0)
+
+
+def test_monomial_product_is_a_shift_and_one_product_per_pair():
+    # mul takes a c·t^k factor as a shift of the other factor; the reference is
+    # the general accumulator of combine and the Laurent product
+    rng = random.Random(36)
+    coefs = [(1, 0), (-1, 0), (3, 0), (-2, 0), (0, 1), (2, -3), (-1, 1)]
+    seen = set()
+    for _ in range(80):
+        c = rng.choice(coefs)
+        k = rng.randint(0, 3)
+        mono = [(0, 0)] * k + [c]
+        f = _random_poly(rng, rng.randint(1, 5), rng.randint(0, 2))
+        if not f:
+            continue
+        seen.add((c[1] != 0, k > 0, f[0] == (0, 0)))
+        expected = zipoly.combine([(1, f, mono)])
+        laurent = zipoly.to_laurent(f) * zipoly.to_laurent(mono)
+        for got in (zipoly.mul(f, mono), zipoly.mul(mono, f)):
+            assert got == expected
+            assert zipoly.to_laurent(got) == laurent
+            assert got[-1] != (0, 0)
+    # c with and without an imaginary part, k = 0 and k > 0, f with and
+    # without zero pairs at its low end
+    assert len(seen) == 8
+    assert zipoly.mul([(0, 0), (2, 1)], [(0, 0), (0, 0), (1, 0)]) == [(0, 0)] * 3 + [(2, 1)]
+    assert zipoly.mul([(1, 0)], [(1, 0)]) == [(1, 0)]
+    assert zipoly.mul([], [(0, 0), (3, 0)]) == []
 
 
 def test_exact_div_recovers_the_factor():
