@@ -247,8 +247,7 @@ def _cmd_enumerate(args) -> int:
     except LaurentSyntaxError as exc:
         raise DocumentError(f"--level: {exc}") from exc
     orbits = enumerate_orbits(args.n, level)
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.json:
         payload = {
             "n": args.n,
             "level": format_scalar(level),
@@ -389,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="canonical representatives for a given n")
     p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--level", default="0", help="level attached to each label")
-    p.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p)
     p.set_defaults(fn=_cmd_enumerate)
 

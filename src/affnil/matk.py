@@ -22,12 +22,14 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
   yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
   truncate, when d is not a monomial.
 
-A row update touches only what can change.  When the pivot quotient
-p / prev is exact, an entry x under a zero of the pivot row becomes
-(p·x − f·0) / prev = (p / prev)·x, one product with the quotient (nothing
-when it is 1), and the Bareiss step with its division runs only at the
-pivot row's nonzero columns.  The matrices that ``adjoint_act`` inverts are
-sparse, so most of [A | I] is zero, and zero entries cost nothing.
+A row update touches only what can change, by one rule for every entry x.
+With f the row's entry in the pivot column and y the pivot row's entry in
+x's column, where f = 0 or y = 0 the entry becomes (p·x − f·y) / prev =
+(p / prev)·x: nothing when x = 0 or the quotient is 1, one product with the
+quotient when it is exact, and the Bareiss step when it is not.  Everywhere
+else it takes the Bareiss step with its division.  The matrices that
+``adjoint_act`` inverts are sparse, so most of [A | I] is zero, and zero
+entries cost nothing.
 
 Exact kernel vectors are back-substituted on the dense echelon rows
 (:func:`_dense_kernel`), and each is scaled only by the echelon pivots that
@@ -637,7 +639,7 @@ class _Plain:
     @staticmethod
     def combine(p, x, f, y, prev):
         """(p·x − f·y) / prev, an exact division; prev None stands for 1."""
-        num = zipoly.mul_sub(p, x, f, y)
+        num = zipoly.combine(((1, p, x), (-1, f, y)))
         if prev is None or not num:
             return num
         return zipoly.exact_div(num, prev)
@@ -665,7 +667,7 @@ class _Dual:
 
     @staticmethod
     def combine(p, x, f, y, prev):
-        a = zipoly.mul_sub(p[0], x[0], f[0], y[0])
+        a = zipoly.combine(((1, p[0], x[0]), (-1, f[0], y[0])))
         b = zipoly.combine([(1, p[0], x[1]), (-1, f[0], y[1]), (1, p[1], x[0]), (-1, f[1], y[0])])
         return (a, b) if prev is None else _Dual.div((a, b), prev)
 
@@ -697,13 +699,11 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
     entry is then a minor of the input on the pivot rows and columns chosen so
     far, so every division is exact in Z[i][t], and it is checked.
 
-    When the quotient p / prev is exact (checked like every division), a row
-    runs the Bareiss step only at the columns where the pivot row is nonzero,
-    listed once per step, and only when f ≠ 0.  Everywhere else its entry x
-    becomes (p·x − f·0) / prev, which is (p / prev)·x exactly: a product with
-    the quotient, skipped when the quotient is 1 or x is 0.  A row with f = 0
-    is thus only scaled.  When p / prev is not exact, every row with an
-    entry to change takes the Bareiss step, with its exact division.
+    One rule updates every entry x of a row, with y the pivot row's entry in
+    its column.  Where f = 0 or y = 0 the new entry is (p·x − f·y) / prev =
+    (p / prev)·x: nothing when x = 0 or the quotient is 1, a product with the
+    quotient when it is exact, and the Bareiss step otherwise.  Everywhere
+    else it is the Bareiss step.  A row with f = 0 and quotient 1 is skipped.
 
     Returns (pivot columns, sign of the row permutation, last pivot).
     """
@@ -730,35 +730,27 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
             scale = p if prev is None else ring.div(p, prev)
         except ExactDivisionError:
             scale = None
-        if scale is not None:
-            # where the pivot row is zero, (p·x − f·0) / prev = scale·x for
-            # every row, so combine runs only at the pivot row's nonzero columns
-            live = [j for j in range(col + 1, width) if pivot_row[j] != zero]
-            unit = scale == ring.one
+        unit = scale == ring.one
         for i in range(0 if jordan else top + 1, len(rows)):
             if i == top:
                 continue
             row = rows[i]
             f = row[col]
             f_zero = f == zero
-            if scale is None:
-                for j in range(col + 1, width):
-                    x = row[j]
-                    # (p·0 − f·y) / prev is 0 when f·y is: most entries, when sparse
-                    if x == zero and (f_zero or pivot_row[j] == zero):
-                        continue
-                    row[j] = combine(p, x, f, pivot_row[j], prev)
-                row[col] = zero
+            if f_zero and unit:
                 continue
-            if not f_zero:
-                for j in live:
-                    row[j] = combine(p, row[j], f, pivot_row[j], prev)
-                row[col] = zero
-            if not unit:
-                for j in range(col + 1, width):
-                    x = row[j]
-                    if x != zero and (f_zero or pivot_row[j] == zero):
+            for j in range(col + 1, width):
+                x = row[j]
+                y = pivot_row[j]
+                if f_zero or y == zero:
+                    # (p·x − f·y) / prev = (p / prev)·x
+                    if x == zero or unit:
+                        continue
+                    if scale is not None:
                         row[j] = mul(scale, x)
+                        continue
+                row[j] = combine(p, x, f, y, prev)
+            row[col] = zero
         prev = p
         cols.append(col)
     return cols, sign, prev

@@ -15,11 +15,12 @@ elimination in :mod:`affnil.matk` cheap, compared with the same loop on
 :class:`LaurentElement`, whose every coefficient is a reduced fraction.
 The products are :func:`mul` (f·g; a monomial factor c·t^k makes it a shift
 of the other factor and one Gaussian-integer product per pair, which is what
-the elimination's scalings by a monomial quotient p / prev are),
-:func:`mul_sub` (p·x − f·y, the Bareiss step) and :func:`combine` (a signed
-sum of any number of products, for the dual-number parts and for
-back-substitution).  :func:`to_laurent` returns one shared exact zero for
-the zero polynomial, so the zeros of a sparse result cost no new element.
+the elimination's scalings by a monomial quotient p / prev are; any other
+product is a :func:`combine` of one term) and :func:`combine` (a signed sum
+of any number of products in one accumulator: the Bareiss step p·x − f·y,
+the dual-number parts and back-substitution).  :func:`to_laurent` returns
+one shared exact zero for the zero polynomial, so the zeros of a sparse
+result cost no new element.
 
 Gcds are taken only outside the elimination loop.  :func:`row_content` is the
 content of a dense row: :func:`primitive` divides it out of the echelon rows
@@ -164,7 +165,8 @@ def _pack(re: List[int], im: List[int]) -> Poly:
     top = len(re)
     while top and not re[top - 1] and not im[top - 1]:
         top -= 1
-    return list(zip(re[:top], im[:top]))
+    del re[top:]
+    return list(zip(re, im))
 
 
 def mul(f: Poly, g: Poly) -> Poly:
@@ -178,11 +180,7 @@ def mul(f: Poly, g: Poly) -> Poly:
     elif g.count(_ZERO_PAIR) == len(g) - 1:
         mono, other = g, f
     else:
-        size = len(f) + len(g) - 1
-        re = [0] * size
-        im = [0] * size
-        _add_product(re, im, sparse(f), sparse(g), False)
-        return _pack(re, im)
+        return combine(((1, f, g),))
     k = len(mono) - 1
     c, d = mono[k]
     if d:
@@ -192,34 +190,21 @@ def mul(f: Poly, g: Poly) -> Poly:
     return [_ZERO_PAIR] * k + out if k else out
 
 
-def mul_sub(p: Poly, x: Poly, f: Poly, y: Poly) -> Poly:
-    """p·x − f·y."""
-    both = p and x
-    size = len(p) + len(x) - 1 if both else 0
-    if f and y:
-        size = max(size, len(f) + len(y) - 1)
-    elif not both:
-        return []
-    re = [0] * size
-    im = [0] * size
-    if both:
-        _add_product(re, im, sparse(p), sparse(x), False)
-    if f and y:
-        _add_product(re, im, sparse(f), sparse(y), True)
-    return _pack(re, im)
-
-
 def combine(triples: Sequence[Tuple[int, Poly, Poly]]) -> Poly:
     """The sum of sign·f·g over the (sign, f, g) triples, sign = ±1, in one
     accumulator; no terms, or terms that cancel, give the zero polynomial."""
-    products = [(sign < 0, sparse(f), sparse(g)) for sign, f, g in triples if f and g]
-    if not products:
+    # the longest product: f·g has len(f) + len(g) − 1 pairs, as both tops are nonzero
+    size = 0
+    for _, f, g in triples:
+        if f and g and len(f) + len(g) > size + 1:
+            size = len(f) + len(g) - 1
+    if not size:
         return []
-    size = max(fz[-1][0] + gz[-1][0] for _, fz, gz in products) + 1
     re = [0] * size
     im = [0] * size
-    for negate, fz, gz in products:
-        _add_product(re, im, fz, gz, negate)
+    for sign, f, g in triples:
+        if f and g:
+            _add_product(re, im, sparse(f), sparse(g), sign < 0)
     return _pack(re, im)
 
 

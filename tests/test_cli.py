@@ -159,11 +159,15 @@ def test_enumerate_deterministic(capsys):
 
 
 def test_enumerate_json(capsys):
-    assert main(["enumerate", "-n", "2", "--format", "json", "--level", "1/2"]) == 0
+    assert main(["enumerate", "-n", "2", "--json", "--level", "1/2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 2 and payload["level"] == "1/2"
     assert len(payload["orbits"]) == 3
     assert payload["orbits"][2]["rep"] == [["0", "t"], ["0", "0"]]
+    # --json is the one switch for JSON output
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-n", "2", "--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_enumerate_bad_level_exits_2(capsys):

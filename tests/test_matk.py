@@ -20,6 +20,7 @@ from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil import zipoly
 from affnil.errors import ExactDivisionError
 from affnil.matk import (
+    _Dual,
     _Plain,
     _dense_echelon,
     _dense_rows,
@@ -34,7 +35,7 @@ from affnil.matk import (
     vector_content,
 )
 from affnil.zipoly import P
-from affnil.normalform import nilpotent_powers
+from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import (
     random_group,
     random_laurent,
@@ -43,7 +44,7 @@ from affnil.selfcheck import (
     random_traceless,
 )
 
-from conftest import content_oracle, lp, mat, normalize_oracle
+from conftest import content_oracle, lp, mat, normalize_oracle, stress_case
 
 
 def E(n, i, j, value="1"):
@@ -964,7 +965,7 @@ def _dense_loop_inverse(m: MatK):
                 continue
             for j in range(col + 1, 2 * n):
                 if row[j] or (f and pivot_row[j]):
-                    num = zipoly.mul_sub(p, row[j], f, pivot_row[j])
+                    num = zipoly.combine([(1, p, row[j]), (-1, f, pivot_row[j])])
                     row[j] = num if prev is None or not num else zipoly.exact_div(num, prev)
                     calls += 1
             row[col] = []
@@ -1087,6 +1088,65 @@ def test_exact_inverse_combines_only_at_pivot_row_columns(monkeypatch):
     (got_d, _, _, got_right), counts = _counted(monkeypatch, _inv_dense, m)
     assert (got_d, got_right) == (d, right)
     assert (counts["combine"], dense_calls) == (48, 67)
+
+
+# The ring.combine and ring.mul calls of the exact loop, recorded from the loop
+# that updated a row in two passes (the Bareiss step at the pivot row's nonzero
+# columns, then the products with p/prev); the one update rule per entry must
+# make the same calls.  The stress P are the Jordan bases of the benchmark's
+# classify-stress cases.
+_LOOP_CALLS = {
+    "stress P: det": {"_Plain.combine": 161, "_Plain.mul": 236},
+    "stress P: kernel_basis": {"_Plain.combine": 188, "_Plain.mul": 172},
+    "stress P: det_and_adj_trace(P, P')": {"_Dual.combine": 161, "_Dual.mul": 236},
+    "shear products: inv": {"_Plain.combine": 138, "_Plain.mul": 651},
+    "diag(2, 1/2, 1): inv": {"_Plain.mul": 4},
+    "diag(2, 1/2, 1): det_and_adj_trace": {"_Dual.mul": 3},
+}
+
+
+def _loop_calls(monkeypatch, fn):
+    """The ring.combine and ring.mul calls of the exact loop during fn(), per
+    ring, as {"_Plain.combine": count, ...}."""
+    counts = {}
+
+    def counted(key, op):
+        def call(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return op(*args)
+        return staticmethod(call)
+
+    for ring in (_Plain, _Dual):
+        for name in ("combine", "mul"):
+            monkeypatch.setattr(ring, name, counted(f"{ring.__name__}.{name}", getattr(ring, name)))
+    fn()
+    monkeypatch.undo()
+    return counts
+
+
+def test_exact_loop_makes_the_recorded_calls(monkeypatch):
+    ps = [jordan_chains(stress_case(8, shears, j)[3].mat).p_mat
+          for shears in (20, 15) for j in range(4)]
+    rng = random.Random("loop-calls")
+    groups = []
+    for n in range(8, 13):
+        g = _shear_product(rng, n, rng.randint(3, 8))
+        groups += [g, MatK.diag([lp("2"), lp("1/2")] + [lp("1")] * (n - 2)) * g]
+    # every row but the pivot row has f = 0, and the first quotient, 2, is not
+    # a unit: each nonzero entry right of the pivot column becomes 2·x, one mul
+    diag = MatK.diag([lp("2"), lp("1/2"), lp("1")])
+    direction = MatK.diag([lp("t"), lp("1"), lp("-t")])
+    got = {
+        "stress P: det": _loop_calls(monkeypatch, lambda: [p.det() for p in ps]),
+        "stress P: kernel_basis": _loop_calls(monkeypatch, lambda: [p.kernel_basis() for p in ps]),
+        "stress P: det_and_adj_trace(P, P')": _loop_calls(
+            monkeypatch, lambda: [det_and_adj_trace(p, p.d_dt()) for p in ps]),
+        "shear products: inv": _loop_calls(monkeypatch, lambda: [g.inv() for g in groups]),
+        "diag(2, 1/2, 1): inv": _loop_calls(monkeypatch, diag.inv),
+        "diag(2, 1/2, 1): det_and_adj_trace": _loop_calls(
+            monkeypatch, lambda: det_and_adj_trace(diag, direction)),
+    }
+    assert got == _LOOP_CALLS
 
 
 # -- coefficients of products, read without forming them -----------------------

@@ -68,8 +68,9 @@ def test_products_and_sums_match_laurent_arithmetic():
         y = _random_poly(rng, rng.randint(0, 6))
         lf, lg, lx, ly = map(zipoly.to_laurent, (f, g, x, y))
         assert zipoly.to_laurent(zipoly.mul(f, g)) == lf * lg
-        assert zipoly.to_laurent(zipoly.mul_sub(f, x, g, y)) == lf * lx - lg * ly
-        for h in (zipoly.mul(f, g), zipoly.mul_sub(f, x, g, y), zipoly.mul_sub(f, g, g, f)):
+        f_x_g_y = zipoly.combine([(1, f, x), (-1, g, y)])
+        assert zipoly.to_laurent(f_x_g_y) == lf * lx - lg * ly
+        for h in (zipoly.mul(f, g), f_x_g_y, zipoly.combine([(1, f, g), (-1, g, f)])):
             assert not h or h[-1] != (0, 0)
 
 
