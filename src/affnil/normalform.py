@@ -12,12 +12,12 @@ nothing because scalar matrices act trivially by conjugation and contribute
 nothing to the level of trace-zero elements.
 
 Everything here is exact when the input matrix is exact.  The powers of x,
-the images of the chain tops under x and the final check x P = P J are
+the images of the chain tops under x and the check x P = P J are
 :class:`MatK` products and applications, which run the sparse integer-term
-kernel of :mod:`affnil.matk`.  The right side of the check needs no product
-(:func:`times_jordan`: column j of P J is column j - 1 of P, or 0), and for
-exact x the check is exact.  A quasi-Jordan input is read off directly, with
-no powers: it is strictly upper triangular, hence nilpotent.  The kernels of
+kernel of :mod:`affnil.matk`.  Every column of P but a kernel end is x
+times the next one, so the check is one product of x with the kernel ends
+(:func:`_chain_basis`), exact for exact x.  A quasi-Jordan input is read off
+directly, with no powers: it is strictly upper triangular, hence nilpotent.  The kernels of
 the powers come from fraction-free elimination with exact divisions, and each
 kernel vector is scaled only by the pivots its back-substitution could not
 divide by, so the chain tops, and with them P and det P, stay small.
@@ -358,7 +358,7 @@ def _point_chains(x: MatK, working_prec: int) -> Optional[ChainData]:
 
     A choice at a point can only be wrong where the point is degenerate, so
     the chains are kept only under a certificate: the heights sum to n, the
-    chain vectors have rank n at the point, and x P = P J holds exactly.
+    chain vectors have rank n at the point, and _chain_basis finds x P = P J.
     The chain vectors at the point are the values of nonzero K-multiples of
     the columns of P, so their rank n proves det P != 0, and then
     P^-1 x P = J proves that x is nilpotent of type sigma, whatever happened
@@ -396,10 +396,9 @@ def _point_chains(x: MatK, working_prec: int) -> Optional[ChainData]:
         tops = _greedy_tops(candidates_p, excluded[1:], apply, _ModEchelon)
         if not _chains_form_basis(tops, candidates_p, apply, n):
             continue
-        sigma = tuple(height for height, _ in tops)
         p_mat = _chain_basis(x, candidates, tops)
-        if _is_jordan_basis(x, p_mat, sigma):
-            return ChainData(p_mat, sigma)
+        if p_mat is not None:
+            return ChainData(p_mat, tuple(height for height, _ in tops))
     return None
 
 
@@ -429,9 +428,9 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     ker(x^(j-1)) together with the once-applied images of all taller chains.
     The tops come from :meth:`MatK.kernel_basis` as they are, carrying only
     the echelon pivots their back-substitution needed; a polynomial common
-    factor may remain.  Each finished chain is scaled by the scalar and
-    t-power content of its kernel-end vector, which keeps P close to
-    unimodular on simple inputs.
+    factor may remain.  Each chain is scaled by the content of its kernel
+    end, which keeps P close to unimodular on simple inputs, and x P = P J
+    is checked at the kernel ends (:func:`_chain_basis`).
 
     Exact x goes through :func:`_point_chains`: the partition and every
     independence answer come from a point, and only the heights that carry
@@ -452,16 +451,23 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     if sum(sigma) != n:
         raise PrecisionExhausted("chain construction did not span the space")
     p_mat = _chain_basis(x, kernels, tops)
-    _check_jordan_basis(x, p_mat, sigma)
+    if p_mat is None:
+        raise AssertionError("chain construction produced an invalid basis")
     return ChainData(p_mat, sigma)
 
 
-def _chain_basis(x: MatK, candidates: list, tops: List[Tuple[int, int]]) -> MatK:
+def _chain_basis(x: MatK, candidates: list, tops: List[Tuple[int, int]]) -> Optional[MatK]:
     """P whose columns are the chains x^(height-1) v, ..., x v, v of the tops
     v = candidates[height - 1][index], each scaled by the content of its
-    kernel end."""
+    kernel end, or None when x·P = P·J is provably false.
+
+    Every other column is x applied to the next, and the scaling commutes
+    with x, so only x·(kernel end) = 0 is left to check: one product of x
+    with the kernel ends, the other columns the exact zero.
+    """
     n = x.n
     columns: List[Vector] = []
+    ends = set()
     for height, idx in tops:
         seq = [candidates[height - 1][idx]]
         for _ in range(height - 1):
@@ -472,20 +478,13 @@ def _chain_basis(x: MatK, candidates: list, tops: List[Tuple[int, int]]) -> MatK
             scalar, exp = content
             inv = scalar.inverse()
             seq = [tuple(e.shift(-exp).scale(inv) for e in vec) for vec in seq]
+        ends.add(len(columns))
         columns.extend(seq)
-    return MatK([[columns[j][i] for j in range(n)] for i in range(n)])
-
-
-def _is_jordan_basis(x: MatK, p_mat: MatK, sigma: Tuple[int, ...]) -> Optional[bool]:
-    """Whether x·P = P·J, J the Jordan matrix of sigma: exact for exact x,
-    and None when a truncated entry leaves it undetermined."""
-    return (x * p_mat - times_jordan(p_mat, sigma)).is_zero_3v()
-
-
-def _check_jordan_basis(x: MatK, p_mat: MatK, sigma: Tuple[int, ...]):
-    """Raise AssertionError when x·P - P·J is provably nonzero."""
-    if _is_jordan_basis(x, p_mat, sigma) is False:
-        raise AssertionError("chain construction produced an invalid basis")
+    rows = [[columns[j][i] for j in range(n)] for i in range(n)]
+    kernel_ends = MatK([[e if j in ends else _L_ZERO for j, e in enumerate(row)] for row in rows])
+    if (x * kernel_ends).is_zero_3v() is False:
+        return None
+    return MatK(rows)
 
 
 def rank_profile_partition(x: MatK) -> Tuple[int, ...]:

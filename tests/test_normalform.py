@@ -408,8 +408,8 @@ def test_modular_pass_matches_exact_pass_on_random_conjugates():
 
 
 def _count_kernels_and_products(monkeypatch):
-    calls = {"kernels": 0, "products": 0}
-    kernel_basis, mul = MatK.kernel_basis, MatK.__mul__
+    calls = {"kernels": 0, "products": 0, "applies": 0}
+    kernel_basis, mul, apply = MatK.kernel_basis, MatK.__mul__, MatK.apply
 
     def counted_kernel(m, *args):
         calls["kernels"] += 1
@@ -419,14 +419,20 @@ def _count_kernels_and_products(monkeypatch):
         calls["products"] += 1
         return mul(a, b)
 
+    def counted_apply(m, v):
+        calls["applies"] += 1
+        return apply(m, v)
+
     monkeypatch.setattr(MatK, "kernel_basis", counted_kernel)
     monkeypatch.setattr(MatK, "__mul__", counted_mul)
+    monkeypatch.setattr(MatK, "apply", counted_apply)
     return calls
 
 
 def test_single_block_takes_no_kernel_and_one_product(monkeypatch):
     # sigma = (n): the only chain top has the nilpotency index as height, so
-    # its candidates are the identity basis; the one product is x·P
+    # its candidates are the identity basis; the chain takes n - 1 applies,
+    # and the one product is x times the kernel end
     rng = random.Random("single-block")
     cases = [stress_case(8, 20, 1)[3].mat, stress_case(8, 20, 3)[3].mat]
     for n in range(2, 7):
@@ -434,18 +440,19 @@ def test_single_block_takes_no_kernel_and_one_product(monkeypatch):
     for x in cases:
         calls = _count_kernels_and_products(monkeypatch)
         assert jordan_chains(x).sigma == (x.n,)
-        assert calls == {"kernels": 0, "products": 1}
+        assert calls == {"kernels": 0, "products": 1, "applies": x.n - 1}
         monkeypatch.undo()
 
 
 def test_exact_kernels_only_at_heights_that_carry_a_top(monkeypatch):
     # sigma = (5, 3, 1): x^3 and x take one kernel each, x^2 and x^4 none,
-    # and x^2, x^3 cost one product each besides the check
+    # x^2, x^3 cost one product each besides the check at the kernel ends,
+    # and the chains take 4 + 2 + 0 = n - len(sigma) applies
     rng = random.Random("top-heights")
     x = adjoint_act(random_group(rng, 9, 4), AffineElement(canonical_rep((5, 3, 1), 0))).mat
     calls = _count_kernels_and_products(monkeypatch)
     assert jordan_chains(x).sigma == (5, 3, 1)
-    assert calls == {"kernels": 2, "products": 3}
+    assert calls == {"kernels": 2, "products": 3, "applies": 6}
 
 
 def _rank_one_nilpotent():
@@ -604,7 +611,7 @@ def test_non_nilpotent_at_a_point_is_refuted_there(monkeypatch):
     calls = _count_kernels_and_products(monkeypatch)
     with pytest.raises(NotNilpotent, match="3-th power"):
         jordan_chains(mat([["0", "1", "0"], ["0", "0", "1"], ["t^-1", "0", "0"]]))
-    assert calls == {"kernels": 0, "products": 0}
+    assert calls == {"kernels": 0, "products": 0, "applies": 0}
 
 
 def test_entry_vanishing_at_the_first_point_is_certified_at_the_second(monkeypatch):
@@ -718,27 +725,40 @@ def test_times_jordan_is_the_product_with_j():
             assert normalform.times_jordan(m, sigma) == m * canonical_rep(sigma, 0)
 
 
-def _with_column(p_mat, j, column):
-    return MatK([row[:j] + (column[i],) + row[j + 1:] for i, row in enumerate(p_mat.rows)])
+def _exact_pass_tops(x):
+    """The candidates (exact kernels of every power) and the tops of the
+    exact pass."""
+    kernels = [power.kernel_basis() for power in nilpotent_powers(x)[1:]]
+    tops = normalform._greedy_tops(kernels, kernels, x.apply, lambda: normalform._Echelon(x.n))
+    return kernels, tops
 
 
-def test_exact_basis_check_rejects_a_wrong_column():
+def test_chain_basis_rejects_a_top_that_leaves_its_kernel(monkeypatch):
+    # every column of P but a kernel end is x times the next one, so
+    # x·P = P·J fails only where x maps a kernel end off 0: a top v of
+    # height h swapped for v + u, u the top of a taller chain, gives
+    # x^h (v + u) = x^h u != 0, and P is rejected
+    chain_basis = normalform._chain_basis
     cases = list(_seeded_conjugates("basis-check", range(2, 7), 3))
+    rejected = 0
     for x in cases + [x.scale(lp("t^6")) for x in cases]:
-        chains = jordan_chains(x)
-        if chains.sigma[0] < 2:
+        kernels, tops = _exact_pass_tops(x)
+        assert repr(chain_basis(x, kernels, tops)) == repr(jordan_chains(x).p_mat)
+        (tall, u_idx), (short, v_idx) = tops[0], tops[-1]
+        if tall == short:
             continue
-        p_mat = chains.p_mat
-        normalform._check_jordan_basis(x, p_mat, chains.sigma)
-        columns = list(zip(*p_mat.rows))
-        top = chains.sigma[0] - 1  # the top of the tallest chain; column 0 is its kernel end
-        wrong = [
-            _with_column(p_mat, top, tuple(e * lp("t") for e in columns[top])),
-            _with_column(p_mat, 0, tuple(a + b for a, b in zip(columns[0], columns[top]))),
-        ]
-        for bad in wrong:
+        u, v = kernels[tall - 1][u_idx], kernels[short - 1][v_idx]
+        bad = [list(kernel) for kernel in kernels]
+        bad[short - 1][v_idx] = tuple(a + b for a, b in zip(v, u))
+        assert chain_basis(x, bad, tops) is None
+        with monkeypatch.context() as patch:
+            _without_point_path(patch)
+            patch.setattr(normalform, "_chain_basis",
+                          lambda x, candidates, tops: chain_basis(x, bad, tops))
             with pytest.raises(AssertionError, match="invalid basis"):
-                normalform._check_jordan_basis(x, bad, chains.sigma)
+                jordan_chains(x)
+        rejected += 1
+    assert rejected >= 10
 
 
 def test_quasi_jordan_input_takes_no_powers(monkeypatch):
