@@ -20,7 +20,8 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
   exponent 0, as :func:`normalize_vector`);
 * :meth:`MatK.inv` (:func:`_inv_dense`): Gauss–Jordan on [A | I], which
   yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
-  truncate, when d is not a monomial.
+  truncate, when d is not a monomial.  Only A is converted; the I half is
+  written down in dense form directly.
 
 A row update touches only what can change, by one rule for every entry x.
 With f the row's entry in the pivot column and y the pivot row's entry in
@@ -35,11 +36,18 @@ Exact kernel vectors are back-substituted on the dense echelon rows
 (:func:`_dense_kernel`), and each is scaled only by the echelon pivots that
 do not divide during its back-substitution, not by the product of all of
 them; whether a pivot divides is one exact division in Z[i][t].
-Matrices carrying truncated entries fall back to ordinary division-based
-elimination on Laurent elements with tracked precision: one Gauss–Jordan
-loop (:func:`_gauss_jordan`) gives the determinant and the inverse, and one
-echelon loop (:func:`_echelon`) the rank and the kernel.  An undetermined
-pivot decision raises :class:`PrecisionExhausted` rather than guessing.
+The inverse of a matrix A carrying truncated entries is first taken from
+its known part B, each entry's stored coefficients taken as exact
+(:func:`_inverse_from_known_part`).  When B⁻¹ is exact, a valuation bound
+for A⁻¹ − B⁻¹ over every completion of A cuts each of its entries, by the
+first-order precision argument of Caruso, Roe & Vaccon (2014) applied
+t-adically (Sherman–Morrison when one entry is cut).  Otherwise, and for
+the determinant, the rank and the kernel, truncated matrices run ordinary
+division-based elimination on Laurent elements with tracked precision: one
+Gauss–Jordan loop (:func:`_gauss_jordan`) gives the determinant and the
+inverse, and one echelon loop (:func:`_echelon`) the rank and the kernel.
+An undetermined pivot decision raises :class:`PrecisionExhausted` rather
+than guessing.
 
 Products.  :meth:`MatK.__mul__`, :meth:`MatK.apply` (v as one column) and
 :meth:`MatK.commutator` (A·B − B·A, for the bracket) run one kernel,
@@ -292,24 +300,22 @@ class MatK:
         [A | I], which yields d·A⁻¹ and d = ±det A together; only the final
         scaling by d⁻¹ can truncate.  A monomial d (usually ±1) is divided
         out while the entries are converted back to Laurent elements, at no
-        Laurent product.  Truncated input uses division-based Gauss–Jordan at
-        ``working_prec``.  Raises :class:`Singular` when the matrix is exactly
-        singular.
+        Laurent product.  Truncated input first takes the exact inverse of
+        its known part, with each entry cut at a valuation bound
+        (:func:`_inverse_from_known_part`); where that does not apply it
+        uses division-based Gauss–Jordan at ``working_prec``.  Raises
+        :class:`Singular` when the matrix is exactly singular.
         """
         if self.all_exact():
             d, shift, den, right = _inv_dense(self)
-            if zipoly.terms(d) == 1:
-                # d·A⁻¹ = t^shift·right/den and d = t^(shift+j)·(a+bi)/den, so
-                # A⁻¹ = t^(−j)·right/(a+bi) = t^(−j)·right·(a−bi)/(a²+b²)
-                j = zipoly.low(d)
-                a, b = d[j]
-                if b:
-                    right = [[zipoly.mul(e, [(a, -b)]) for e in r] for r in right]
-                return MatK([[zipoly.to_laurent(e, -j, a * a + b * b if b else a)
-                              for e in r] for r in right])
+            inverse = _monomial_inverse(d, right)
+            if inverse is not None:
+                return inverse
             scaled = MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in right])
             return scaled.scale(zipoly.to_laurent(d, shift, den).inv(working_prec))
-        inverse = _gauss_jordan(self, working_prec, inverse=True)
+        inverse = _inverse_from_known_part(self)
+        if inverse is None:
+            inverse = _gauss_jordan(self, working_prec, inverse=True)
         if inverse is None:
             raise Singular("matrix is exactly singular")
         return inverse
@@ -843,18 +849,92 @@ def _inv_dense(mat: MatK):
     the next division a shift instead of a long division.  Row r of [A | I]
     enters scaled by its denominator D and by t^(-s), with s its least
     exponent (at most 0, since the row holds a 1), so the whole pass stays in
-    Z[i][t].
+    Z[i][t].  Only the A half goes through :func:`zipoly.from_row`; the I half
+    of row r is D·t^(−s)·e_r, written down directly.
     """
     n = mat.n
     if n == 0:
         return [(1, 0)], 0, 1, []
-    unit = MatK.identity(n).rows
-    dens, shifts, rows = _dense_rows([r + u for r, u in zip(mat.rows, unit)])
+    dens, shifts, rows = [], [], []
+    for i, r in enumerate(mat.rows):
+        row_den, s, polys = zipoly.from_row(r, 0)
+        unit: List[zipoly.Poly] = [[] for _ in range(n)]
+        unit[i] = [(0, 0)] * -s + [(row_den, 0)]
+        dens.append(row_den)
+        shifts.append(s)
+        rows.append(polys + unit)
     shift, den = sum(shifts), math.prod(dens)
     cols, _, d = _eliminate(rows, shifts, n, _Plain, jordan=True)
     if len(cols) < n:
         raise Singular("matrix is exactly singular")
     return d, shift, den, [r[n:] for r in rows]
+
+
+def _monomial_inverse(d: zipoly.Poly, right) -> Optional[MatK]:
+    """A⁻¹ from the (d, right) of :func:`_inv_dense` when d is a monomial,
+    exact and at no Laurent product; None otherwise."""
+    if zipoly.terms(d) != 1:
+        return None
+    # d·A⁻¹ = t^shift·right/den and d = t^(shift+j)·(a+bi)/den, so
+    # A⁻¹ = t^(−j)·right/(a+bi) = t^(−j)·right·(a−bi)/(a²+b²)
+    j = zipoly.low(d)
+    a, b = d[j]
+    if b:
+        right = [[zipoly.mul(e, [(a, -b)]) for e in r] for r in right]
+    return MatK([[zipoly.to_laurent(e, -j, a * a + b * b if b else a)
+                  for e in r] for r in right])
+
+
+def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
+    """A⁻¹ for truncated A from the exact inverse R of its known part B, each
+    entry cut at a valuation bound; None where the bound does not apply.
+
+    B holds each entry's stored coefficients, taken as exact, so A = B + Δ
+    with val Δ_kl ≥ N_kl, the bound of each truncated entry (first-order
+    precision tracking, Caruso, Roe & Vaccon 2014, applied t-adically).
+    With a_ij = val R_ij and m_il = min_k (a_ik + N_kl), a lower bound for
+    val (RΔ)_il, the series A⁻¹ = Σ_k (−RΔ)^k R converges for every
+    completion of A when every m_il ≥ 1.  Entry (i, j) of A⁻¹ − R then has
+    valuation at least min_l (D_il + a_lj), where D_il is the least weight
+    of a path i → l₁ → … → l through truncated columns, each step i → l of
+    weight m_il.  R_ij is returned cut there, or exact where no path leads
+    on to column j.  None when B is singular, its d is not a monomial, or
+    some m_il < 1: those inputs take :func:`_gauss_jordan`.
+    """
+    n = mat.n
+    cuts = [(k, l, e.prec) for k, r in enumerate(mat.rows)
+            for l, e in enumerate(r) if e.prec is not None]
+    known = MatK([[LaurentElement(e.coeffs) if e.prec is not None else e for e in r]
+                  for r in mat.rows])
+    try:
+        d, _, _, right = _inv_dense(known)
+    except Singular:
+        return None
+    inverse = _monomial_inverse(d, right)
+    if inverse is None:
+        return None
+    val = [[min(e.coeffs) if e.coeffs else math.inf for e in r] for r in inverse.rows]
+    cols = sorted({l for _, l, _ in cuts})
+    weight = [dict.fromkeys(cols, math.inf) for _ in range(n)]
+    for k, l, cut in cuts:
+        for i in range(n):
+            weight[i][l] = min(weight[i][l], val[i][k] + cut)
+    if any(w < 1 for row in weight for w in row.values()):
+        return None
+    # min-plus closure over the truncated columns (Floyd–Warshall)
+    for c in cols:
+        for i in range(n):
+            via = weight[i][c]
+            for l in cols:
+                weight[i][l] = min(weight[i][l], via + weight[c][l])
+    out = []
+    for i, r in enumerate(inverse.rows):
+        out_row = []
+        for j, x in enumerate(r):
+            bound = min(weight[i][l] + val[l][j] for l in cols)
+            out_row.append(x if bound == math.inf else LaurentElement(x.coeffs, bound))
+        out.append(out_row)
+    return MatK(out)
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,15 @@ def _common_form(row: Sequence[LaurentElement]) -> Tuple[int, Optional[int]]:
     return den, shift
 
 
-def from_row(row: Sequence[LaurentElement]) -> Tuple[int, int, List[Poly]]:
+def from_row(
+    row: Sequence[LaurentElement], most: Optional[int] = None
+) -> Tuple[int, int, List[Poly]]:
     """(D, s, polys) with polys = D·t^(-s)·row, D the least common denominator
-    of the row and s its least exponent (1, 0 and zeros for a zero row)."""
+    of the row and s its least exponent, or `most` when that is lower (1, 0
+    and zeros for a zero row, or s = `most` when it is given)."""
     den, shift = _common_form(row)
+    if most is not None and (shift is None or most < shift):
+        shift = most
     if shift is None:
         return 1, 0, [[] for _ in row]
     polys = []

@@ -54,6 +54,17 @@ def stress_case(n: int, shears: int, j: int):
     return sigma, k, level, adjoint_act(g, AffineElement(elem.mat, level), 64)
 
 
+def trunc_bound(x: LaurentElement):
+    """The truncation bound of x, infinite when x is exact."""
+    return math.inf if x.prec is None else x.prec
+
+
+def agree_below(x: LaurentElement, y: LaurentElement, bound) -> bool:
+    """x and y have the same coefficient at every exponent below bound."""
+    return all(x.coeffs.get(e) == y.coeffs.get(e)
+               for e in set(x.coeffs) | set(y.coeffs) if e < bound)
+
+
 def content_oracle(v):
     """(c, e) with v = c·t^e·w, w of integer coefficient parts with gcd 1 and
     least exponent 0, by a gcd of the numerators and an lcm of the

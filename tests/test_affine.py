@@ -28,7 +28,7 @@ from affnil.selfcheck import (
     random_traceless,
 )
 
-from conftest import lp, mat
+from conftest import agree_below, lp, mat, trunc_bound
 
 
 def E(n, i, j, value="1"):
@@ -372,6 +372,47 @@ def _shear_pair(rng, n):
         p = LaurentElement.monomial(rng.choice([-2, -1, 1, 2]), rng.choice([gr(1), gr(-2), gr(1, 1)]))
         g = g.compose(GroupElement.from_shear(n, a, b, p))
     return g
+
+
+def _complete(rng, g):
+    """g with random coefficients at and above its cut entry's bound."""
+    rows = [[e if e.prec is None else LaurentElement(
+        {**e.coeffs, **{e.prec + k: random_gaussian(rng) for k in range(3)}}) for e in r]
+        for r in g.g.rows]
+    return GroupElement(g.z, MatK(rows), g.det_mode)
+
+
+def test_adjoint_on_a_truncated_group_agrees_with_its_completions():
+    # g cut above an entry's top is g with an unknown tail there.  g itself
+    # is one completion of it: every output entry agrees with Ad g below its
+    # bound, and c is Ad g's whenever it is returned.  With mu = 0, another
+    # completion, of det not 1, agrees wherever both outputs know a
+    # coefficient (with mu != 0 its t g' g^-1 would carry a trace)
+    rng = random.Random(29)
+    outcomes = {"mu = 0": 0, "mu != 0": 0, "raised": 0, "truncated entries": 0}
+    for trial in range(60):
+        n = rng.randint(2, 4)
+        g = random_group(rng, n, rng.randint(1, 3)).compose(_shear_pair(rng, n))
+        cut = _truncate_one_entry(rng, g, rng.choice([1, 3, 8]))
+        mu = gr(0) if trial % 2 else rng.choice([gr(1), gr(-2), gr(1, 1)])
+        x = AffineElement(random_traceless(rng, n), random_gaussian(rng), mu)
+        expected = [adjoint_act(g, x, 16)]
+        assert expected[0].mat.all_exact(), trial
+        if mu.is_zero:
+            expected.append(adjoint_act(_complete(rng, cut), x, 64))
+        try:
+            out = adjoint_act(cut, x, 16)
+        except PrecisionExhausted:
+            outcomes["raised"] += 1
+            continue
+        for other in expected:
+            for row, other_row in zip(out.mat.rows, other.mat.rows):
+                for y, e in zip(row, other_row):
+                    assert agree_below(y, e, min(trunc_bound(y), trunc_bound(e))), trial
+            assert (out.c_coef, out.d_coef) == (other.c_coef, mu), trial
+        outcomes["truncated entries"] += sum(y.prec is not None for row in out.mat.rows for y in row)
+        outcomes["mu = 0" if mu.is_zero else "mu != 0"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_adjoint_matches_the_four_product_formula():

@@ -26,6 +26,7 @@ from affnil.matk import (
     _dense_rows,
     _gauss_jordan,
     _inv_dense,
+    _inverse_from_known_part,
     _pick_pivot,
     _pick_short,
     _rank,
@@ -37,6 +38,7 @@ from affnil.matk import (
 from affnil.zipoly import P
 from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import (
+    random_gaussian,
     random_group,
     random_laurent,
     random_orbit_case,
@@ -44,7 +46,15 @@ from affnil.selfcheck import (
     random_traceless,
 )
 
-from conftest import content_oracle, lp, mat, normalize_oracle, stress_case
+from conftest import (
+    agree_below,
+    content_oracle,
+    lp,
+    mat,
+    normalize_oracle,
+    stress_case,
+    trunc_bound,
+)
 
 
 def E(n, i, j, value="1"):
@@ -321,25 +331,153 @@ def _inv_full_rows(m: MatK, working_prec: int) -> MatK:
     return MatK(right)
 
 
-def test_truncated_inverse_matches_full_row_elimination():
+def _at_least_as_precise(got: MatK, oracle: MatK) -> bool:
+    """Every entry of got is known at least as far as oracle's, and the two
+    agree on every coefficient that both know."""
+    return all(trunc_bound(x) >= trunc_bound(y) and agree_below(x, y, trunc_bound(y))
+               for rx, ry in zip(got.rows, oracle.rows) for x, y in zip(rx, ry))
+
+
+def test_truncated_inverse_agrees_with_full_row_elimination():
     rng = random.Random(23)
     checked = 0
     for trial in range(40):
         n = rng.randint(2, 6)
-        rows = [list(r) for r in _shear_product(rng, n, rng.randint(1, 4)).rows]
+        uncut = _shear_product(rng, n, rng.randint(1, 4))
+        rows = [list(r) for r in uncut.rows]
         i, j = rng.randrange(n), rng.randrange(n)
         top = max(rows[i][j].coeffs, default=0)
         rows[i][j] = rows[i][j].truncated(top + rng.choice([1, 6, 20]))
         g = MatK(rows)
         try:
-            expected = _inv_full_rows(g, 24)
+            inverse = g.inv(24)
         except PrecisionExhausted:
             with pytest.raises(PrecisionExhausted):
-                g.inv(24)
+                _inv_full_rows(g, 24)
             continue
-        assert g.inv(24) == expected, trial
+        # the uncut product is a completion of g, with an exact inverse
+        assert _agrees_with_division_path(uncut.inv(), inverse), trial
+        try:
+            expected = _inv_full_rows(g, 24)
+        except PrecisionExhausted:
+            continue
+        assert _at_least_as_precise(inverse, expected), trial
         checked += 1
     assert checked >= 30
+
+
+def test_truncated_inverse_from_the_known_part_examples():
+    # Sherman–Morrison with one cut entry: (I + δ·E_01)⁻¹ = I − δ·E_01
+    g = mat([["1", "t + O(t^4)"], ["0", "1"]])
+    assert g.inv() == mat([["1", "-t + O(t^4)"], ["0", "1"]])
+    # only the path 0 → 1 → 2 through both cut entries reaches entry (0, 2):
+    # it is δ₁·δ₂, of valuation at least 2 + 3, not exactly 0
+    g = mat([["1", "O(t^2)", "0"], ["0", "1", "O(t^3)"], ["0", "0", "1"]])
+    assert g.inv() == mat([["1", "O(t^2)", "O(t^5)"], ["0", "1", "O(t^3)"], ["0", "0", "1"]])
+    # entries that no cut entry reaches stay exact
+    g = mat([["1", "0", "0"], ["2*t^-1", "1", "1 + O(t^6)"], ["0", "0", "1"]])
+    inverse = g.inv()
+    assert inverse.rows[0] == (lp("1"), lp("0"), lp("0"))
+    assert inverse.rows[1][2] == lp("-1 + O(t^6)")
+    assert _inverse_from_known_part(g) == inverse
+
+
+@pytest.mark.parametrize("rows", [
+    # v < 1: the cut entry's bound lies below 1
+    [["1", "O(t^-5)"], ["0", "1"]],
+    # the cut lies at 1, but R_00 = t^-1 brings m_01 down to 0
+    [["t", "1 + O(t^1)"], ["0", "t^-1"]],
+    # the known part has det 1 + t − t³, not a monomial
+    [["1 + t", "t + O(t^4)"], ["t^2", "1"]],
+    [["t^-1 + 2", "1"], ["3", "1 + O(t^5)"]],
+])
+def test_truncated_inverse_falls_back_to_the_division_loop(rows):
+    g = mat(rows)
+    assert _inverse_from_known_part(g) is None
+    assert g.inv(24) == _gauss_jordan(g, 24, inverse=True)
+
+
+def test_truncated_inverse_with_a_singular_known_part_keeps_its_errors():
+    g = mat([["1", "1"], ["1", "1 + O(t^3)"]])
+    assert _inverse_from_known_part(g) is None
+    with pytest.raises(PrecisionExhausted):
+        _gauss_jordan(g, 24, inverse=True)
+    with pytest.raises(PrecisionExhausted):
+        g.inv(24)
+    g = mat([["0", "1 + O(t^3)"], ["0", "1"]])
+    assert _inverse_from_known_part(g) is None
+    assert _gauss_jordan(g, 24, inverse=True) is None
+    with pytest.raises(Singular):
+        g.inv(24)
+
+
+def _cut_matrices(rng: random.Random):
+    """Seeded matrices with one to three entries cut: shear products (det 1),
+    the same with one row scaled (det 1 + t, 2·t^-1 or t^2 − t^-1), and
+    perturbed identities.  Most cuts lie 1, 3 or 8 above the entry's top, the
+    others at or below it."""
+    for trial in range(300):
+        n = rng.randint(2, 5)
+        kind = trial % 3
+        if kind == 0:
+            m = _shear_product(rng, n, rng.randint(1, 4))
+        elif kind == 1:
+            m = _scale_row(_shear_product(rng, n, rng.randint(1, 3)), rng.randrange(n),
+                           rng.choice([lp("1 + t"), lp("2*t^-1"), lp("t^2 - t^-1")]))
+        else:
+            m = random_traceless(rng, n) + MatK.identity(n)
+        rows = [list(r) for r in m.rows]
+        for _ in range(rng.randint(1, 3)):
+            k, l = rng.randrange(n), rng.randrange(n)
+            x = rows[k][l]
+            top = max(x.coeffs, default=0)
+            cut = top + rng.choice([1, 3, 8]) if rng.random() < 0.8 else rng.randint(top - 3, top)
+            rows[k][l] = x.truncated(cut)
+        yield trial, MatK(rows)
+
+
+def _completion(rng: random.Random, m: MatK) -> MatK:
+    """m with random exact coefficients at and above each cut entry's bound."""
+    rows = []
+    for r in m.rows:
+        row = []
+        for x in r:
+            if x.prec is not None:
+                tail = {x.prec + e: random_gaussian(rng) for e in range(4)}
+                x = LaurentElement({**x.coeffs, **tail})
+            row.append(x)
+        rows.append(row)
+    return MatK(rows)
+
+
+def test_truncated_inverse_agrees_with_every_completion():
+    rng = random.Random(41)
+    routed = fell_back = 0
+    for trial, m in _cut_matrices(rng):
+        try:
+            inverse = m.inv(24)
+        except (PrecisionExhausted, Singular):
+            continue
+        if _inverse_from_known_part(m) is None:
+            fell_back += 1
+        else:
+            routed += 1
+            assert _at_least_as_precise(inverse, _gauss_jordan(m, 24, inverse=True)), trial
+        for _ in range(2):
+            # D·C⁻¹ = t^shift·right/den is exact for the completion C, with
+            # D = t^shift·d/den: x agrees with C⁻¹ below its bound b exactly
+            # when D·x agrees with D·C⁻¹ below b + val D, the bound of D·x
+            try:
+                d, shift, den, right = _inv_dense(_completion(rng, m))
+            except Singular:
+                continue
+            det = zipoly.to_laurent(d, shift, den)
+            for row, right_row in zip(inverse.rows, right):
+                for x, y in zip(row, right_row):
+                    product = x * det
+                    assert agree_below(product, zipoly.to_laurent(y, shift, den),
+                                        trunc_bound(product)), trial
+    assert routed >= 50 and fell_back >= 50, (routed, fell_back)
 
 
 def test_inv_raises_singular_at_rank_n_minus_one():
