@@ -259,10 +259,7 @@ def _cmd_enumerate(args) -> int:
         print(json.dumps(payload))
     else:
         for label, rep in orbits:
-            rows = ",".join(
-                "[" + ",".join(format_laurent(e) for e in row) + "]"
-                for row in rep.rows
-            )
+            rows = ",".join("[" + ",".join(row) + "]" for row in matrix_doc(rep))
             print(f"{_label_text(label)} rep=[{rows}]")
     return EXIT_OK
 

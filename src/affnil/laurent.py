@@ -520,30 +520,22 @@ def _scan_tpow(sc: _Scanner) -> int:
 def _scan_term(sc: _Scanner) -> Tuple[GaussianRational, int]:
     sc.skip_ws()
     ch = sc.peek()
+    if ch == "t":
+        return GR_ONE, _scan_tpow(sc)
     if ch == "(":
         sc.take()
         coef = _scan_complex(sc)
+    elif ch.isdigit():
+        coef = GaussianRational(_scan_rat(sc, signed=False))
+    else:
+        sc.fail("expected a term")
+    sc.skip_ws()
+    if sc.peek() == "*":
+        sc.take()
         sc.skip_ws()
-        if sc.peek() == "*":
-            sc.take()
-            sc.skip_ws()
-            return coef, _scan_tpow(sc)
-        if sc.peek() == "t":
-            return coef, _scan_tpow(sc)
+    elif sc.peek() != "t":
         return coef, 0
-    if ch == "t":
-        return GR_ONE, _scan_tpow(sc)
-    if ch.isdigit():
-        value = _scan_rat(sc, signed=False)
-        sc.skip_ws()
-        if sc.peek() == "*":
-            sc.take()
-            sc.skip_ws()
-            return GaussianRational(value), _scan_tpow(sc)
-        if sc.peek() == "t":
-            return GaussianRational(value), _scan_tpow(sc)
-        return GaussianRational(value), 0
-    sc.fail("expected a term")
+    return coef, _scan_tpow(sc)
 
 
 def _scan_big_o(sc: _Scanner) -> int:
@@ -551,13 +543,7 @@ def _scan_big_o(sc: _Scanner) -> int:
     sc.skip_ws()
     sc.expect("(")
     sc.skip_ws()
-    sc.expect("t")
-    sc.skip_ws()
-    if sc.peek() == "^":
-        sc.take()
-        bound = _scan_int(sc)
-    else:
-        bound = 1
+    bound = _scan_tpow(sc)
     sc.skip_ws()
     sc.expect(")")
     return bound

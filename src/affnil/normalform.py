@@ -27,17 +27,18 @@ t = t0 and i = sqrt(-1) in F_p, on the Gaussian-integer forms of x and of the
 candidate tops (:func:`zipoly.values_mod_p`); see :func:`_point_chains`.
 Evaluation is a ring map Z[i][t] -> F_p, so x(t0)^n != 0 proves that x is not
 nilpotent, and a set independent at the point stays independent over K.  The
-powers of x at the point give the partition sigma and the kernels ker x^(j-1)
-that a top at height j must avoid, so only the heights that are parts of
-sigma need an exact power and an exact kernel, and the tallest needs neither.
-A degenerate point can only mis-steer the choice, so the chains are kept only
-under a certificate: the heights sum to n, the chain vectors have rank n at
-the point (so det P != 0), and x P = P J holds exactly, which together prove
-that x is nilpotent of type sigma.  Otherwise the next point is tried.  When
-no point certifies, and for truncated input, the exact pass takes all powers
-of x and all their kernels, and each independence answer is a rank over K
-from the echelon form of :mod:`affnil.matk`, which is dense and fraction-free
-for exact input.
+ranks of the powers of x at the point give the partition sigma, so only the
+heights that are parts of sigma need an exact power and an exact kernel, and
+the tallest needs neither.  A candidate top of height h is kept when its
+kernel end, x^(h-1) times it at the point, is independent of the kernel ends
+kept before it.  A degenerate point can only mis-steer the choice, so the
+chains are kept only under a certificate: the heights sum to n, which makes
+the chain vectors a basis at the point (so det P != 0), and x P = P J holds
+exactly, which together prove that x is nilpotent of type sigma.  Otherwise
+the next point is tried.  When no point certifies, and for truncated input,
+the exact pass takes all powers of x and all their kernels, and each
+independence answer is a rank over K from the echelon form of
+:mod:`affnil.matk`, which is dense and fraction-free for exact input.
 """
 
 from __future__ import annotations
@@ -301,24 +302,23 @@ class _ModEchelon:
         return True
 
 
-def _greedy_tops(candidates: list, excluded: list, apply, echelon) -> List[Tuple[int, int]]:
-    """(height j, index in candidates[j - 1]) of each chain top, tallest first.
+def _greedy_tops(kernels: list, apply, echelon) -> List[Tuple[int, int]]:
+    """(height j, index in kernels[j - 1]) of each chain top, tallest first.
 
-    Tops at height j are the vectors of candidates[j - 1], which lie in
-    ker x^j, independent of excluded[j - 2], which spans ker x^(j-1),
-    together with the once-applied images of all taller chains.  The vectors
-    are exact or evaluated at a point; ``apply`` is x on the same kind of
-    vector and ``echelon()`` a fresh independence test for it.
+    Tops at height j are the vectors of kernels[j - 1], a basis of ker x^j,
+    independent of kernels[j - 2], which spans ker x^(j-1), together with
+    the once-applied images of all taller chains.  ``apply`` is x on the
+    vectors and ``echelon()`` a fresh independence test for them.
     """
     chains: List[list] = []  # [height, index, image of the top under x^(height - j)]
-    for j in range(len(candidates), 0, -1):
+    for j in range(len(kernels), 0, -1):
         ech = echelon()
         if j >= 2:
-            for v in excluded[j - 2]:
+            for v in kernels[j - 2]:
                 ech.add(v)
         for ch in chains:
             ech.add(ch[2])
-        for idx, v in enumerate(candidates[j - 1]):
+        for idx, v in enumerate(kernels[j - 1]):
             if ech.add(v):
                 chains.append([j, idx, v])
         if j > 1:
@@ -327,98 +327,96 @@ def _greedy_tops(candidates: list, excluded: list, apply, echelon) -> List[Tuple
     return [(height, idx) for height, idx, _ in chains]
 
 
-def _kernel_mod_p(columns: List[List[int]]) -> List[List[int]]:
-    """A basis of the right kernel over F_p of the square matrix with these
-    columns: the rows [column k | e_k] go through one :class:`_ModEchelon`,
-    and the rows it keeps whose left part vanishes, pivot n or later, carry
-    in their right part the combinations of columns that vanish."""
-    n = len(columns)
-    ech = _ModEchelon()
-    for k, col in enumerate(columns):
-        ech.add(col + [int(i == k) for i in range(n)])
-    return [row[n:] for pivot, row in ech.rows if pivot >= n]
-
-
 def _point_chains(x: MatK, working_prec: int) -> Optional[ChainData]:
     """Jordan chains of exact x with every choice made at a point, certified.
 
-    At each point t0 of ``_POINTS``, x is evaluated once as one t^(-s)·D·x
-    over all n² entries (:func:`zipoly.values_mod_p`), so that every image
-    of a vector is scaled alike.  Its powers are taken at the point until
-    they vanish; when x(t0)^n != 0, x^n != 0, since evaluation is a ring map
-    Z[i][t] -> F_p, and :class:`NotNilpotent` is raised.  The partition
-    sigma is read off the ranks of the powers at the point, and the kernels
-    at the point, ker x(t0)^(j-1), are the sets that a top at height j must
-    be independent of.  Only heights h that are parts of sigma offer tops:
-    for h below the nilpotency index m at the point they are the vectors of
-    ``kernel_basis`` of the exact x^h, each evaluated as D_v·t^(-s_v)·v, and
-    for h = m the identity basis, which is the kernel basis of the zero
-    matrix.  Exact powers and kernels are computed once, for the first
-    point that needs them.
-
-    A choice at a point can only be wrong where the point is degenerate, so
-    the chains are kept only under a certificate: the heights sum to n, the
-    chain vectors have rank n at the point, and _chain_basis finds x P = P J.
-    The chain vectors at the point are the values of nonzero K-multiples of
-    the columns of P, so their rank n proves det P != 0, and then
+    The tops at each point t0 of ``_POINTS`` come from :func:`_tops_at_point`;
+    exact powers and kernels are computed once, for the first point that
+    needs them.  A choice at a point can only be wrong where the point is
+    degenerate, so the chains are kept only when their heights sum to n,
+    which makes the chain vectors a basis at the point, and _chain_basis
+    finds x P = P J.  The chain vectors at the point are the values of
+    nonzero K-multiples of the columns of P, so det P != 0, and then
     P^-1 x P = J proves that x is nilpotent of type sigma, whatever happened
-    at the point.  Otherwise the next point is tried, and None is returned
-    when none certifies.
+    at the point.  Otherwise the next point is tried; None means that none
+    certifies.
     """
     n = x.n
-    entries = [e for row in x.rows for e in row]
     powers = [x]  # exact x^1, x^2, ...
     kernels = {}  # height -> kernel_basis of the exact power
+
+    def kernel(h: int) -> List[Vector]:
+        if h not in kernels:
+            while len(powers) < h:
+                powers.append(powers[-1] * x)
+            kernels[h] = powers[h - 1].kernel_basis(working_prec)
+        return kernels[h]
+
     for t0 in _POINTS:
-        flat = zipoly.values_mod_p(entries, t0)
-        x_p = [flat[i * n:(i + 1) * n] for i in range(n)]
-        apply = partial(_apply_mod_p, x_p)
-        columns = [[row[k] for row in x_p] for k in range(n)]
-        excluded: List[List[List[int]]] = [[]]  # ker x(t0)^j for j = 0, 1, ...
-        while any(any(col) for col in columns):
-            if len(excluded) == n:
-                raise NotNilpotent(f"{n}-th power does not vanish")
-            excluded.append(_kernel_mod_p(columns))
-            columns = [apply(col) for col in columns]
-        m = len(excluded)
-        parts = _partition_from_ranks([n - len(ker) for ker in excluded] + [0])
-        candidates: List[List[Vector]] = [[] for _ in range(m)]
-        for h in set(parts):
-            if h == m:
-                candidates[h - 1] = list(MatK.identity(n).rows)
-                continue
-            if h not in kernels:
-                while len(powers) < h:
-                    powers.append(powers[-1] * x)
-                kernels[h] = powers[h - 1].kernel_basis(working_prec)
-            candidates[h - 1] = kernels[h]
-        candidates_p = [[zipoly.values_mod_p(v, t0) for v in c] for c in candidates]
-        tops = _greedy_tops(candidates_p, excluded[1:], apply, _ModEchelon)
-        if not _chains_form_basis(tops, candidates_p, apply, n):
-            continue
-        p_mat = _chain_basis(x, candidates, tops)
-        if p_mat is not None:
-            return ChainData(p_mat, tuple(height for height, _ in tops))
+        candidates, tops = _tops_at_point(x, t0, kernel)
+        sigma = tuple(height for height, _ in tops)
+        if sum(sigma) == n:
+            p_mat = _chain_basis(x, candidates, tops)
+            if p_mat is not None:
+                return ChainData(p_mat, sigma)
     return None
 
 
-def _apply_mod_p(x_p: List[List[int]], v: List[int]) -> List[int]:
-    return [sum(a * b for a, b in zip(row, v)) % zipoly.P for row in x_p]
+def _tops_at_point(x: MatK, t0: int, kernel) -> Tuple[List[List[Vector]], List[Tuple[int, int]]]:
+    """(candidates, tops) for :func:`_chain_basis`, chosen at the point t0.
+
+    x is evaluated once as one t^(-s)·D·x over all n² entries
+    (:func:`zipoly.values_mod_p`), so that every image of a vector is scaled
+    alike, and raised to powers until they vanish; x(t0)^n != 0 proves
+    x^n != 0 (:class:`NotNilpotent`).  sigma is read off the column ranks of
+    the powers.  The candidates at a height h that is a part of sigma are
+    ``kernel(h)``, the exact kernel basis of x^h, evaluated as D_v·t^(-s_v)·v,
+    or the identity basis at the nilpotency index m at the point.
+
+    A candidate v of height h is a top when its kernel end x(t0)^(h-1)·v is
+    independent of the kernel ends kept before it; for h = m those are the
+    columns of x(t0)^(m-1).  On ker x^h, x^(h-1) has kernel ker x^(h-1), so
+    this keeps the tops of :func:`_greedy_tops`.  As x(t0)^h·v = 0, chain
+    vectors whose kernel ends are independent are independent: apply x^k to
+    a relation among them, k the largest distance to a kernel end in it,
+    and a relation among kernel ends is left.
+    """
+    n = x.n
+    flat = zipoly.values_mod_p([e for row in x.rows for e in row], t0)
+    apply = partial(_apply_mod_p, [flat[k::n] for k in range(n)])
+    ends = [[int(i == k) for i in range(n)] for k in range(n)]  # columns of x(t0)^0
+    columns = [apply(col) for col in ends]
+    ranks = [n]
+    while any(any(col) for col in columns):
+        if len(ranks) == n:
+            raise NotNilpotent(f"{n}-th power does not vanish")
+        ranks.append(sum(map(_ModEchelon().add, columns)))  # the column rank
+        ends, columns = columns, [apply(col) for col in columns]
+    m = len(ranks)
+    candidates: List[List[Vector]] = [[] for _ in range(m)]
+    kept = _ModEchelon()
+    tops = []
+    for h in sorted(set(_partition_from_ranks(ranks + [0])), reverse=True):
+        if h == m:
+            candidates[h - 1] = list(MatK.identity(n).rows)
+            ends_h = ends
+        else:
+            candidates[h - 1] = kernel(h)
+            ends_h = [zipoly.values_mod_p(v, t0) for v in candidates[h - 1]]
+            for _ in range(h - 1):
+                ends_h = [apply(end) for end in ends_h]
+        tops.extend((h, idx) for idx, end in enumerate(ends_h) if kept.add(end))
+    return candidates, tops
 
 
-def _chains_form_basis(tops, kernels_p, apply, n: int) -> bool:
-    """Whether the chain vectors x^i v (0 <= i < height) of the tops are a
-    basis of F_p^n."""
-    if sum(height for height, _ in tops) != n:
-        return False
-    basis = _ModEchelon()
-    for height, idx in tops:
-        v = kernels_p[height - 1][idx]
-        for _ in range(height):
-            if not basis.add(v):
-                return False
-            v = apply(v)
-    return True
+def _apply_mod_p(columns: List[List[int]], v: List[int]) -> List[int]:
+    """x·v at a point, as the combination of the columns of x(t0) at the
+    nonzero entries of v."""
+    out = [0] * len(v)
+    for c, col in zip(v, columns):
+        if c:
+            out = [o + c * a for o, a in zip(out, col)]
+    return [o % zipoly.P for o in out]
 
 
 def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainData:
@@ -433,11 +431,13 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     is checked at the kernel ends (:func:`_chain_basis`).
 
     Exact x goes through :func:`_point_chains`: the partition and every
-    independence answer come from a point, and only the heights that carry
-    a chain top below the nilpotency index get an exact power and kernel.
-    When no point certifies, and for truncated x, all powers and all their
-    kernels are exact, and each answer is a rank over K (:class:`_Echelon`).
-    Both passes choose the same tops when the first point is not degenerate.
+    independence answer come from a point, where a top is kept when its
+    kernel end is independent of the kernel ends kept before it, and only
+    the heights that carry a chain top below the nilpotency index get an
+    exact power and kernel.  When no point certifies, and for truncated x,
+    all powers and all their kernels are exact, and each answer is a rank
+    over K (:class:`_Echelon`) by the rule above.  Both passes choose the
+    same tops when the first point is not degenerate.
     """
     n = x.n
     if x.all_exact():
@@ -446,7 +446,7 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
             return chains
     powers = nilpotent_powers(x)
     kernels = [power.kernel_basis(working_prec) for power in powers[1:]]
-    tops = _greedy_tops(kernels, kernels, x.apply, lambda: _Echelon(n))
+    tops = _greedy_tops(kernels, x.apply, lambda: _Echelon(n))
     sigma = tuple(height for height, _ in tops)
     if sum(sigma) != n:
         raise PrecisionExhausted("chain construction did not span the space")

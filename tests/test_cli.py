@@ -151,6 +151,27 @@ def test_enumerate_n4_table(capsys):
     )
 
 
+def test_enumerate_n4_text_is_pinned(capsys):
+    # the representatives are printed through matrix_doc, byte for byte as
+    # the text output before that
+    assert main(["enumerate", "-n", "4"]) == 0
+    zero, one = "[0,0,0,0]", "[0,1,0,0]"
+    reps = [
+        ("[1,1,1,1] k=0", [zero, zero, zero, zero]),
+        ("[2,1,1] k=0", [one, zero, zero, zero]),
+        ("[2,2] k=0", [one, zero, "[0,0,0,1]", zero]),
+        ("[2,2] k=1", [one, zero, "[0,0,0,t]", zero]),
+        ("[3,1] k=0", [one, "[0,0,1,0]", zero, zero]),
+        ("[4] k=0", [one, "[0,0,1,0]", "[0,0,0,1]", zero]),
+        ("[4] k=1", [one, "[0,0,1,0]", "[0,0,0,t]", zero]),
+        ("[4] k=2", [one, "[0,0,1,0]", "[0,0,0,t^2]", zero]),
+        ("[4] k=3", [one, "[0,0,1,0]", "[0,0,0,t^3]", zero]),
+    ]
+    assert capsys.readouterr().out == "".join(
+        f"partition={label} level=0 rep=[{','.join(rows)}]\n" for label, rows in reps
+    )
+
+
 def test_enumerate_deterministic(capsys):
     main(["enumerate", "-n", "5"])
     first = capsys.readouterr().out

@@ -68,6 +68,25 @@ def test_parse_errors_report_position(bad):
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("bad, message, position", [
+    ("O(x)", "expected 't'", 2),
+    ("O(t^)", "expected an integer", 4),
+    ("O(t^2", "expected ')'", 5),
+    ("O t", "expected '('", 2),
+    ("3*", "expected 't'", 2),
+    ("3*x", "expected 't'", 2),
+    ("(1)*", "expected 't'", 4),
+    ("(1+i", "expected ')'", 4),
+])
+def test_parse_error_messages_and_positions(bad, message, position):
+    # the t^N of O(t^N) and of a term, and the '*' tail after either kind of
+    # coefficient, are read by one scanner each
+    with pytest.raises(LaurentSyntaxError) as err:
+        parse_laurent(bad)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 @given(st.text(alphabet="0123456789t^*/+-() iO", max_size=24))
 @settings(max_examples=200)
 def test_parser_never_crashes(text):

@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -320,7 +319,7 @@ def _kernels(x):
 
 
 def _exact_tops(x, kernels):
-    return normalform._greedy_tops(kernels, kernels, x.apply, lambda: normalform._Echelon(x.n))
+    return normalform._greedy_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
 
 
 class _LaurentEchelon:
@@ -368,7 +367,7 @@ def test_exact_pass_matches_the_laurent_echelon():
             cases.append(adjoint_act(g, elem).mat)
     for x in cases:
         kernels = _kernels(x)
-        oracle = normalform._greedy_tops(kernels, kernels, x.apply, lambda: _LaurentEchelon(x.n))
+        oracle = normalform._greedy_tops(kernels, x.apply, lambda: _LaurentEchelon(x.n))
         assert _exact_tops(x, kernels) == oracle
     assert _exact_tops(truncated, _kernels(truncated)) == [(2, 0)]
 
@@ -487,38 +486,62 @@ def test_modular_pass_moves_on_when_kernel_vectors_degenerate_at_the_point(monke
     assert classify(elem) == label
 
 
-def test_certificate_rejects_dependent_chains_whose_heights_sum_to_n():
+def _chain_rank_at_point(x, t0, candidates, tops):
+    """Oracle: the rank at t0 of all the chain vectors x^i v (0 <= i < height)
+    of the tops, in one echelon, with x(t0) applied row by row."""
+    n = x.n
+    flat = zipoly.values_mod_p([e for row in x.rows for e in row], t0)
+
+    def apply(v):
+        return [sum(flat[i * n + j] * v[j] for j in range(n)) % zipoly.P for i in range(n)]
+
+    basis = normalform._ModEchelon()
+    rank = 0
+    for height, idx in tops:
+        v = zipoly.values_mod_p(candidates[height - 1][idx], t0)
+        for _ in range(height):
+            rank += basis.add(v)
+            v = apply(v)
+    return rank
+
+
+def test_tops_with_independent_kernel_ends_have_independent_chains():
+    # at every point, the chain vectors of the tops chosen by their kernel
+    # ends have rank the sum of the heights, also where the point is
+    # degenerate and the tops fall short of n
+    cases = [stress_case(8, shears, j)[3].mat for shears in (15, 20) for j in range(4)]
+    cases += list(_seeded_conjugates("kernel-ends", range(2, 8), 4))
+    cases.append(_rank_one_nilpotent())
+    f = _vanishing_at_the_points(normalform._POINTS[:1])
+    rng = random.Random("first-point")
+    for sigma in ((2, 1, 1), (3, 2), (2, 2, 1)):
+        g = random_group(rng, sum(sigma), 3)
+        cases.append(adjoint_act(g, AffineElement(canonical_rep(sigma, 0))).mat.scale(f))
+    short = 0
+    for x in cases:
+        kernels = _kernels(x)
+        for t0 in normalform._POINTS:
+            candidates, tops = normalform._tops_at_point(x, t0, lambda h: kernels[h - 1])
+            heights = sum(height for height, _ in tops)
+            assert _chain_rank_at_point(x, t0, candidates, tops) == heights
+            short += heights < x.n
+    assert short == 1  # the rank-one case at the first point
+
+
+def test_kernel_end_echelon_rejects_a_dependent_top():
+    # at the second point the chain e0, x e0 has kernel end x e0, a multiple
+    # of v1: v1 is rejected and v2 taken, so P is not singular
     x = _rank_one_nilpotent()
-    kernels = _kernels(x)
-    assert kernels[1][0] == (lp("1"), lp("0"), lp("0"))
+    v1, v2 = _kernels(x)[0]
     t1 = normalform._POINTS[1]
     flat = zipoly.values_mod_p([e for row in x.rows for e in row], t1)
-    x_p = [flat[i:i + 3] for i in range(0, 9, 3)]
-    kernels_p = [[zipoly.values_mod_p(v, t1) for v in ker] for ker in kernels]
-    apply = partial(normalform._apply_mod_p, x_p)
-    # the chain e0, x e0 with v1 as a second top: heights 2 + 1 = 3, but
-    # x e0 and v1 are dependent over K, so P would be singular
-    assert not normalform._chains_form_basis([(2, 0), (1, 0)], kernels_p, apply, 3)
-    assert normalform._chains_form_basis([(2, 0), (1, 1)], kernels_p, apply, 3)
-
-
-def test_kernel_mod_p_spans_the_kernel_at_the_point():
-    rng = random.Random("kernel-mod-p")
-    p = zipoly.P
-    for n in range(1, 7):
-        for rank in range(n + 1):
-            # a random n×n matrix of the given rank, as its columns
-            left = [[rng.randrange(p) for _ in range(rank)] for _ in range(n)]
-            right = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
-            columns = [[sum(left[i][r] * right[r][k] for r in range(rank)) % p
-                        for i in range(n)] for k in range(n)]
-            kernel = normalform._kernel_mod_p(columns)
-            assert len(kernel) == n - rank  # the random factors have full rank
-            for v in kernel:
-                assert all(sum(col[i] * c for col, c in zip(columns, v)) % p == 0
-                           for i in range(n))
-            ech = normalform._ModEchelon()
-            assert all(ech.add(v) for v in kernel)
+    x_e0 = [flat[i] for i in range(0, 9, 3)]
+    ends = normalform._ModEchelon()
+    assert ends.add(x_e0)
+    assert not ends.add(zipoly.values_mod_p(v1, t1))
+    assert ends.add(zipoly.values_mod_p(v2, t1))
+    _, tops = normalform._tops_at_point(x, t1, lambda h: [v1, v2])
+    assert tops == [(2, 0), (1, 1)]
 
 
 def test_denominator_divisible_by_p_is_certified_at_the_point(monkeypatch):
@@ -729,7 +752,7 @@ def _exact_pass_tops(x):
     """The candidates (exact kernels of every power) and the tops of the
     exact pass."""
     kernels = [power.kernel_basis() for power in nilpotent_powers(x)[1:]]
-    tops = normalform._greedy_tops(kernels, kernels, x.apply, lambda: normalform._Echelon(x.n))
+    tops = normalform._greedy_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
     return kernels, tops
 
 
