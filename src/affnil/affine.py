@@ -157,6 +157,21 @@ def form_t(a: MatK, b: MatK, kappa_coef: GaussianRational) -> LaurentElement:
     return (a * b).trace().scale(kappa_coef)
 
 
+def _scaled_t_derivative(x: MatK, mu: GaussianRational) -> MatK:
+    """mu·t·x′ in one pass over the coefficients: c at t^e becomes e·mu·c at
+    t^e, and each entry keeps its truncation bound (x′ loses one degree, and
+    t gives it back)."""
+    norm = GaussianRational._norm
+    ma, mb, md = mu.a, mu.b, mu.d
+
+    def entry(el: LaurentElement) -> LaurentElement:
+        return LaurentElement._raw(
+            {e: norm(e * (c.a * ma - c.b * mb), e * (c.a * mb + c.b * ma), c.d * md)
+             for e, c in el.coeffs.items() if e}, el.prec)
+
+    return MatK([[entry(el) for el in row] for row in x.rows])
+
+
 def bracket(
     a: AffineElement,
     b: AffineElement,
@@ -176,9 +191,9 @@ def bracket(
     xa, xb = a.mat, b.mat
     mat = xa.commutator(xb)
     if not a.d_coef.is_zero:
-        mat = mat + xb.d_dt().shift(1).scale(a.d_coef)
+        mat = mat + _scaled_t_derivative(xb, a.d_coef)
     if not b.d_coef.is_zero:
-        mat = mat - xa.d_dt().shift(1).scale(b.d_coef)
+        mat = mat + _scaled_t_derivative(xa, -b.d_coef)
     c_part = kappa * trace_coeff(xa, xb, -1, derivative=True)
     return AffineElement(mat, c_part, GR_ZERO)
 

@@ -4,6 +4,13 @@ A value is stored as (a + b*i)/d with integers a, b and d > 0,
 gcd(a, b, d) = 1.  Keeping everything in machine integers (instead of a pair
 of ``Fraction``) matters: these scalars sit in the innermost loops of the
 series and matrix arithmetic.
+
+Construction.  ``GaussianRational(re, im)`` takes any rationals and reduces
+them.  The arithmetic builds its results with ``_norm`` (one gcd) or, from a
+triple that is already reduced, ``_raw`` (none).  Both write the three slots
+through the slot descriptors (``GaussianRational.a.__set__`` and so on),
+which costs about a third of three ``object.__setattr__`` calls; the public
+``__setattr__`` still refuses every assignment, so values stay immutable.
 """
 
 from __future__ import annotations
@@ -142,27 +149,32 @@ class GaussianRational:
         a = re.numerator * (d // re.denominator)
         b = im.numerator * (d // im.denominator)
         g = math.gcd(a, b, d)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "b", b // g)
-        object.__setattr__(self, "d", d // g)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
 
     @classmethod
     def _raw(cls, a: int, b: int, d: int) -> "GaussianRational":
         """Construct from an already-reduced triple (internal)."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        self = _new(cls)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
         return self
 
     @classmethod
     def _norm(cls, a: int, b: int, d: int) -> "GaussianRational":
+        """Construct from any triple with d != 0, reduced here (internal)."""
         if d < 0:
             a, b, d = -a, -b, -d
         g = math.gcd(a, b, d)
         if g > 1:
             a, b, d = a // g, b // g, d // g
-        return cls._raw(a, b, d)
+        self = _new(cls)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GaussianRational is immutable")
@@ -297,6 +309,11 @@ class GaussianRational:
             return None
         return GaussianRational._norm(root[0], root[1], self.d)
 
+
+_new = object.__new__
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
 
 GR_ZERO = GaussianRational._raw(0, 0, 1)
 GR_ONE = GaussianRational._raw(1, 0, 1)

@@ -97,15 +97,25 @@ class LaurentElement:
     __slots__ = ("coeffs", "prec")
 
     def __init__(self, coeffs: Mapping[int, GaussianRational], prec: Optional[int] = None):
-        cleaned: Dict[int, GaussianRational] = {}
-        for e, c in coeffs.items():
-            if c.is_zero:
-                continue
-            if prec is not None and e >= prec:
-                continue
-            cleaned[e] = c
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "prec", prec)
+        # zero coefficients, and those at or past the bound, are dropped;
+        # the slots are written through their descriptors (see gaussian)
+        if prec is None:
+            cleaned = {e: c for e, c in coeffs.items() if c.a or c.b}
+        else:
+            cleaned = {e: c for e, c in coeffs.items() if (c.a or c.b) and e < prec}
+        _set_coeffs(self, cleaned)
+        _set_prec(self, prec)
+
+    @classmethod
+    def _raw(
+        cls, coeffs: Dict[int, GaussianRational], prec: Optional[int] = None
+    ) -> "LaurentElement":
+        """Construct from a dict of nonzero coefficients at exponents below
+        prec, taken as it is (internal)."""
+        self = _new(cls)
+        _set_coeffs(self, coeffs)
+        _set_prec(self, prec)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("LaurentElement is immutable")
@@ -195,7 +205,7 @@ class LaurentElement:
         return LaurentElement(out, prec)
 
     def __neg__(self) -> "LaurentElement":
-        return LaurentElement({e: -c for e, c in self.coeffs.items()}, self.prec)
+        return LaurentElement._raw({e: -c for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other: "LaurentElement") -> "LaurentElement":
         return self + (-other)
@@ -209,7 +219,7 @@ class LaurentElement:
     def shift(self, k: int) -> "LaurentElement":
         """Multiply by the monomial t^k."""
         prec = None if self.prec is None else self.prec + k
-        return LaurentElement({e + k: c for e, c in self.coeffs.items()}, prec)
+        return LaurentElement._raw({e + k: c for e, c in self.coeffs.items()}, prec)
 
     def truncated(self, bound: Optional[int]) -> "LaurentElement":
         if bound is None:
@@ -375,7 +385,7 @@ class LaurentElement:
         z = _as_gr(z)
         if z.is_zero:
             raise ZeroScale("t -> 0*t is not a field automorphism")
-        return LaurentElement({e: c * z**e for e, c in self.coeffs.items()}, self.prec)
+        return LaurentElement._raw({e: c * z**e for e, c in self.coeffs.items()}, self.prec)
 
     def d_dt(self) -> "LaurentElement":
         """Termwise derivative; the truncation bound drops by one degree."""
@@ -385,6 +395,11 @@ class LaurentElement:
             {e - 1: norm(c.a * e, c.b * e, c.d) for e, c in self.coeffs.items() if e != 0},
             prec,
         )
+
+
+_new = object.__new__
+_set_coeffs = LaurentElement.coeffs.__set__
+_set_prec = LaurentElement.prec.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +599,25 @@ def parse_laurent(text: str) -> LaurentElement:
     return LaurentElement(total, prec)
 
 
+def _fmt_ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, as ``str(Fraction(num, den))``
+    prints it."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _fmt_complex_body(c: GaussianRational) -> str:
-    im = c.im
-    if im == 1:
+    if c.b == c.d:
         tail = "+i"
-    elif im == -1:
+    elif c.b == -c.d:
         tail = "-i"
-    elif im >= 0:
-        tail = f"+{im}i"
+    elif c.b >= 0:
+        tail = f"+{_fmt_ratio(c.b, c.d)}i"
     else:
-        tail = f"-{-im}i"
-    return f"({c.re}{tail})"
+        tail = f"-{_fmt_ratio(-c.b, c.d)}i"
+    return f"({_fmt_ratio(c.a, c.d)}{tail})"
 
 
 def _fmt_term(exp: int, coef: GaussianRational, first: bool) -> str:
@@ -604,15 +627,17 @@ def _fmt_term(exp: int, coef: GaussianRational, first: bool) -> str:
         tpart = "t"
     else:
         tpart = f"t^{exp}"
-    if coef.im == 0:
-        mag = abs(coef.re)
-        negative = coef.re < 0
-        if tpart and mag == 1:
+    if not coef.b:
+        # a real a/d is in lowest terms already, as gcd(a, 0, d) = 1
+        negative = coef.a < 0
+        num = -coef.a if negative else coef.a
+        mag = str(num) if coef.d == 1 else f"{num}/{coef.d}"
+        if tpart and mag == "1":
             body = tpart
         elif tpart:
             body = f"{mag}*{tpart}"
         else:
-            body = f"{mag}"
+            body = mag
         if first:
             return ("-" if negative else "") + body
         return (" - " if negative else " + ") + body
@@ -624,6 +649,8 @@ def _fmt_term(exp: int, coef: GaussianRational, first: bool) -> str:
 
 def format_laurent(elem: LaurentElement) -> str:
     """Canonical literal: ascending exponents, unit coefficients elided."""
+    if not elem.coeffs and elem.prec is None:
+        return "0"
     parts = []
     for exp in sorted(elem.coeffs):
         parts.append(_fmt_term(exp, elem.coeffs[exp], first=not parts))
@@ -642,6 +669,6 @@ def parse_scalar(text: str) -> GaussianRational:
 
 
 def format_scalar(value: GaussianRational) -> str:
-    if value.im == 0:
-        return str(value.re)
+    if not value.b:
+        return _fmt_ratio(value.a, value.d)
     return _fmt_complex_body(value)

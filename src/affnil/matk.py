@@ -30,7 +30,12 @@ x's column, where f = 0 or y = 0 the entry becomes (p·x − f·y) / prev =
 quotient when it is exact, and the Bareiss step when it is not.  Everywhere
 else it takes the Bareiss step with its division.  The matrices that
 ``adjoint_act`` inverts are sparse, so most of [A | I] is zero, and zero
-entries cost nothing.
+entries cost nothing but a comparison: no product, no conversion and no new
+element (:func:`_monomial_inverse` maps them to one shared exact zero).  The
+Bareiss step takes its factors in the sparse form of
+:func:`zipoly.combine_sparse`, converted when first needed: the pivot and
+each pivot-row entry once per step, the row's entry f once per row, not
+once per entry.
 
 Exact kernel vectors are back-substituted on the dense echelon rows
 (:func:`_dense_kernel`), and each is scaled only by the echelon pivots that
@@ -52,18 +57,22 @@ than guessing.
 Products.  :meth:`MatK.__mul__`, :meth:`MatK.apply` (v as one column) and
 :meth:`MatK.commutator` (A·B − B·A, for the bracket) run one kernel,
 :func:`_products`, a row-wise sparse accumulation (Gustavson 1978) over
-integer terms.  Row i of the left factors goes on one common denominator
-and the right factors on another.  Each nonzero a_ik is multiplied against
-the entries of row k of the right factor that are not exactly zero, which
-are converted to (exponent, re, im) integer terms once, and only if some
-a_ik reaches them.  The products go into one dict of integer pairs per
-output entry, and each output coefficient is reduced by one gcd
-(``GaussianRational._norm``), not once per entry product and again per
-addition as a sum of ``LaurentElement`` products is.  Each pair of entries
-takes the truncation bound of :func:`laurent.product_bound`, as
-``LaurentElement.__mul__`` does, and an entry keeps the least of them, so
-every coefficient below it is an exact sum: the result equals the entrywise
-sum of Laurent products, coefficient for coefficient.  A dense product over
+integer terms.  Each left row is listed once by its entries that are not
+exactly zero, and so is each right row k that some nonzero a_ik reaches;
+nothing else of either factor is read.  Row i of the left factors goes on
+one common denominator and the right factors on another, each the lcm of
+the denominators other than 1 of the listed entries.  The listed right
+entries are converted to (exponent, re, im) integer terms once.  The
+products go into one dict of integer pairs per output entry, and each
+output coefficient is reduced by one gcd (``GaussianRational._norm``), not
+once per entry product and again per addition as a sum of
+``LaurentElement`` products is; the output entries are built as they are
+(``LaurentElement._raw``), without a second pass over them.  Each pair of
+entries takes the truncation bound of :func:`laurent.product_bound`, as
+``LaurentElement.__mul__`` does (for an exact a_ik directly: the precision
+of b_kj plus the valuation of a_ik, or none), and an entry keeps the least
+of them, so every coefficient below it is an exact sum: the result equals
+the entrywise sum of Laurent products, coefficient for coefficient.  A dense product over
 Z[i][t] was 2.4× slower on small sparse operands, and a kernel that visits
 every (i, j, k) and converts all entries of both factors was slower than
 the entrywise loop; only the sparse form is faster on every workload.
@@ -253,7 +262,7 @@ class MatK:
         powers = {e: z**e for e in {e for r in self.rows for x in r for e in x.coeffs}}
         return MatK(
             [
-                [LaurentElement({e: c * powers[e] for e, c in x.coeffs.items()}, x.prec)
+                [LaurentElement._raw({e: c * powers[e] for e, c in x.coeffs.items()}, x.prec)
                  if x.coeffs else x for x in r]
                 for r in self.rows
             ]
@@ -372,7 +381,7 @@ def trace_coeff(a, b, e: int, derivative: bool = False) -> GaussianRational:
     else:
         a._check_dim(b)
         pairs = ((x, b_row[i]) for i, a_row in enumerate(a.rows)
-                 for x, b_row in zip(a_row, b.rows))
+                 for x, b_row in zip(a_row, b.rows) if x.coeffs or x.prec is not None)
     shift = 1 if derivative else 0  # a′ at t^(k−1) pairs with b at t^(e+1−k)
     bound = None
     sa = sb = 0
@@ -422,43 +431,55 @@ def _products(a, b, c=None, d=None) -> List[List[LaurentElement]]:
     """The rows of A·B, or of A·B − C·D: the product kernel (see the module
     docstring).  A and C are n rows of length n, B and D n rows of length m.
 
+    Each row of A and C, and each row k of B and D that a nonzero a_ik or
+    c_ik reaches, is listed once by its entries that are not exactly zero.
     Row i of A and C goes on one common denominator and B and D together on
-    another, so every output coefficient is an integer pair over one
-    denominator, summed in a dict per output entry and normalised once.  Each
-    nonzero a_ik meets the entries of row k of B that are not exactly zero,
-    converted to integer terms once, the first time row k is reached.  A pair
-    keeps the truncation bound that ``LaurentElement.__mul__`` gives it, and
-    an entry the least bound of its pairs; an entry that no pair reaches is
-    the exact zero.
+    another, each the lcm of the denominators other than 1 of the entries
+    listed, so every output coefficient is an integer pair over one
+    denominator, summed in a dict per output entry and normalised once.  The
+    listed right rows are converted to integer terms once, and each nonzero
+    a_ik meets the entries of row k of B that are listed.  A pair keeps the
+    truncation bound that ``LaurentElement.__mul__`` gives it (for an exact
+    a_ik, the precision of b_kj plus the valuation of a_ik, or none), and an
+    entry the least bound of its pairs; an entry that no pair reaches is the
+    exact zero.
     """
     pairs = [(a, b, 1)] if c is None else [(a, b, 1), (c, d, -1)]
     width = len(b[0]) if b else 0
-    right_den = common_den(
-        q for left, right, _ in pairs
-        for k in {k for row in left for k, x in enumerate(row) if x.coeffs or x.prec is not None}
-        for y in right[k] for q in y.coeffs.values())
-    converted = [{} for _ in pairs]
+    # the entries of each left row, and of each right row that a left entry
+    # reaches, that are not exactly zero
+    lefts, rights = [], []
+    for left, right, _ in pairs:
+        rows = [[(k, x) for k, x in enumerate(row) if x.coeffs or x.prec is not None]
+                for row in left]
+        lefts.append(rows)
+        rights.append({
+            k: [(j, y) for j, y in enumerate(right[k]) if y.coeffs or y.prec is not None]
+            for k in {k for row in rows for k, _ in row}})
+    right_den = math.lcm(*{q.d for reached in rights for row in reached.values()
+                           for _, y in row for q in y.coeffs.values() if q.d != 1})
+    converted = [
+        {k: [(j, integer_terms(y.coeffs, right_den), y.prec, min(y.coeffs) if y.coeffs else y.prec)
+             for j, y in row] for k, row in reached.items()}
+        for reached in rights]
     out = []
     for i in range(len(a)):
-        left_den = common_den(q for left, _, _ in pairs for x in left[i] for q in x.coeffs.values())
+        left_den = math.lcm(*{q.d for rows in lefts for _, x in rows[i]
+                              for q in x.coeffs.values() if q.d != 1})
         entries = {}  # output column -> [exponent -> [re, im], least pair bound]
-        for (left, right, sign), rows_done in zip(pairs, converted):
-            for k, x in enumerate(left[i]):
-                xc, x_prec = x.coeffs, x.prec
-                if not xc and x_prec is None:
-                    continue
-                row = rows_done.get(k)
-                if row is None:
-                    row = rows_done[k] = [
-                        (j, integer_terms(y.coeffs, right_den), y.prec,
-                         min(y.coeffs) if y.coeffs else y.prec)
-                        for j, y in enumerate(right[k]) if y.coeffs or y.prec is not None]
+        for (_, _, sign), rows, rows_done in zip(pairs, lefts, converted):
+            for k, x in rows[i]:
+                row = rows_done[k]
                 if not row:
                     continue
+                xc, x_prec = x.coeffs, x.prec
                 x_terms = integer_terms(xc, sign * left_den)
                 x_low = min(xc) if xc else x_prec
                 for j, y_terms, y_prec, y_low in row:
-                    bound = product_bound(x_prec, x_low, y_prec, y_low)
+                    if x_prec is None:
+                        bound = None if y_prec is None else y_prec + x_low
+                    else:
+                        bound = product_bound(x_prec, x_low, y_prec, y_low)
                     entry = entries.get(j)
                     if entry is None:
                         entry = entries[j] = [{}, bound]
@@ -469,7 +490,7 @@ def _products(a, b, c=None, d=None) -> List[List[LaurentElement]]:
         den = left_den * right_den
         out_row = [_L_ZERO] * width
         for j, (acc, bound) in entries.items():
-            out_row[j] = LaurentElement(
+            out_row[j] = LaurentElement._raw(
                 {e: GaussianRational._norm(re, im, den) for e, (re, im) in acc.items()
                  if (re or im) and (bound is None or e < bound)}, bound)
         out.append(out_row)
@@ -631,21 +652,28 @@ def _gauss_jordan(mat: MatK, working_prec: int, inverse: bool):
 
 
 class _Plain:
-    """Ring operations on polynomials of Z[i][t]."""
+    """Ring operations on polynomials of Z[i][t].  The loop hands the pivot,
+    the row's entry f and the pivot-row entry y to :meth:`combine` in their
+    :meth:`sparse` form, and the previous pivot in its :meth:`divisor` form."""
 
     zero: zipoly.Poly = []
     one: zipoly.Poly = [(1, 0)]
     mul = staticmethod(zipoly.mul)
     div = staticmethod(zipoly.exact_div)
+    sparse = staticmethod(zipoly.sparse)
 
     @staticmethod
     def head(x: zipoly.Poly) -> zipoly.Poly:
         return x
 
     @staticmethod
+    def divisor(x: zipoly.Poly) -> zipoly.Poly:
+        return x
+
+    @staticmethod
     def combine(p, x, f, y, prev):
         """(p·x − f·y) / prev, an exact division; prev None stands for 1."""
-        num = zipoly.combine(((1, p, x), (-1, f, y)))
+        num = zipoly.combine_sparse(((1, p, zipoly.sparse(x)), (-1, f, y)))
         if prev is None or not num:
             return num
         return zipoly.exact_div(num, prev)
@@ -653,7 +681,8 @@ class _Plain:
 
 class _Dual:
     """Ring operations on dual numbers a + s·b over Z[i][t] (s² = 0), held as
-    (a, b); the pivot rules look at a only."""
+    (a, b); the pivot rules look at a only.  A divisor is held as (a, the
+    sparse form of b)."""
 
     zero = ([], [])
     one = ([(1, 0)], [])
@@ -663,18 +692,30 @@ class _Dual:
         return x[0]
 
     @staticmethod
+    def sparse(x):
+        return zipoly.sparse(x[0]), zipoly.sparse(x[1])
+
+    @staticmethod
+    def divisor(x):
+        return x[0], zipoly.sparse(x[1])
+
+    @staticmethod
     def mul(x, y):
         return zipoly.mul(x[0], y[0]), zipoly.combine([(1, x[0], y[1]), (1, x[1], y[0])])
 
     @staticmethod
     def div(x, y):
+        """x / y for y in divisor form: q = a / y_a and (b − q·y_b) / y_a."""
         q = zipoly.exact_div(x[0], y[0])
-        return q, zipoly.exact_div(zipoly.combine([(1, x[1], [(1, 0)]), (-1, q, y[1])]), y[0])
+        return q, zipoly.exact_div(
+            zipoly.combine_sparse(((-1, zipoly.sparse(q), y[1]),), x[1]), y[0])
 
     @staticmethod
     def combine(p, x, f, y, prev):
-        a = zipoly.combine(((1, p[0], x[0]), (-1, f[0], y[0])))
-        b = zipoly.combine([(1, p[0], x[1]), (-1, f[0], y[1]), (1, p[1], x[0]), (-1, f[1], y[0])])
+        x0, x1 = zipoly.sparse(x[0]), zipoly.sparse(x[1])
+        a = zipoly.combine_sparse(((1, p[0], x0), (-1, f[0], y[0])))
+        b = zipoly.combine_sparse(
+            ((1, p[0], x1), (-1, f[0], y[1]), (1, p[1], x0), (-1, f[1], y[0])))
         return (a, b) if prev is None else _Dual.div((a, b), prev)
 
 
@@ -709,7 +750,11 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
     its column.  Where f = 0 or y = 0 the new entry is (p·x − f·y) / prev =
     (p / prev)·x: nothing when x = 0 or the quotient is 1, a product with the
     quotient when it is exact, and the Bareiss step otherwise.  Everywhere
-    else it is the Bareiss step.  A row with f = 0 and quotient 1 is skipped.
+    else it is the Bareiss step.  A row with f = 0 and quotient 1 is skipped,
+    and a row with f = 0 and an exact quotient only multiplies its nonzero
+    entries by it.  The Bareiss step takes p, f and y in the ring's
+    :meth:`sparse` form and prev in its :meth:`divisor` form, each converted
+    once per step (f once per row, y once per column), when first needed.
 
     Returns (pivot columns, sign of the row permutation, last pivot).
     """
@@ -718,8 +763,9 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
     head = ring.head
     combine = ring.combine
     mul = ring.mul
+    sparse = ring.sparse
     sign = 1
-    prev = None
+    p = prev = None
     cols: List[int] = []
     for col in range(steps):
         top = len(cols)
@@ -737,6 +783,8 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
         except ExactDivisionError:
             scale = None
         unit = scale == ring.one
+        p_form = None
+        ys = {}  # pivot-row column -> its entry in sparse form, once needed
         for i in range(0 if jordan else top + 1, len(rows)):
             if i == top:
                 continue
@@ -745,6 +793,15 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
             f_zero = f == zero
             if f_zero and unit:
                 continue
+            if f_zero and scale is not None:
+                # every nonzero entry becomes (p / prev)·x
+                for j in range(col + 1, width):
+                    if row[j] != zero:
+                        row[j] = mul(scale, row[j])
+                continue
+            if p_form is None:
+                p_form = sparse(p)
+            f_form = sparse(f)
             for j in range(col + 1, width):
                 x = row[j]
                 y = pivot_row[j]
@@ -755,11 +812,14 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
                     if scale is not None:
                         row[j] = mul(scale, x)
                         continue
-                row[j] = combine(p, x, f, y, prev)
+                y_form = ys.get(j)
+                if y_form is None:
+                    y_form = ys[j] = sparse(y)
+                row[j] = combine(p_form, x, f_form, y_form, prev)
             row[col] = zero
-        prev = p
+        prev = ring.divisor(p)
         cols.append(col)
-    return cols, sign, prev
+    return cols, sign, p
 
 
 def _dense_rows(rows):
@@ -881,8 +941,8 @@ def _monomial_inverse(d: zipoly.Poly, right) -> Optional[MatK]:
     a, b = d[j]
     if b:
         right = [[zipoly.mul(e, [(a, -b)]) for e in r] for r in right]
-    return MatK([[zipoly.to_laurent(e, -j, a * a + b * b if b else a)
-                  for e in r] for r in right])
+    den = a * a + b * b if b else a
+    return MatK([[zipoly.to_laurent(e, -j, den) if e else _L_ZERO for e in r] for r in right])
 
 
 def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
@@ -904,7 +964,7 @@ def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
     n = mat.n
     cuts = [(k, l, e.prec) for k, r in enumerate(mat.rows)
             for l, e in enumerate(r) if e.prec is not None]
-    known = MatK([[LaurentElement(e.coeffs) if e.prec is not None else e for e in r]
+    known = MatK([[LaurentElement._raw(e.coeffs) if e.prec is not None else e for e in r]
                   for r in mat.rows])
     try:
         d, _, _, right = _inv_dense(known)

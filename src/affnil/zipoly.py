@@ -18,7 +18,10 @@ of the other factor and one Gaussian-integer product per pair, which is what
 the elimination's scalings by a monomial quotient p / prev are; any other
 product is a :func:`combine` of one term) and :func:`combine` (a signed sum
 of any number of products in one accumulator: the Bareiss step p·x − f·y,
-the dual-number parts and back-substitution).  :func:`to_laurent` returns
+the dual-number parts and back-substitution).  :func:`combine_sparse` is the
+same accumulator on factors already in :func:`sparse` form, plus an addend,
+so that the elimination converts the factors it reuses (the pivot and each
+pivot-row entry) once per step, not once per row.  :func:`to_laurent` returns
 one shared exact zero for the zero polynomial, so the zeros of a sparse
 result cost no new element.
 
@@ -124,7 +127,7 @@ def to_laurent(f: Poly, shift: int = 0, den: int = 1) -> LaurentElement:
         make = GaussianRational._raw
     else:
         make = GaussianRational._norm
-    return LaurentElement(
+    return LaurentElement._raw(
         {shift + i: make(a, b, den) for i, (a, b) in enumerate(f) if a or b}
     )
 
@@ -198,18 +201,29 @@ def mul(f: Poly, g: Poly) -> Poly:
 def combine(triples: Sequence[Tuple[int, Poly, Poly]]) -> Poly:
     """The sum of sign·f·g over the (sign, f, g) triples, sign = ±1, in one
     accumulator; no terms, or terms that cancel, give the zero polynomial."""
-    # the longest product: f·g has len(f) + len(g) − 1 pairs, as both tops are nonzero
-    size = 0
-    for _, f, g in triples:
-        if f and g and len(f) + len(g) > size + 1:
-            size = len(f) + len(g) - 1
+    return combine_sparse([(sign, sparse(f), sparse(g)) for sign, f, g in triples if f and g])
+
+
+def combine_sparse(triples: Sequence[Tuple[int, Sparse, Sparse]], base: Poly = ()) -> Poly:
+    """base plus the sum of sign·f·g over the (sign, f, g) triples, sign = ±1,
+    with f and g given as their :func:`sparse` forms, so that a factor used
+    in many sums is converted once; a zero factor adds nothing, and a sum
+    that cancels gives the zero polynomial."""
+    # the longest product: f·g reaches index top(f) + top(g)
+    size = len(base)
+    for _, fz, gz in triples:
+        if fz and gz and fz[-1][0] + gz[-1][0] >= size:
+            size = fz[-1][0] + gz[-1][0] + 1
     if not size:
         return []
     re = [0] * size
     im = [0] * size
-    for sign, f, g in triples:
-        if f and g:
-            _add_product(re, im, sparse(f), sparse(g), sign < 0)
+    for k, (a, b) in enumerate(base):
+        re[k] = a
+        im[k] = b
+    for sign, fz, gz in triples:
+        if fz and gz:
+            _add_product(re, im, fz, gz, sign < 0)
     return _pack(re, im)
 
 

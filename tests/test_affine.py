@@ -135,6 +135,27 @@ def test_bracket_antisymmetry_and_jacobi():
         assert jac.mat.is_zero_3v() is True and jac.c_coef == gr(0)
 
 
+def test_bracket_derivation_terms_match_the_composed_operations():
+    # mu_a t X_b' - mu_b t X_a', each built in one pass, equals d_dt, shift(1)
+    # and scale run one after another, bounds included
+    rng = random.Random(29)
+    for trial in range(40):
+        n = 2 + trial % 3
+        xa, xb = random_traceless(rng, n), random_traceless(rng, n)
+        if trial % 2:
+            e = xb.rows[0][1]
+            xb = _with_entry(xb, 0, 1, e.truncated(max(e.coeffs, default=0) + rng.randint(7, 9)))
+            xa = _with_entry(xa, 1, 0, LaurentElement.zero(rng.randint(4, 6)))
+        mu_a, mu_b = random_gaussian(rng, 0.5), random_gaussian(rng, 0.5)
+        got = bracket(AffineElement(xa, gr(0), mu_a), AffineElement(xb, gr(0), mu_b))
+        expected = xa * xb - xb * xa
+        if not mu_a.is_zero:
+            expected = expected + xb.d_dt().shift(1).scale(mu_a)
+        if not mu_b.is_zero:
+            expected = expected - xa.d_dt().shift(1).scale(mu_b)
+        assert got.mat == expected, trial
+
+
 def _with_entry(m: MatK, i: int, j: int, value: LaurentElement) -> MatK:
     rows = [list(r) for r in m.rows]
     rows[i][j] = value

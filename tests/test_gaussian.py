@@ -95,3 +95,12 @@ def test_nth_root_of_unit_twisted_powers():
     a = gr(3, -2)
     value = (a**4) * gr(0, 1) ** 4
     assert value.nth_root(4) ** 4 == value
+
+
+def test_values_refuse_assignment():
+    for value in (gr(Fraction(1, 2), 3), GaussianRational._raw(1, 0, 1),
+                  GaussianRational._norm(-2, 4, -6)):
+        for name in ("a", "b", "d", "re"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 5)
+    assert GaussianRational._norm(-2, 4, -6) == gr(Fraction(1, 3), Fraction(-2, 3))

@@ -17,12 +17,13 @@ diff the lines of :func:`_golden_lines` of the two trees.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
-from affnil import adjoint_act, classify
+from affnil import AffineElement, GroupElement, MatK, adjoint_act, classify, cli, gr
 from affnil.matk import det_and_adj_trace
 from affnil.normalform import jordan_chains
-from affnil.selfcheck import random_orbit_case
+from affnil.selfcheck import random_orbit_case, random_shear
 
 from conftest import stress_case
 
@@ -52,3 +53,37 @@ def _golden_lines():
 def test_exact_outputs_match_the_golden_digest():
     digest = hashlib.sha256("\n".join(_golden_lines()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+# The printed results of adjoint_act on cases shaped like the act-wide
+# benchmark: n = 8, 10, 12, one to five shears, loop rotations z = 1, 2, 1+i,
+# every fourth group with one entry cut 32 above its last exponent, and a
+# derivation part on every fifth exact group.  Changes to the exact kernels
+# behind adjoint_act (construction, products, elimination, formatting) must
+# leave it as it is.
+ACT_SHA256 = "7b6bb16f4191d1c1c67b87dea1c9edaaf43c8f31b71b3cee2d6f04cd95656aa6"
+
+
+def _act_lines():
+    rng = random.Random("golden-act")
+    for idx in range(48):
+        n = (8, 10, 12)[idx % 3]
+        z = (gr(1), gr(2), gr(1, 1))[idx // 3 % 3]
+        _, _, _, elem, _ = random_orbit_case(rng, n)
+        g = random_shear(rng, n)
+        for _ in range(idx % 5):
+            g = g.compose(random_shear(rng, n))
+        g = GroupElement.loop_rotation(n, z).compose(g)
+        if idx % 4 == 3:
+            rows = [list(r) for r in g.g.rows]
+            i, j = rng.choice([(i, j) for i in range(n) for j in range(n) if rows[i][j].coeffs])
+            rows[i][j] = rows[i][j].truncated(max(rows[i][j].coeffs) + 32)
+            g = GroupElement(g.z, MatK(rows), g.det_mode)
+        elif idx % 5 == 4:
+            elem = AffineElement(elem.mat, elem.c_coef, gr(1))
+        yield json.dumps(cli.element_doc(adjoint_act(g, elem, 64)), sort_keys=True)
+
+
+def test_act_outputs_match_the_golden_digest():
+    digest = hashlib.sha256("\n".join(_act_lines()).encode()).hexdigest()
+    assert digest == ACT_SHA256

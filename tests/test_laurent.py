@@ -147,6 +147,39 @@ def test_format_canonical():
     assert format_laurent(LaurentElement({}, 5)) == "O(t^5)"
 
 
+@pytest.mark.parametrize(
+    "elem, text",
+    [
+        (LaurentElement.zero(), "0"),
+        (LaurentElement.zero(-3), "O(t^-3)"),
+        (LaurentElement({0: gr(7)}), "7"),
+        (LaurentElement({0: gr(-1)}), "-1"),
+        (LaurentElement({1: gr(1)}), "t"),
+        (LaurentElement({-2: gr(-1)}), "-t^-2"),
+        (LaurentElement({3: gr(Fraction(-5, 6))}), "-5/6*t^3"),
+        (LaurentElement({0: gr(Fraction(1, 2)), 1: gr(-1), 2: gr(Fraction(-3, 4))}, 4),
+         "1/2 - t - 3/4*t^2 + O(t^4)"),
+        (LaurentElement({0: gr(Fraction(1, 2), Fraction(1, 3))}), "(1/2+1/3i)"),
+        (LaurentElement({1: gr(Fraction(2, 3), Fraction(-1, 6))}), "(2/3-1/6i)*t"),
+        (LaurentElement({0: gr(Fraction(1, 4), 1), 2: gr(0, -1)}), "(1/4+i) + (0-i)*t^2"),
+        (LaurentElement({-1: gr(Fraction(3, 2)), 0: gr(0, Fraction(3, 2))}, 1),
+         "3/2*t^-1 + (0+3/2i) + O(t^1)"),
+    ],
+)
+def test_format_shapes_round_trip(elem, text):
+    assert format_laurent(elem) == text
+    assert parse_laurent(text) == elem
+
+
+def test_values_refuse_assignment():
+    elem = lp("1 + t")
+    with pytest.raises(AttributeError):
+        elem.prec = 3
+    with pytest.raises(AttributeError):
+        elem.coeffs = {}
+    assert elem == lp("1 + t")
+
+
 @given(laurents)
 @settings(max_examples=150)
 def test_parse_format_roundtrip(e):

@@ -1455,6 +1455,23 @@ def test_product_kernel_examples():
     assert mat([["t^-1", "t"], ["0", "0"]]) * mat([["t", "0"], ["-t^-1", "0"]]) == MatK.zero(2)
 
 
+def test_product_kernel_exact_left_entry_against_truncated_right_entries():
+    # an exact a_ik takes the bound prec(b_kj) + val(a_ik) directly, or none
+    # against an exact b_kj; the entry keeps the least bound of its pairs
+    a = mat([["(1/2+i)*t^-2 + 3*t", "0", "2/3"], ["0", "t^4", "0"], ["0", "0", "0"]])
+    b = mat([["1 + t + O(t^3)", "t^-1", "O(t^2)"],
+             ["(1/3)*t^-1 + O(t^1)", "0", "5"],
+             ["1/2 - t + O(t^5)", "(i)*t^2", "0"]])
+    product = a * b
+    assert _entry_data(product.rows) == _entry_data(_entrywise_product(a.rows, b.rows))
+    # (0, 0): (1/2+i) t^-2 (1 + t + O(t^3)) + 2/3 (1/2 - t + O(t^5)) is known below t^1
+    assert product.rows[0][0].prec == 1
+    assert product.rows[0][2] == LaurentElement.zero(0)
+    assert product.rows[1] == (LaurentElement({3: gr(Fraction(1, 3))}, 5),
+                               LaurentElement.zero(), LaurentElement({4: gr(5)}))
+    assert product.rows[2] == (LaurentElement.zero(),) * 3
+
+
 # three n x n operands, n = 1..5, of the entries drawn for trace_coeff above
 _kernel_operands = st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
