@@ -19,9 +19,19 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
   (:func:`_dense_echelon`), whose rows enter primitive (content 1 and least
   exponent 0, as :func:`normalize_vector`);
 * :meth:`MatK.inv` (:func:`_inv_dense`): Gauss–Jordan on [A | I], which
-  yields d·A⁻¹ and d = ±det A together; only the final scaling by d⁻¹ can
+  yields d·A⁻¹ and d = det A together; only the final scaling by d⁻¹ can
   truncate, when d is not a monomial.  Only A is converted; the I half is
   written down in dense form directly.
+
+The determinant and the inverse eliminate only the rows that are not exactly
+the unit row e_i (an exact 1 on the diagonal and exact zeros elsewhere,
+:func:`_non_unit_rows`).  With R those rows and S the unit rows, one
+simultaneous permutation makes A = [[B, C], [0, I]], so det A = det B and
+A⁻¹ = [[B⁻¹, −B⁻¹C], [0, I]]: the loop runs on the |R| rows of B, or of
+[B | −C | I] for the inverse.  A product of k root subgroup elements
+I + p·E_ij differs from I in at most k rows, so most rows of the groups that
+``adjoint_act`` inverts are unit rows.  The echelon and the dual-number pass
+take every row.
 
 A row update touches only what can change, by one rule for every entry x.
 With f the row's entry in the pivot column and y the pivot row's entry in
@@ -72,7 +82,10 @@ entries takes the truncation bound of :func:`laurent.product_bound`, as
 ``LaurentElement.__mul__`` does (for an exact a_ik directly: the precision
 of b_kj plus the valuation of a_ik, or none), and an entry keeps the least
 of them, so every coefficient below it is an exact sum: the result equals
-the entrywise sum of Laurent products, coefficient for coefficient.  A dense product over
+the entrywise sum of Laurent products, coefficient for coefficient.  In a
+single product A·B, a row of A that is exactly e_k gives row k of B as it is,
+which is what the sum gives (each bound is b_kj's own precision), and a row
+of B that only such rows reach is not converted.  A dense product over
 Z[i][t] was 2.4× slower on small sparse operands, and a kernel that visits
 every (i, j, k) and converts all entries of both factors was slower than
 the entrywise loop; only the sparse form is faster on every workload.
@@ -129,6 +142,15 @@ class MatK:
                 raise DimensionMismatch("matrix must be square")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+
+    @classmethod
+    def _raw(cls, rows: Sequence[Tuple[LaurentElement, ...]]) -> "MatK":
+        """Construct from n rows that are tuples of length n, taken as they
+        are (internal: for rows a kernel has just built)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", tuple(rows))
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MatK is immutable")
@@ -207,12 +229,12 @@ class MatK:
         if not isinstance(other, MatK):
             return NotImplemented
         self._check_dim(other)
-        return MatK(_products(self.rows, other.rows))
+        return MatK._raw(_products(self.rows, other.rows))
 
     def commutator(self, other: "MatK") -> "MatK":
         """self·other − other·self, in one pass of the product kernel."""
         self._check_dim(other)
-        return MatK(_products(self.rows, other.rows, other.rows, self.rows))
+        return MatK._raw(_products(self.rows, other.rows, other.rows, self.rows))
 
     def __pow__(self, k: int) -> "MatK":
         if k < 0:
@@ -245,7 +267,7 @@ class MatK:
         return acc
 
     def d_dt(self) -> "MatK":
-        return MatK([[e.d_dt() for e in r] for r in self.rows])
+        return MatK._raw([tuple(e.d_dt() for e in r) for r in self.rows])
 
     def shift(self, k: int) -> "MatK":
         """Multiply every entry by the monomial t^k."""
@@ -260,10 +282,10 @@ class MatK:
         if z.is_zero:
             raise ZeroScale("t -> 0*t is not a field automorphism")
         powers = {e: z**e for e in {e for r in self.rows for x in r for e in x.coeffs}}
-        return MatK(
+        return MatK._raw(
             [
-                [LaurentElement._raw({e: c * powers[e] for e, c in x.coeffs.items()}, x.prec)
-                 if x.coeffs else x for x in r]
+                tuple(LaurentElement._raw({e: c * powers[e] for e, c in x.coeffs.items()}, x.prec)
+                      if x.coeffs else x for x in r)
                 for r in self.rows
             ]
         )
@@ -306,14 +328,15 @@ class MatK:
         """Inverse; exact entries whenever the input is exact with a monomial det.
 
         Exact input goes through one fraction-free Gauss–Jordan pass on
-        [A | I], which yields d·A⁻¹ and d = ±det A together; only the final
-        scaling by d⁻¹ can truncate.  A monomial d (usually ±1) is divided
-        out while the entries are converted back to Laurent elements, at no
-        Laurent product.  Truncated input first takes the exact inverse of
-        its known part, with each entry cut at a valuation bound
-        (:func:`_inverse_from_known_part`); where that does not apply it
-        uses division-based Gauss–Jordan at ``working_prec``.  Raises
-        :class:`Singular` when the matrix is exactly singular.
+        the rows of [A | I] whose A part is not exactly a unit row (see
+        :func:`_inv_dense`), which yields d·A⁻¹ and d = det A together; only
+        the final scaling by d⁻¹ can truncate.  A monomial d (det A is
+        usually 1) is divided out while the entries are converted back to
+        Laurent elements, at no Laurent product.  Truncated input first
+        takes the exact inverse of its known part, with each entry cut at a
+        valuation bound (:func:`_inverse_from_known_part`); where that does
+        not apply it uses division-based Gauss–Jordan at ``working_prec``.
+        Raises :class:`Singular` when the matrix is exactly singular.
         """
         if self.all_exact():
             d, shift, den, right = _inv_dense(self)
@@ -427,35 +450,41 @@ def trace_coeff(a, b, e: int, derivative: bool = False) -> GaussianRational:
     return GaussianRational._norm(sa, sb, sd)
 
 
-def _products(a, b, c=None, d=None) -> List[List[LaurentElement]]:
+def _products(a, b, c=None, d=None) -> List[Tuple[LaurentElement, ...]]:
     """The rows of A·B, or of A·B − C·D: the product kernel (see the module
     docstring).  A and C are n rows of length n, B and D n rows of length m.
 
     Each row of A and C, and each row k of B and D that a nonzero a_ik or
     c_ik reaches, is listed once by its entries that are not exactly zero.
-    Row i of A and C goes on one common denominator and B and D together on
-    another, each the lcm of the denominators other than 1 of the entries
-    listed, so every output coefficient is an integer pair over one
-    denominator, summed in a dict per output entry and normalised once.  The
-    listed right rows are converted to integer terms once, and each nonzero
-    a_ik meets the entries of row k of B that are listed.  A pair keeps the
-    truncation bound that ``LaurentElement.__mul__`` gives it (for an exact
-    a_ik, the precision of b_kj plus the valuation of a_ik, or none), and an
-    entry the least bound of its pairs; an entry that no pair reaches is the
-    exact zero.
+    In a single product A·B, a row of A whose only such entry is the exact 1
+    at column k gives row k of B as it is, and row k is listed only when
+    another row of A reaches it.  Row i of A and C goes on one common denominator and B and D
+    together on another, each the lcm of the denominators other than 1 of
+    the entries listed, so every output coefficient is an integer pair over
+    one denominator, summed in a dict per output entry and normalised once.
+    The listed right rows are converted to integer terms once, and each
+    nonzero a_ik meets the entries of row k of B that are listed.  A pair
+    keeps the truncation bound that ``LaurentElement.__mul__`` gives it (for
+    an exact a_ik, the precision of b_kj plus the valuation of a_ik, or
+    none), and an entry the least bound of its pairs; an entry that no pair
+    reaches is the exact zero.
     """
     pairs = [(a, b, 1)] if c is None else [(a, b, 1), (c, d, -1)]
     width = len(b[0]) if b else 0
     # the entries of each left row, and of each right row that a left entry
     # reaches, that are not exactly zero
     lefts, rights = [], []
+    copies = {}  # left row -> the right row it copies: e_k·B is row k of B
     for left, right, _ in pairs:
         rows = [[(k, x) for k, x in enumerate(row) if x.coeffs or x.prec is not None]
                 for row in left]
+        if c is None:
+            copies = {i: row[0][0] for i, row in enumerate(rows)
+                      if len(row) == 1 and row[0][1].is_one()}
         lefts.append(rows)
         rights.append({
             k: [(j, y) for j, y in enumerate(right[k]) if y.coeffs or y.prec is not None]
-            for k in {k for row in rows for k, _ in row}})
+            for k in {k for i, row in enumerate(rows) if i not in copies for k, _ in row}})
     right_den = math.lcm(*{q.d for reached in rights for row in reached.values()
                            for _, y in row for q in y.coeffs.values() if q.d != 1})
     converted = [
@@ -464,6 +493,10 @@ def _products(a, b, c=None, d=None) -> List[List[LaurentElement]]:
         for reached in rights]
     out = []
     for i in range(len(a)):
+        k = copies.get(i)
+        if k is not None:
+            out.append(tuple(b[k]))
+            continue
         left_den = math.lcm(*{q.d for rows in lefts for _, x in rows[i]
                               for q in x.coeffs.values() if q.d != 1})
         entries = {}  # output column -> [exponent -> [re, im], least pair bound]
@@ -493,7 +526,7 @@ def _products(a, b, c=None, d=None) -> List[List[LaurentElement]]:
             out_row[j] = LaurentElement._raw(
                 {e: GaussianRational._norm(re, im, den) for e, (re, im) in acc.items()
                  if (re or im) and (bound is None or e < bound)}, bound)
-        out.append(out_row)
+        out.append(tuple(out_row))
     return out
 
 
@@ -886,48 +919,83 @@ def _dense_kernel(ech: List[Tuple[int, List[zipoly.Poly]]], width: int) -> List[
     return basis
 
 
+def _non_unit_rows(rows: Sequence[Sequence[LaurentElement]]) -> List[int]:
+    """The indices of the rows that are not exactly e_i, an exact 1 at i and
+    exact zeros elsewhere: the rows that the exact determinant and inverse
+    eliminate."""
+    rest = []
+    for i, row in enumerate(rows):
+        listed = [x for x in row if x.coeffs or x.prec is not None]
+        if len(listed) != 1 or listed[0] is not row[i] or not row[i].is_one():
+            rest.append(i)
+    return rest
+
+
 def _det_bareiss(mat: MatK) -> LaurentElement:
-    """Fraction-free determinant of an exact matrix."""
-    n = mat.n
-    if n == 0:
+    """Fraction-free determinant of an exact matrix A.  With R the rows that
+    are not exactly e_i, a simultaneous permutation makes A = [[B, C], [0, I]],
+    B = A[R, R], so det A = det B, and only B is eliminated."""
+    rest = _non_unit_rows(mat.rows)
+    r = len(rest)
+    if r == 0:
         return _L_ONE
-    dens, shifts, rows = _dense_rows(mat.rows)
+    dens, shifts, rows = _dense_rows([[mat.rows[i][j] for j in rest] for i in rest])
     shift = sum(shifts)
-    cols, sign, _ = _eliminate(rows, shifts, n - 1, _Plain)
-    if len(cols) < n - 1:
+    cols, sign, _ = _eliminate(rows, shifts, r - 1, _Plain)
+    if len(cols) < r - 1:
         return _L_ZERO
     return zipoly.to_laurent(rows[-1][-1], shift, sign * math.prod(dens))
 
 
 def _inv_dense(mat: MatK):
-    """Fraction-free Gauss–Jordan on [A | I] for exact A (Bareiss 1968).
+    """Fraction-free Gauss–Jordan for exact A (Bareiss 1968), on the rows
+    that are not exactly e_i.
 
     Returns (d, shift, den, right) with d·A⁻¹ = t^shift·right/den and
-    ±det A = t^shift·d/den, where d, the last pivot, and the entries of right
-    are polynomials of Z[i][t].  The pivot order only flips the sign of d and
-    d·A⁻¹ together; :func:`_pick_short` prefers a monomial pivot, which makes
-    the next division a shift instead of a long division.  Row r of [A | I]
-    enters scaled by its denominator D and by t^(-s), with s its least
-    exponent (at most 0, since the row holds a 1), so the whole pass stays in
-    Z[i][t].  Only the A half goes through :func:`zipoly.from_row`; the I half
-    of row r is D·t^(−s)·e_r, written down directly.
+    det A = t^shift·d/den, where d and the entries of right are polynomials
+    of Z[i][t].  With R the other rows and S the unit rows, a simultaneous
+    permutation makes A = [[B, C], [0, I]], so A⁻¹ = [[B⁻¹, −B⁻¹C], [0, I]].
+    Row k of R enters as [B | −C | e_k], columns ordered R then S, scaled by
+    its denominator D and by t^(-s), with s its least exponent or 0 when
+    that is higher, so the whole pass stays in Z[i][t]; the rows of S enter
+    with D = 1 and s = 0.  Only [B | −C] goes through
+    :func:`zipoly.from_row`; e_k is scaled directly.  Gauss–Jordan for |R|
+    steps leaves [d·I | −d·B⁻¹C | d·B⁻¹], d the last pivot times the sign of
+    the row permutation, and d·A⁻¹ is assembled from it with d·I on S.  The
+    sign makes d the determinant of the scaled matrix whatever the pivot
+    order; :func:`_pick_short` prefers a monomial pivot, which makes the
+    next division a shift instead of a long division.
     """
     n = mat.n
-    if n == 0:
-        return [(1, 0)], 0, 1, []
+    rest = _non_unit_rows(mat.rows)
+    units = sorted(set(range(n)).difference(rest))
+    order = rest + units
+    r = len(rest)
     dens, shifts, rows = [], [], []
-    for i, r in enumerate(mat.rows):
-        row_den, s, polys = zipoly.from_row(r, 0)
-        unit: List[zipoly.Poly] = [[] for _ in range(n)]
-        unit[i] = [(0, 0)] * -s + [(row_den, 0)]
+    for k, i in enumerate(rest):
+        row_den, s, polys = zipoly.from_row([mat.rows[i][j] for j in order], 0)
+        unit: List[zipoly.Poly] = [[] for _ in range(r)]
+        unit[k] = [(0, 0)] * -s + [(row_den, 0)]
         dens.append(row_den)
         shifts.append(s)
-        rows.append(polys + unit)
+        rows.append(polys[:r] + [zipoly.neg(f) if f else f for f in polys[r:]] + unit)
     shift, den = sum(shifts), math.prod(dens)
-    cols, _, d = _eliminate(rows, shifts, n, _Plain, jordan=True)
-    if len(cols) < n:
+    cols, sign, d = _eliminate(rows, shifts, r, _Plain, jordan=True)
+    if len(cols) < r:
         raise Singular("matrix is exactly singular")
-    return d, shift, den, [r[n:] for r in rows]
+    if r == 0:
+        d = [(1, 0)]
+    elif sign < 0:
+        d = zipoly.neg(d)
+    right: List[List[zipoly.Poly]] = [[[] for _ in range(n)] for _ in range(n)]
+    for i in units:
+        right[i][i] = d
+    for i, row in zip(rest, rows):
+        out = right[i]
+        for j, f in zip(units + rest, row[r:]):
+            if f:
+                out[j] = f if sign > 0 else zipoly.neg(f)
+    return d, shift, den, right
 
 
 def _monomial_inverse(d: zipoly.Poly, right) -> Optional[MatK]:
@@ -942,7 +1010,8 @@ def _monomial_inverse(d: zipoly.Poly, right) -> Optional[MatK]:
     if b:
         right = [[zipoly.mul(e, [(a, -b)]) for e in r] for r in right]
     den = a * a + b * b if b else a
-    return MatK([[zipoly.to_laurent(e, -j, den) if e else _L_ZERO for e in r] for r in right])
+    return MatK._raw([tuple(zipoly.to_laurent(e, -j, den) if e else _L_ZERO for e in r)
+                      for r in right])
 
 
 def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:

@@ -132,6 +132,11 @@ def to_laurent(f: Poly, shift: int = 0, den: int = 1) -> LaurentElement:
     )
 
 
+def neg(f: Poly) -> Poly:
+    """−f."""
+    return [(-a, -b) for a, b in f]
+
+
 def low(f: Poly) -> int:
     """Index of the first nonzero pair of a nonzero polynomial."""
     for i, pair in enumerate(f):

@@ -17,7 +17,7 @@ from affnil import (
 )
 from affnil.affine import adjoint_act, form_t
 from affnil.laurent import DEFAULT_WORKING_PREC
-from affnil import zipoly
+from affnil import matk, zipoly
 from affnil.errors import ExactDivisionError
 from affnil.matk import (
     _Dual,
@@ -27,6 +27,7 @@ from affnil.matk import (
     _gauss_jordan,
     _inv_dense,
     _inverse_from_known_part,
+    _non_unit_rows,
     _pick_pivot,
     _pick_short,
     _rank,
@@ -902,6 +903,7 @@ def _oracle_inv_bareiss(m: MatK):
     left = [list(r) for r in m.rows]
     right = [list(r) for r in MatK.identity(n).rows]
     prev = lp("1")
+    sign = 1
     for k in range(n):
         idx = _oracle_pick_short([(i, left[i][k]) for i in range(k, n)])
         if idx is None:
@@ -909,6 +911,7 @@ def _oracle_inv_bareiss(m: MatK):
         if idx != k:
             left[k], left[idx] = left[idx], left[k]
             right[k], right[idx] = right[idx], right[k]
+            sign = -sign
         p = left[k][k]
         for i in range(n):
             if i == k:
@@ -919,6 +922,9 @@ def _oracle_inv_bareiss(m: MatK):
                     num = p * dst[j] - f * src[j]
                     dst[j] = num if prev.is_one() or not num.coeffs else num.exact_div(prev)
         prev = p
+    # the last pivot is det A up to the sign of the row permutation
+    if sign < 0:
+        return -prev, -MatK(right)
     return prev, MatK(right)
 
 
@@ -1074,19 +1080,25 @@ def test_det_and_adj_trace_of_the_empty_matrix():
 
 def _dense_loop_inverse(m: MatK):
     """(d, right, combine calls) of the Gauss–Jordan pass of :func:`_inv_dense`
-    with the dense row update: a row with f ≠ 0, or any row when p/prev is not
-    exact, takes (p·x − f·y)/prev at every column where x or f·y is nonzero."""
+    on all n rows of [A | I], unit rows included, with the dense row update:
+    a row with f ≠ 0, or any row when p/prev is not exact, takes
+    (p·x − f·y)/prev at every column where x or f·y is nonzero.  As in
+    :func:`_inv_dense`, d is the last pivot times the sign of the row
+    permutation, the determinant of the scaled matrix, and right is d·A⁻¹."""
     n = m.n
     unit = MatK.identity(n).rows
     _, shifts, rows = _dense_rows([r + u for r, u in zip(m.rows, unit)])
     calls = 0
     prev = None
+    sign = 1
     for col in range(n):
         idx = _pick_short([(i, shifts[i], rows[i][col]) for i in range(col, n)])
         if idx is None:
             raise Singular("matrix is exactly singular")
-        rows[col], rows[idx] = rows[idx], rows[col]
-        shifts[col], shifts[idx] = shifts[idx], shifts[col]
+        if idx != col:
+            rows[col], rows[idx] = rows[idx], rows[col]
+            shifts[col], shifts[idx] = shifts[idx], shifts[col]
+            sign = -sign
         pivot_row = rows[col]
         p = pivot_row[col]
         try:
@@ -1108,6 +1120,8 @@ def _dense_loop_inverse(m: MatK):
                     calls += 1
             row[col] = []
         prev = p
+    if sign < 0:
+        return zipoly.neg(prev), [[zipoly.neg(e) for e in r[n:]] for r in rows], calls
     return prev, [r[n:] for r in rows], calls
 
 
@@ -1189,15 +1203,16 @@ def test_exact_inverse_of_sparse_groups_matches_the_oracles():
 
 
 def test_exact_loop_row_branches(monkeypatch):
-    # f = 0, and an exact quotient p/prev = 2 with zero pivot-row columns: with
-    # A = diag(2, 1/2, 1)·(I + t·E_10), [A | I] enters as the rows
-    # (2, 0, 0 | 1, 0, 0), (t, 1, 0 | 0, 2, 0) and (0, 0, 1 | 0, 0, 1).  The
-    # first pivot is 2 and prev is 1; row 1 (f = t) combines at column 3
-    # only, where the pivot row is nonzero, and becomes 2·x at columns 1 and
-    # 4; row 2 (f = 0) is scaled by 2.  The later quotients are 1.
+    # an exact quotient p/prev = 2 with zero pivot-row columns: with
+    # A = diag(2, 1/2, 1)·(I + t·E_10), row 2 is e_2 and is not eliminated,
+    # and [B | −C | I] enters as the rows (2, 0 | 0 | 1, 0) and
+    # (t, 1 | 0 | 0, 2), C = 0.  The first pivot is 2 and prev is 1; row 1
+    # (f = t) combines at column 3 only, where the pivot row is nonzero, and
+    # becomes 2·x at columns 1 and 4.  The second quotient is 1, and row 2 of
+    # d·A⁻¹ is d·e_2.
     m = MatK.diag([lp("2"), lp("1/2"), lp("1")]) * MatK.shear(3, 1, 0, lp("t"))
     (d, _, _, right), counts = _counted(monkeypatch, _inv_dense, m)
-    assert counts == {"combine": 1, "scale": 4, "inexact": 0}
+    assert counts == {"combine": 1, "scale": 2, "inexact": 0}
     assert d == [(2, 0)]
     assert right == [[[(1, 0)], [], []], [[(0, 0), (-1, 0)], [(4, 0)], []], [[], [], [(2, 0)]]]
     _check_inverse(m, "diag·shear")
@@ -1219,26 +1234,127 @@ def test_exact_loop_row_branches(monkeypatch):
 def test_exact_inverse_combines_only_at_pivot_row_columns(monkeypatch):
     # n = 12, eight shears, 21 nonzero entries of 144: the dense loop makes
     # 67 combines, and 19 of them are at a zero of the pivot row in a row
-    # with f != 0, where the entry only becomes (p/prev)·x.  Those are now
-    # scale products (or nothing, when p/prev = 1), so 48 combines are left.
+    # with f != 0, where the entry only becomes (p/prev)·x.  Those are scale
+    # products (or nothing, when p/prev = 1), which leaves 48 combines on
+    # all 12 rows; 6 of the rows are exactly e_i and are not eliminated, and
+    # the 6 others make 14.
     m = _shear_product(random.Random(12), 12, 8)
     d, right, dense_calls = _dense_loop_inverse(m)
     (got_d, _, _, got_right), counts = _counted(monkeypatch, _inv_dense, m)
     assert (got_d, got_right) == (d, right)
-    assert (counts["combine"], dense_calls) == (48, 67)
+    assert len(_non_unit_rows(m.rows)) == 6
+    assert (counts["combine"], dense_calls) == (14, 67)
+
+
+# -- rows that are exactly e_i take no part in exact elimination ----------------
+#
+# With R the other rows and S the unit rows, A = [[B, C], [0, I]] after one
+# simultaneous permutation, so det A = det B and A⁻¹ = [[B⁻¹, −B⁻¹C], [0, I]].
+# The oracles below eliminate all n rows.
+
+
+def _check_against_the_oracles(m: MatK, where):
+    det = m.det()
+    assert det == _oracle_det(m), where
+    try:
+        d, scaled = _oracle_inv_bareiss(m)
+    except Singular:
+        assert not det.coeffs, where
+        with pytest.raises(Singular):
+            _inv_dense(m)
+        with pytest.raises(Singular):
+            m.inv()
+        return
+    assert _scaled_inverse(m) == (d, scaled) and d == det, where
+    assert m.inv() == _cofactor_inverse(m), where
+
+
+def _with_unit_rows(rng: random.Random, n: int, units):
+    """A seeded exact matrix whose rows in `units` are e_i; the others have
+    a diagonal entry that is not 1 (its t^3 term never cancels) and entries
+    in the unit columns."""
+    rows = [[_random_entry(rng, 0.6) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = _random_entry(rng) + lp("t^3")
+        if i in units:
+            rows[i] = [lp("1" if j == i else "0") for j in range(n)]
+    return MatK(rows)
+
+
+def test_unit_rows_at_every_position_match_the_oracles():
+    rng = random.Random("unit-rows")
+    for n in range(1, 5):
+        for mask in range(1 << n):
+            units = {i for i in range(n) if mask >> i & 1}
+            m = _with_unit_rows(rng, n, units)
+            assert _non_unit_rows(m.rows) == [i for i in range(n) if i not in units]
+            _check_against_the_oracles(m, (n, sorted(units)))
+    # r = 0: the identity is not eliminated at all
+    for n in (1, 4):
+        assert _inv_dense(MatK.identity(n)) == (
+            [(1, 0)], 0, 1, [[[(1, 0)] if i == j else [] for j in range(n)] for i in range(n)])
+        assert MatK.identity(n).inv() == MatK.identity(n)
+        assert MatK.identity(n).det() == lp("1")
+
+
+def test_unit_rows_with_a_singular_or_non_monomial_block():
+    rng = random.Random("unit-rows-b")
+    for n in range(3, 7):
+        units = set(rng.sample(range(n), n // 2))
+        rest = [i for i in range(n) if i not in units]
+        m = _with_unit_rows(rng, n, units)
+        # B singular: a row of R is f times another row of R plus a unit row,
+        # or has entries in the unit columns only
+        a, b, s = rest[0], rest[-1], min(units)
+        rows = [list(r) for r in m.rows]
+        rows[a] = [f * lp("t - 2") + e for f, e in zip(rows[b], rows[s])]
+        singular = MatK(rows)
+        rows = [list(r) for r in m.rows]
+        rows[a] = [lp("3*t") if j == s else lp("0") for j in range(n)]
+        zero_block_row = MatK(rows)
+        for low in (singular, zero_block_row):
+            assert low.det() == lp("0")
+            _check_against_the_oracles(low, (n, "singular B"))
+        # det B not a monomial: MatK.inv truncates at the final scaling
+        shear = _shear_product(rng, n, 4)
+        m = _scale_row(shear, rng.choice(_non_unit_rows(shear.rows)), lp("1 + t"))
+        assert len(m.det().coeffs) > 1
+        assert not m.inv().all_exact()
+        _check_against_the_oracles(m, (n, "non-monomial det"))
+
+
+def test_rows_near_e_i_are_eliminated():
+    base = [["1", "0", "0", "0"], ["t^-1", "1", "0", "2*t"],
+            ["0", "0", "1", "0"], ["0", "(1+i)", "0", "1"]]
+    # 2·e_2 with 1/2 on row 0, and e_3 at row 2 with e_2 at row 3: exact
+    doubled = mat([["1/2", "0", "0", "0"], base[1], ["0", "0", "2", "0"], base[3]])
+    swapped = mat([base[0], base[1], ["0", "0", "0", "1"], ["0", "0", "1", "0"]])
+    for m, rest in ((doubled, [0, 1, 2, 3]), (swapped, [1, 2, 3])):
+        assert _non_unit_rows(m.rows) == rest
+        _check_against_the_oracles(m, rest)
+    # e_2 with diagonal 1 + O(t^9), and e_2 with an O(t^5) entry: truncated
+    for entry, text in ((2, "1 + O(t^9)"), (0, "O(t^5)")):
+        rows = [list(r) for r in mat(base).rows]
+        rows[2][entry] = lp(text)
+        m = MatK(rows)
+        assert _non_unit_rows(m.rows) == [1, 2, 3]
+        assert m.det(24) == _det_division(m, 24)
+        assert _at_least_as_precise(m.inv(24), _gauss_jordan(m, 24, inverse=True))
 
 
 # The ring.combine and ring.mul calls of the exact loop, recorded from the loop
 # that updated a row in two passes (the Bareiss step at the pivot row's nonzero
 # columns, then the products with p/prev); the one update rule per entry must
-# make the same calls.  The stress P are the Jordan bases of the benchmark's
-# classify-stress cases.
+# make the same calls.  The det and inv counts were recorded again when the
+# rows that are exactly e_i stopped entering the loop: only the other rows are
+# eliminated, so those passes make fewer calls.  The stress P are the Jordan
+# bases of the benchmark's classify-stress cases.
 _LOOP_CALLS = {
-    "stress P: det": {"_Plain.combine": 161, "_Plain.mul": 236},
+    "stress P: det": {"_Plain.combine": 159, "_Plain.mul": 225},
     "stress P: kernel_basis": {"_Plain.combine": 188, "_Plain.mul": 172},
     "stress P: det_and_adj_trace(P, P')": {"_Dual.combine": 161, "_Dual.mul": 236},
-    "shear products: inv": {"_Plain.combine": 138, "_Plain.mul": 651},
-    "diag(2, 1/2, 1): inv": {"_Plain.mul": 4},
+    "shear products: inv": {"_Plain.combine": 82, "_Plain.mul": 352},
+    "diag(2, 1/2, 1): inv": {"_Plain.mul": 2},
     "diag(2, 1/2, 1): det_and_adj_trace": {"_Dual.mul": 3},
 }
 
@@ -1470,6 +1586,36 @@ def test_product_kernel_exact_left_entry_against_truncated_right_entries():
     assert product.rows[1] == (LaurentElement({3: gr(Fraction(1, 3))}, 5),
                                LaurentElement.zero(), LaurentElement({4: gr(5)}))
     assert product.rows[2] == (LaurentElement.zero(),) * 3
+
+
+def test_product_kernel_copies_unit_rows(monkeypatch):
+    # rows 0 and 2 of a are e_1 and e_3, row 3 is e_3 with diagonal 1 + O(t^4):
+    # row 1 of b is reached by the unit row 0 and by row 1, and row 3 of b by
+    # the unit row 2 and by the rows 1 and 3
+    a = mat([["0", "1", "0", "0"], ["t", "1/2", "0", "(2i)"],
+             ["0", "0", "0", "1"], ["0", "0", "0", "1 + O(t^4)"]])
+    b = mat([["(1/3)*t^-1", "0", "t^2", "1"],
+             ["1 + t + O(t^3)", "O(t^2)", "0", "(1/2+i)*t^-2"],
+             ["5", "0", "0", "0"],
+             ["1/2 - t + O(t^5)", "0", "O(t^-1)", "(i)*t^2"]])
+    product = a * b
+    assert _entry_data(product.rows) == _entry_data(_entrywise_product(a.rows, b.rows))
+    assert product.rows[0] is b.rows[1] and product.rows[2] is b.rows[3]
+    v = (lp("2"), lp("1 + O(t^3)"), lp("0"), LaurentElement.zero(-2))
+    assert [(e.coeffs, e.prec) for e in a.apply(v)] == [
+        r[0] for r in _entry_data(_entrywise_product(a.rows, [(x,) for x in v]))]
+    # the rows of b that only unit rows reach are not converted
+    converted = []
+    terms = matk.integer_terms
+
+    def counted(coeffs, den):
+        converted.append(coeffs)
+        return terms(coeffs, den)
+
+    monkeypatch.setattr(matk, "integer_terms", counted)
+    assert (MatK.identity(4) * b).rows == b.rows and converted == []
+    a.commutator(b)
+    assert converted
 
 
 # three n x n operands, n = 1..5, of the entries drawn for trace_coeff above
