@@ -36,9 +36,9 @@ chains are kept only under a certificate: the heights sum to n, which makes
 the chain vectors a basis at the point (so det P != 0), and x P = P J holds
 exactly, which together prove that x is nilpotent of type sigma.  Otherwise
 the next point is tried.  When no point certifies, and for truncated input,
-the exact pass takes all powers of x and all their kernels, and each
-independence answer is a rank over K from the echelon form of
-:mod:`affnil.matk`, which is dense and fraction-free for exact input.
+the pass over K reads sigma off the kernels of all powers of x and keeps
+the tops by the same rule (:func:`_choose_tops`), each answer a rank over K
+from the echelon form of :mod:`affnil.matk`; an undetermined one keeps none.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ class _Echelon:
     def add(self, v: Vector) -> bool:
         """Keep v and return True when it is independent of the rows kept."""
         rows = self.rows + [v]
-        if _rank(rows, self.width) == len(self.rows):
+        if all(e.is_zero_3v() is True for e in v) or _rank(rows, self.width) == len(self.rows):
             return False
         self.rows = rows
         return True
@@ -302,29 +302,28 @@ class _ModEchelon:
         return True
 
 
-def _greedy_tops(kernels: list, apply, echelon) -> List[Tuple[int, int]]:
-    """(height j, index in kernels[j - 1]) of each chain top, tallest first.
-
-    Tops at height j are the vectors of kernels[j - 1], a basis of ker x^j,
-    independent of kernels[j - 2], which spans ker x^(j-1), together with
-    the once-applied images of all taller chains.  ``apply`` is x on the
-    vectors and ``echelon()`` a fresh independence test for them.
+def _choose_tops(sigma: Tuple[int, ...], ends, kept) -> List[Tuple[int, int]]:
+    """(height h, index) of each chain top of the partition sigma, tallest
+    first.  ``ends(h)`` yields the kernel end x^(h-1)·v of each candidate v
+    of height h, and a candidate is a top when ``kept.add`` finds its end
+    independent of the ends kept before it; an undetermined answer
+    (:class:`PrecisionExhausted`) keeps nothing.  Only the parts h of sigma
+    are searched, each until it has sigma.count(h) tops.
     """
-    chains: List[list] = []  # [height, index, image of the top under x^(height - j)]
-    for j in range(len(kernels), 0, -1):
-        ech = echelon()
-        if j >= 2:
-            for v in kernels[j - 2]:
-                ech.add(v)
-        for ch in chains:
-            ech.add(ch[2])
-        for idx, v in enumerate(kernels[j - 1]):
-            if ech.add(v):
-                chains.append([j, idx, v])
-        if j > 1:
-            for ch in chains:
-                ch[2] = apply(ch[2])
-    return [(height, idx) for height, idx, _ in chains]
+    tops = []
+    for h in sorted(set(sigma), reverse=True):
+        wanted = sigma.count(h)
+        for idx, end in enumerate(ends(h)):
+            try:
+                keep = kept.add(end)
+            except PrecisionExhausted:
+                keep = False
+            if keep:
+                tops.append((h, idx))
+                wanted -= 1
+                if not wanted:
+                    break
+    return tops
 
 
 def _point_chains(x: MatK, working_prec: int) -> Optional[ChainData]:
@@ -376,8 +375,9 @@ def _tops_at_point(x: MatK, t0: int, kernel) -> Tuple[List[List[Vector]], List[T
     A candidate v of height h is a top when its kernel end x(t0)^(h-1)·v is
     independent of the kernel ends kept before it; for h = m those are the
     columns of x(t0)^(m-1).  On ker x^h, x^(h-1) has kernel ker x^(h-1), so
-    this keeps the tops of :func:`_greedy_tops`.  As x(t0)^h·v = 0, chain
-    vectors whose kernel ends are independent are independent: apply x^k to
+    this keeps the tops of the classical rule: v independent of ker x^(h-1)
+    and the images of the taller chains.  As x(t0)^h·v = 0, chain vectors
+    whose kernel ends are independent are independent: apply x^k to
     a relation among them, k the largest distance to a kernel end in it,
     and a relation among kernel ends is left.
     """
@@ -394,18 +394,18 @@ def _tops_at_point(x: MatK, t0: int, kernel) -> Tuple[List[List[Vector]], List[T
         ends, columns = columns, [apply(col) for col in columns]
     m = len(ranks)
     candidates: List[List[Vector]] = [[] for _ in range(m)]
-    kept = _ModEchelon()
-    tops = []
-    for h in sorted(set(_partition_from_ranks(ranks + [0])), reverse=True):
+
+    def kernel_ends(h: int):
         if h == m:
             candidates[h - 1] = list(MatK.identity(n).rows)
-            ends_h = ends
-        else:
-            candidates[h - 1] = kernel(h)
-            ends_h = [zipoly.values_mod_p(v, t0) for v in candidates[h - 1]]
-            for _ in range(h - 1):
-                ends_h = [apply(end) for end in ends_h]
-        tops.extend((h, idx) for idx, end in enumerate(ends_h) if kept.add(end))
+            return ends
+        candidates[h - 1] = kernel(h)
+        ends_h = [zipoly.values_mod_p(v, t0) for v in candidates[h - 1]]
+        for _ in range(h - 1):
+            ends_h = [apply(end) for end in ends_h]
+        return ends_h
+
+    tops = _choose_tops(_partition_from_ranks(ranks + [0]), kernel_ends, _ModEchelon())
     return candidates, tops
 
 
@@ -422,22 +422,20 @@ def _apply_mod_p(columns: List[List[int]], v: List[int]) -> List[int]:
 def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainData:
     """Jordan basis of a nilpotent x: P with x P = P J, sizes non-increasing.
 
-    Chain tops at height j are kernel vectors of x^j independent of
-    ker(x^(j-1)) together with the once-applied images of all taller chains.
+    A chain top of height h, a part of sigma, is a kernel vector of x^h whose
+    kernel end x^(h-1)·v is independent of those kept before (:func:`_choose_tops`).
     The tops come from :meth:`MatK.kernel_basis` as they are, carrying only
     the echelon pivots their back-substitution needed; a polynomial common
     factor may remain.  Each chain is scaled by the content of its kernel
     end, which keeps P close to unimodular on simple inputs, and x P = P J
     is checked at the kernel ends (:func:`_chain_basis`).
 
-    Exact x goes through :func:`_point_chains`: the partition and every
-    independence answer come from a point, where a top is kept when its
-    kernel end is independent of the kernel ends kept before it, and only
-    the heights that carry a chain top below the nilpotency index get an
-    exact power and kernel.  When no point certifies, and for truncated x,
-    all powers and all their kernels are exact, and each answer is a rank
-    over K (:class:`_Echelon`) by the rule above.  Both passes choose the
-    same tops when the first point is not degenerate.
+    Exact x goes through :func:`_point_chains`: sigma and every answer come
+    from a point, and only the heights that carry a chain top below the
+    nilpotency index get an exact power and kernel.  When no point
+    certifies, and for truncated x, sigma is read off the kernel dimensions
+    of all powers, and each answer is a rank over K (:class:`_Echelon`).
+    Both passes choose the same tops when the first point is not degenerate.
     """
     n = x.n
     if x.all_exact():
@@ -446,9 +444,10 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
             return chains
     powers = nilpotent_powers(x)
     kernels = [power.kernel_basis(working_prec) for power in powers[1:]]
-    tops = _greedy_tops(kernels, x.apply, lambda: _Echelon(n))
-    sigma = tuple(height for height, _ in tops)
-    if sum(sigma) != n:
+    sigma = _partition_from_ranks([n] + [n - len(kernel) for kernel in kernels])
+    tops = _choose_tops(
+        sigma, lambda h: (powers[h - 1].apply(v) for v in kernels[h - 1]), _Echelon(n))
+    if sum(height for height, _ in tops) != n:
         raise PrecisionExhausted("chain construction did not span the space")
     p_mat = _chain_basis(x, kernels, tops)
     if p_mat is None:

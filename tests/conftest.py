@@ -18,7 +18,7 @@ from affnil import (
     gr,
     parse_laurent,
 )
-from affnil.selfcheck import random_group, random_orbit_case
+from affnil.selfcheck import random_group, random_laurent, random_orbit_case
 
 # When a @given test fails, hypothesis imports this module to print a patch;
 # it pulls in libcst, whose import warns DeprecationWarning, and the
@@ -52,6 +52,21 @@ def stress_case(n: int, shears: int, j: int):
     g = random_group(rng, n, shears)
     level = _STRESS_LEVELS[j % len(_STRESS_LEVELS)]
     return sigma, k, level, adjoint_act(g, AffineElement(elem.mat, level), 64)
+
+
+def lower_truncated_cases(seed: str, count: int, smallest: int = 2, sizes: int = 5):
+    """(exact x, cut x, level) for `count` strictly lower triangular x of
+    sizes n = smallest + case % sizes, with about half of the nonzero entries
+    of the cut x cut 1, 5 or 20 above their top exponent."""
+    rng = random.Random(seed)
+    for case in range(count):
+        n = smallest + case % sizes
+        exact = [[random_laurent(rng, max_terms=2) if j < i else lp("0") for j in range(n)]
+                 for i in range(n)]
+        cut = [[LaurentElement(e.coeffs, max(e.coeffs) + rng.choice((1, 5, 20)))
+                if e.coeffs and rng.random() < 0.5 else e for e in row] for row in exact]
+        level = rng.choice(_STRESS_LEVELS)
+        yield MatK(exact), MatK(cut), level
 
 
 def trunc_bound(x: LaurentElement):

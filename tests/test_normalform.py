@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -38,7 +39,7 @@ from affnil.matk import normalize_vector
 from affnil.normalform import jordan_chains, nilpotent_powers
 from affnil.selfcheck import random_group, random_laurent, random_orbit_case
 
-from conftest import lp, mat, stress_case
+from conftest import lower_truncated_cases, lp, mat, stress_case
 
 
 def E(n, i, j, value="1"):
@@ -314,12 +315,60 @@ def test_k_label_over_refines_orbits_at_gcd_partitions():
 # -- chain tops by independence tests at a point, certified ---------------------------------
 
 
-def _kernels(x):
-    return [power.kernel_basis() for power in nilpotent_powers(x)[1:]]
+def _kernels(x, working_prec=DEFAULT_WORKING_PREC):
+    return [power.kernel_basis(working_prec) for power in nilpotent_powers(x)[1:]]
 
 
-def _exact_tops(x, kernels):
-    return normalform._greedy_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
+def _exact_pass_tops(x):
+    """The candidates (exact kernels of every power) and the tops that the
+    pass over K hands to ``_chain_basis``."""
+    seen = []
+    chain_basis = normalform._chain_basis
+
+    def spy(x, candidates, tops):
+        seen.append((candidates, tops))
+        return chain_basis(x, candidates, tops)
+
+    with pytest.MonkeyPatch.context() as patch:
+        _without_point_path(patch)
+        patch.setattr(normalform, "_chain_basis", spy)
+        jordan_chains(x)
+    return seen[0]
+
+
+def _classical_tops(kernels, apply, echelon):
+    """Oracle: the classical rule.  (height j, index in kernels[j - 1]) of
+    each chain top, tallest first, where a top at height j is a vector of
+    kernels[j - 1], a basis of ker x^j, independent of kernels[j - 2], which
+    spans ker x^(j-1), together with the once-applied images of all taller
+    chains; ``echelon()`` is a fresh independence test at every height."""
+    chains = []  # [height, index, image of the top under x^(height - j)]
+    for j in range(len(kernels), 0, -1):
+        ech = echelon()
+        if j >= 2:
+            for v in kernels[j - 2]:
+                ech.add(v)
+        for ch in chains:
+            ech.add(ch[2])
+        for idx, v in enumerate(kernels[j - 1]):
+            if ech.add(v):
+                chains.append([j, idx, v])
+        if j > 1:
+            for ch in chains:
+                ch[2] = apply(ch[2])
+    return [(height, idx) for height, idx, _ in chains]
+
+
+def _classical_chains(x, working_prec=DEFAULT_WORKING_PREC):
+    """Oracle: ``jordan_chains`` of the pass over K with the classical rule,
+    raising PrecisionExhausted wherever a test at some height is
+    undetermined or the tops fall short of n."""
+    kernels = _kernels(x, working_prec)
+    tops = _classical_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
+    sigma = tuple(height for height, _ in tops)
+    if sum(sigma) != x.n:
+        raise PrecisionExhausted("chain construction did not span the space")
+    return normalform.ChainData(normalform._chain_basis(x, kernels, tops), sigma)
 
 
 class _LaurentEchelon:
@@ -366,10 +415,81 @@ def test_exact_pass_matches_the_laurent_echelon():
             _, _, _, elem, g = random_orbit_case(rng, n)
             cases.append(adjoint_act(g, elem).mat)
     for x in cases:
-        kernels = _kernels(x)
-        oracle = normalform._greedy_tops(kernels, x.apply, lambda: _LaurentEchelon(x.n))
-        assert _exact_tops(x, kernels) == oracle
-    assert _exact_tops(truncated, _kernels(truncated)) == [(2, 0)]
+        kernels, tops = _exact_pass_tops(x)
+        assert tops == _classical_tops(kernels, x.apply, lambda: _LaurentEchelon(x.n))
+    assert _exact_pass_tops(truncated)[1] == [(2, 0)]
+
+
+def _cut_conjugates(seed, per_size):
+    """(x, x with one nonzero entry cut 1, 3 or 8 above its top exponent,
+    level) for seeded conjugates x of canonical representatives, n = 2..6."""
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        for _ in range(per_size):
+            _, _, level, elem, g = random_orbit_case(rng, n)
+            x = adjoint_act(g, elem).mat
+            rows = [list(row) for row in x.rows]
+            nonzero = [(i, j) for i in range(n) for j in range(n) if rows[i][j].coeffs]
+            if nonzero:
+                i, j = rng.choice(nonzero)
+                e = rows[i][j]
+                rows[i][j] = LaurentElement(e.coeffs, max(e.coeffs) + rng.choice((1, 3, 8)))
+            yield x, MatK(rows), level
+
+
+def _answer(x, level, chains):
+    """(label, repr(P)) with ``chains`` as jordan_chains, or None where
+    classify raises PrecisionExhausted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(normalform, "jordan_chains", chains)
+        try:
+            return classify(AffineElement(x, level)), repr(chains(x).p_mat)
+        except PrecisionExhausted:
+            return None
+
+
+def test_kernel_end_rule_answers_every_truncated_input_the_classical_rule_answers():
+    # wherever the classical rule answers, the kernel-end rule at the parts of
+    # sigma answers with the same label and P, and it answers more: 42 of the
+    # 50 lower-truncated matrices against 36, and 34 of 60 cut conjugates
+    # against 33; every answer is the label of the uncut x
+    cases = itertools.chain(lower_truncated_cases("lower-truncated", 50),
+                            _cut_conjugates("cut-conjugates", 12))
+    classical = kernel_ends = 0
+    for exact, cut, level in cases:
+        oracle = _answer(cut, level, _classical_chains)
+        got = _answer(cut, level, jordan_chains)
+        if oracle is not None:
+            assert got == oracle
+        if got is not None:
+            assert got[0] == classify(AffineElement(exact, level))
+        classical += oracle is not None
+        kernel_ends += got is not None
+    assert kernel_ends > classical
+    assert kernel_ends >= 76
+
+
+def test_an_undetermined_kernel_end_keeps_nothing_and_the_search_goes_on():
+    # sigma = (3, 2), case 138 of the 150 lower-truncated matrices seeded
+    # "lt-150-c" (n = 3..6): the kernel end of the first candidate of height
+    # 2 is undetermined against the end of the 3-chain, so it is skipped,
+    # and the second candidate is kept
+    rows = [["0", "0", "0", "0", "0"],
+            ["(-3-1/2i)*t^2", "0", "0", "0", "0"],
+            ["0", "0", "0", "0", "0"],
+            ["0", "-3/2*t^2 + O(t^7)", "0", "0", "0"],
+            ["0", "-1/2*t^-2 + O(t^-1)", "-t^3 + O(t^23)", "0", "0"]]
+    x = mat(rows)
+    kernels, tops = _exact_pass_tops(x)
+    assert tops == [(3, 0), (2, 1)]
+    powers = nilpotent_powers(x)
+    kept = normalform._Echelon(x.n)
+    assert kept.add(powers[2].apply(kernels[2][0]))
+    with pytest.raises(PrecisionExhausted):
+        kept.add(powers[1].apply(kernels[1][0]))
+    assert kept.add(powers[1].apply(kernels[1][1]))
+    uncut = mat([[e.split(" + O(")[0] for e in row] for row in rows])
+    assert classify(AffineElement(x, gr(1))) == classify(AffineElement(uncut, gr(1)))
 
 
 def _without_point_path(monkeypatch):
@@ -428,19 +548,43 @@ def _count_kernels_and_products(monkeypatch):
     return calls
 
 
-def test_single_block_takes_no_kernel_and_one_product(monkeypatch):
-    # sigma = (n): the only chain top has the nilpotency index as height, so
-    # its candidates are the identity basis; the chain takes n - 1 applies,
-    # and the one product is x times the kernel end
+def _single_block_cases():
+    """Two classify-stress cases and seeded conjugates of D_(n), n = 2..6."""
     rng = random.Random("single-block")
     cases = [stress_case(8, 20, 1)[3].mat, stress_case(8, 20, 3)[3].mat]
     for n in range(2, 7):
         cases.append(adjoint_act(random_group(rng, n, 4), AffineElement(canonical_rep((n,), 0))).mat)
-    for x in cases:
+    return cases
+
+
+def test_single_block_takes_no_kernel_and_one_product(monkeypatch):
+    # sigma = (n): the only chain top has the nilpotency index as height, so
+    # its candidates are the identity basis; the chain takes n - 1 applies,
+    # and the one product is x times the kernel end
+    for x in _single_block_cases():
         calls = _count_kernels_and_products(monkeypatch)
         assert jordan_chains(x).sigma == (x.n,)
         assert calls == {"kernels": 0, "products": 1, "applies": x.n - 1}
         monkeypatch.undo()
+
+
+def test_single_block_takes_one_rank_over_k(monkeypatch):
+    # sigma = (n) in the pass over K: the only part is the nilpotency index,
+    # whose candidates are the identity basis, and the first one whose kernel
+    # end (a column of x^(n-1)) is not exactly zero is kept by one rank
+    _without_point_path(monkeypatch)
+    calls = {"ranks": 0}
+    rank = normalform._rank
+
+    def counted_rank(rows, width):
+        calls["ranks"] += 1
+        return rank(rows, width)
+
+    monkeypatch.setattr(normalform, "_rank", counted_rank)
+    for x in _single_block_cases():
+        calls["ranks"] = 0
+        assert jordan_chains(x).sigma == (x.n,)
+        assert calls["ranks"] == 1
 
 
 def test_exact_kernels_only_at_heights_that_carry_a_top(monkeypatch):
@@ -746,14 +890,6 @@ def test_times_jordan_is_the_product_with_j():
         for sigma in partitions(n):
             m = MatK([[random_laurent(rng, max_terms=2) for _ in range(n)] for _ in range(n)])
             assert normalform.times_jordan(m, sigma) == m * canonical_rep(sigma, 0)
-
-
-def _exact_pass_tops(x):
-    """The candidates (exact kernels of every power) and the tops of the
-    exact pass."""
-    kernels = [power.kernel_basis() for power in nilpotent_powers(x)[1:]]
-    tops = normalform._greedy_tops(kernels, x.apply, lambda: normalform._Echelon(x.n))
-    return kernels, tops
 
 
 def test_chain_basis_rejects_a_top_that_leaves_its_kernel(monkeypatch):

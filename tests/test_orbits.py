@@ -30,9 +30,9 @@ from affnil import (
 )
 from affnil.matk import det_and_adj_trace
 from affnil.normalform import jordan_chains, times_jordan
-from affnil.selfcheck import random_group, random_laurent, random_orbit_case
+from affnil.selfcheck import random_group, random_orbit_case
 
-from conftest import lp, mat, stress_case
+from conftest import lower_truncated_cases, lp, mat, stress_case
 
 
 def E(n, i, j, value="1"):
@@ -262,25 +262,18 @@ def test_classify_truncated_lower_triangular_matches_uncut_or_raises():
     # strictly lower triangular x, n = 2..6, about half of the nonzero
     # entries cut 1, 5 or 20 above their top exponent: the truncated x
     # classifies to the label of the uncut one, or raises; never another label
-    from affnil import LaurentElement, PrecisionExhausted
+    from affnil import PrecisionExhausted
 
-    rng = random.Random("lower-truncated")
     matched = 0
-    for case in range(50):
-        n = 2 + case % 5
-        exact = [[random_laurent(rng, max_terms=2) if j < i else lp("0") for j in range(n)]
-                 for i in range(n)]
-        cut = [[LaurentElement(e.coeffs, max(e.coeffs) + rng.choice((1, 5, 20)))
-                if e.coeffs and rng.random() < 0.5 else e for e in row] for row in exact]
-        level = rng.choice((gr(0), gr(1), gr(Fraction(-3, 2))))
-        want = classify(AffineElement(MatK(exact), level))
+    for exact, cut, level in lower_truncated_cases("lower-truncated", 50):
+        want = classify(AffineElement(exact, level))
         try:
-            label = classify(AffineElement(MatK(cut), level))
+            label = classify(AffineElement(cut, level))
         except PrecisionExhausted:
             continue
         assert label == want
         matched += 1
-    assert matched >= 30
+    assert matched >= 42
 
 
 def test_classify_exact_level_past_the_working_precision():
