@@ -36,9 +36,10 @@ chains are kept only under a certificate: the heights sum to n, which makes
 the chain vectors a basis at the point (so det P != 0), and x P = P J holds
 exactly, which together prove that x is nilpotent of type sigma.  Otherwise
 the next point is tried.  When no point certifies, and for truncated input,
-the pass over K reads sigma off the kernels of all powers of x and keeps
-the tops by the same rule (:func:`_choose_tops`), each answer a rank over K
-from the echelon form of :mod:`affnil.matk`; an undetermined one keeps none.
+the pass over K reads sigma off the ranks of the powers of x over K, takes
+kernels at the same heights and keeps the tops by the same rule
+(:func:`_choose_tops`), each answer a rank over K from the echelon form of
+:mod:`affnil.matk`; an undetermined one keeps none.
 """
 
 from __future__ import annotations
@@ -302,18 +303,26 @@ class _ModEchelon:
         return True
 
 
-def _choose_tops(sigma: Tuple[int, ...], ends, kept) -> List[Tuple[int, int]]:
-    """(height h, index) of each chain top of the partition sigma, tallest
-    first.  ``ends(h)`` yields the kernel end x^(h-1)·v of each candidate v
+def _choose_tops(ranks: List[int], kernel, ends, kept):
+    """(sigma, candidates, tops) for :func:`_chain_basis`, from the ranks of
+    x^0, ..., x^(m-1), where x^m = 0: sigma is read off them.  The
+    candidates of height h are ``kernel(h)``, a basis of ker x^h, at a part
+    h < m of sigma, the identity basis at h = m, and none elsewhere.
+    ``ends(h, vectors)`` yields the kernel end x^(h-1)·v of each candidate v
     of height h, and a candidate is a top when ``kept.add`` finds its end
     independent of the ends kept before it; an undetermined answer
-    (:class:`PrecisionExhausted`) keeps nothing.  Only the parts h of sigma
-    are searched, each until it has sigma.count(h) tops.
+    (:class:`PrecisionExhausted`) keeps nothing.  tops lists (height h,
+    index), tallest first, each part h searched until it has sigma.count(h)
+    tops.
     """
+    m = len(ranks)
+    sigma = _partition_from_ranks(ranks + [0])
+    candidates: List[List[Vector]] = [[] for _ in range(m)]
     tops = []
     for h in sorted(set(sigma), reverse=True):
+        candidates[h - 1] = kernel(h) if h < m else list(MatK.identity(ranks[0]).rows)
         wanted = sigma.count(h)
-        for idx, end in enumerate(ends(h)):
+        for idx, end in enumerate(ends(h, candidates[h - 1])):
             try:
                 keep = kept.add(end)
             except PrecisionExhausted:
@@ -323,24 +332,23 @@ def _choose_tops(sigma: Tuple[int, ...], ends, kept) -> List[Tuple[int, int]]:
                 wanted -= 1
                 if not wanted:
                     break
-    return tops
+    return sigma, candidates, tops
 
 
-def _point_chains(x: MatK, working_prec: int) -> Optional[ChainData]:
+def _point_chains(x: MatK) -> Optional[ChainData]:
     """Jordan chains of exact x with every choice made at a point, certified.
 
     The tops at each point t0 of ``_POINTS`` come from :func:`_tops_at_point`;
     exact powers and kernels are computed once, for the first point that
     needs them.  A choice at a point can only be wrong where the point is
-    degenerate, so the chains are kept only when their heights sum to n,
-    which makes the chain vectors a basis at the point, and _chain_basis
-    finds x P = P J.  The chain vectors at the point are the values of
-    nonzero K-multiples of the columns of P, so det P != 0, and then
-    P^-1 x P = J proves that x is nilpotent of type sigma, whatever happened
-    at the point.  Otherwise the next point is tried; None means that none
-    certifies.
+    degenerate, so the chains are kept only when every part of sigma has its
+    tops, which makes the chain vectors a basis at the point, and
+    _chain_basis finds x P = P J.  The chain vectors at the point are the
+    values of nonzero K-multiples of the columns of P, so det P != 0, and
+    then P^-1 x P = J proves that x is nilpotent of type sigma, whatever
+    happened at the point.  Otherwise the next point is tried; None means
+    that none certifies.
     """
-    n = x.n
     powers = [x]  # exact x^1, x^2, ...
     kernels = {}  # height -> kernel_basis of the exact power
 
@@ -348,65 +356,56 @@ def _point_chains(x: MatK, working_prec: int) -> Optional[ChainData]:
         if h not in kernels:
             while len(powers) < h:
                 powers.append(powers[-1] * x)
-            kernels[h] = powers[h - 1].kernel_basis(working_prec)
+            kernels[h] = powers[h - 1].kernel_basis()
         return kernels[h]
 
     for t0 in _POINTS:
-        candidates, tops = _tops_at_point(x, t0, kernel)
-        sigma = tuple(height for height, _ in tops)
-        if sum(sigma) == n:
+        sigma, candidates, tops = _tops_at_point(x, t0, kernel)
+        if len(tops) == len(sigma):
             p_mat = _chain_basis(x, candidates, tops)
             if p_mat is not None:
                 return ChainData(p_mat, sigma)
     return None
 
 
-def _tops_at_point(x: MatK, t0: int, kernel) -> Tuple[List[List[Vector]], List[Tuple[int, int]]]:
-    """(candidates, tops) for :func:`_chain_basis`, chosen at the point t0.
+def _tops_at_point(x: MatK, t0: int, kernel):
+    """(sigma, candidates, tops) of :func:`_choose_tops`, with the ranks and
+    the kernel ends taken at the point t0.
 
     x is evaluated once as one t^(-s)·D·x over all n² entries
     (:func:`zipoly.values_mod_p`), so that every image of a vector is scaled
     alike, and raised to powers until they vanish; x(t0)^n != 0 proves
-    x^n != 0 (:class:`NotNilpotent`).  sigma is read off the column ranks of
-    the powers.  The candidates at a height h that is a part of sigma are
-    ``kernel(h)``, the exact kernel basis of x^h, evaluated as D_v·t^(-s_v)·v,
-    or the identity basis at the nilpotency index m at the point.
+    x^n != 0 (:class:`NotNilpotent`).  The ranks are the column ranks of the
+    powers, and the kernel end of a candidate v of height h, ``kernel(h)``
+    evaluated as D_v·t^(-s_v)·v, is x(t0)^(h-1)·v.
 
-    A candidate v of height h is a top when its kernel end x(t0)^(h-1)·v is
-    independent of the kernel ends kept before it; for h = m those are the
-    columns of x(t0)^(m-1).  On ker x^h, x^(h-1) has kernel ker x^(h-1), so
-    this keeps the tops of the classical rule: v independent of ker x^(h-1)
-    and the images of the taller chains.  As x(t0)^h·v = 0, chain vectors
-    whose kernel ends are independent are independent: apply x^k to
-    a relation among them, k the largest distance to a kernel end in it,
-    and a relation among kernel ends is left.
+    On ker x^h, x^(h-1) has kernel ker x^(h-1), so keeping v when its kernel
+    end is independent of the ends kept before it keeps the tops of the
+    classical rule: v independent of ker x^(h-1) and the images of the
+    taller chains.  As x(t0)^h·v = 0, chain vectors whose kernel ends are
+    independent are independent: apply x^k to a relation among them, k the
+    largest distance to a kernel end in it, and a relation among kernel ends
+    is left.
     """
     n = x.n
     flat = zipoly.values_mod_p([e for row in x.rows for e in row], t0)
-    apply = partial(_apply_mod_p, [flat[k::n] for k in range(n)])
-    ends = [[int(i == k) for i in range(n)] for k in range(n)]  # columns of x(t0)^0
-    columns = [apply(col) for col in ends]
+    columns = [flat[k::n] for k in range(n)]  # of x(t0), then of its powers
+    apply = partial(_apply_mod_p, columns)
     ranks = [n]
     while any(any(col) for col in columns):
         if len(ranks) == n:
             raise NotNilpotent(f"{n}-th power does not vanish")
         ranks.append(sum(map(_ModEchelon().add, columns)))  # the column rank
-        ends, columns = columns, [apply(col) for col in columns]
-    m = len(ranks)
-    candidates: List[List[Vector]] = [[] for _ in range(m)]
+        columns = [apply(col) for col in columns]
 
-    def kernel_ends(h: int):
-        if h == m:
-            candidates[h - 1] = list(MatK.identity(n).rows)
-            return ends
-        candidates[h - 1] = kernel(h)
-        ends_h = [zipoly.values_mod_p(v, t0) for v in candidates[h - 1]]
-        for _ in range(h - 1):
-            ends_h = [apply(end) for end in ends_h]
-        return ends_h
+    def kernel_ends(h: int, vectors: List[Vector]):
+        for v in vectors:
+            end = zipoly.values_mod_p(v, t0)
+            for _ in range(h - 1):
+                end = apply(end)
+            yield end
 
-    tops = _choose_tops(_partition_from_ranks(ranks + [0]), kernel_ends, _ModEchelon())
-    return candidates, tops
+    return _choose_tops(ranks, kernel, kernel_ends, _ModEchelon())
 
 
 def _apply_mod_p(columns: List[List[int]], v: List[int]) -> List[int]:
@@ -433,23 +432,24 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     Exact x goes through :func:`_point_chains`: sigma and every answer come
     from a point, and only the heights that carry a chain top below the
     nilpotency index get an exact power and kernel.  When no point
-    certifies, and for truncated x, sigma is read off the kernel dimensions
-    of all powers, and each answer is a rank over K (:class:`_Echelon`).
-    Both passes choose the same tops when the first point is not degenerate.
+    certifies, and for truncated x, sigma is read off the ranks of the
+    powers over K, kernels are taken at the same heights, and each answer
+    is a rank over K (:class:`_Echelon`).  Both passes choose the same tops
+    when the first point is not degenerate.
     """
     n = x.n
     if x.all_exact():
-        chains = _point_chains(x, working_prec)
+        chains = _point_chains(x)
         if chains is not None:
             return chains
     powers = nilpotent_powers(x)
-    kernels = [power.kernel_basis(working_prec) for power in powers[1:]]
-    sigma = _partition_from_ranks([n] + [n - len(kernel) for kernel in kernels])
-    tops = _choose_tops(
-        sigma, lambda h: (powers[h - 1].apply(v) for v in kernels[h - 1]), _Echelon(n))
-    if sum(height for height, _ in tops) != n:
+    sigma, candidates, tops = _choose_tops(
+        [n] + [power.rank() for power in powers[1:-1]],
+        lambda h: powers[h].kernel_basis(working_prec),
+        lambda h, vectors: (powers[h - 1].apply(v) for v in vectors), _Echelon(n))
+    if len(tops) != len(sigma):
         raise PrecisionExhausted("chain construction did not span the space")
-    p_mat = _chain_basis(x, kernels, tops)
+    p_mat = _chain_basis(x, candidates, tops)
     if p_mat is None:
         raise AssertionError("chain construction produced an invalid basis")
     return ChainData(p_mat, sigma)

@@ -320,7 +320,7 @@ def _kernels(x, working_prec=DEFAULT_WORKING_PREC):
 
 
 def _exact_pass_tops(x):
-    """The candidates (exact kernels of every power) and the tops that the
+    """The candidates (kernels at the parts of sigma) and the tops that the
     pass over K hands to ``_chain_basis``."""
     seen = []
     chain_basis = normalform._chain_basis
@@ -415,8 +415,8 @@ def test_exact_pass_matches_the_laurent_echelon():
             _, _, _, elem, g = random_orbit_case(rng, n)
             cases.append(adjoint_act(g, elem).mat)
     for x in cases:
-        kernels, tops = _exact_pass_tops(x)
-        assert tops == _classical_tops(kernels, x.apply, lambda: _LaurentEchelon(x.n))
+        tops = _exact_pass_tops(x)[1]
+        assert tops == _classical_tops(_kernels(x), x.apply, lambda: _LaurentEchelon(x.n))
     assert _exact_pass_tops(truncated)[1] == [(2, 0)]
 
 
@@ -493,12 +493,12 @@ def test_an_undetermined_kernel_end_keeps_nothing_and_the_search_goes_on():
 
 
 def _without_point_path(monkeypatch):
-    monkeypatch.setattr(normalform, "_point_chains", lambda x, working_prec: None)
+    monkeypatch.setattr(normalform, "_point_chains", lambda x: None)
 
 
 def _point_and_exact(x):
     """The chains of the point path and of the exact pass, for exact x."""
-    point = normalform._point_chains(x, DEFAULT_WORKING_PREC)
+    point = normalform._point_chains(x)
     with pytest.MonkeyPatch.context() as patch:
         _without_point_path(patch)
         exact = jordan_chains(x)
@@ -570,10 +570,11 @@ def test_single_block_takes_no_kernel_and_one_product(monkeypatch):
 
 def test_single_block_takes_one_rank_over_k(monkeypatch):
     # sigma = (n) in the pass over K: the only part is the nilpotency index,
-    # whose candidates are the identity basis, and the first one whose kernel
-    # end (a column of x^(n-1)) is not exactly zero is kept by one rank
+    # whose candidates are the identity basis, so no kernel is taken, and the
+    # first one whose kernel end (a column of x^(n-1)) is not exactly zero is
+    # kept by one rank
     _without_point_path(monkeypatch)
-    calls = {"ranks": 0}
+    calls = _count_kernels_and_products(monkeypatch)
     rank = normalform._rank
 
     def counted_rank(rows, width):
@@ -582,9 +583,29 @@ def test_single_block_takes_one_rank_over_k(monkeypatch):
 
     monkeypatch.setattr(normalform, "_rank", counted_rank)
     for x in _single_block_cases():
-        calls["ranks"] = 0
+        calls.update(kernels=0, ranks=0)
         assert jordan_chains(x).sigma == (x.n,)
+        assert calls["kernels"] == 0
         assert calls["ranks"] == 1
+
+
+def test_pass_over_k_takes_kernels_only_at_the_parts_of_sigma(monkeypatch):
+    # sigma = (5, 3, 1) with the point path off: ker x^3 and ker x, the parts
+    # below the nilpotency index 5; x^2 and x^4 take a rank and no kernel
+    rng = random.Random("top-heights")
+    x = adjoint_act(random_group(rng, 9, 4), AffineElement(canonical_rep((5, 3, 1), 0))).mat
+    powers = nilpotent_powers(x)
+    heights = []
+    kernel_basis = MatK.kernel_basis
+
+    def spy(m, *args):
+        heights.append(powers.index(m))
+        return kernel_basis(m, *args)
+
+    _without_point_path(monkeypatch)
+    monkeypatch.setattr(MatK, "kernel_basis", spy)
+    assert jordan_chains(x).sigma == (5, 3, 1)
+    assert heights == [3, 1]
 
 
 def test_exact_kernels_only_at_heights_that_carry_a_top(monkeypatch):
@@ -622,7 +643,7 @@ def test_modular_pass_moves_on_when_kernel_vectors_degenerate_at_the_point(monke
     assert point == exact and exact.sigma == (2, 1)
     with monkeypatch.context() as patch:
         patch.setattr(normalform, "_POINTS", normalform._POINTS[:1])
-        assert normalform._point_chains(x, DEFAULT_WORKING_PREC) is None
+        assert normalform._point_chains(x) is None
     elem = AffineElement(x, gr(1))
     label = classify(elem)
     assert (label.partition, label.k) == ((2, 1), 0)
@@ -665,7 +686,7 @@ def test_tops_with_independent_kernel_ends_have_independent_chains():
     for x in cases:
         kernels = _kernels(x)
         for t0 in normalform._POINTS:
-            candidates, tops = normalform._tops_at_point(x, t0, lambda h: kernels[h - 1])
+            _, candidates, tops = normalform._tops_at_point(x, t0, lambda h: kernels[h - 1])
             heights = sum(height for height, _ in tops)
             assert _chain_rank_at_point(x, t0, candidates, tops) == heights
             short += heights < x.n
@@ -684,7 +705,7 @@ def test_kernel_end_echelon_rejects_a_dependent_top():
     assert ends.add(x_e0)
     assert not ends.add(zipoly.values_mod_p(v1, t1))
     assert ends.add(zipoly.values_mod_p(v2, t1))
-    _, tops = normalform._tops_at_point(x, t1, lambda h: [v1, v2])
+    _, _, tops = normalform._tops_at_point(x, t1, lambda h: [v1, v2])
     assert tops == [(2, 0), (1, 1)]
 
 
@@ -714,7 +735,7 @@ def test_modular_pass_evaluates_wide_entries_term_by_term(monkeypatch):
     monkeypatch.setattr(zipoly, "from_row", dense_row)
     tracemalloc.start()
     try:
-        chains = normalform._point_chains(x, DEFAULT_WORKING_PREC)
+        chains = normalform._point_chains(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -742,7 +763,7 @@ def test_nilpotent_vanishing_at_every_point_takes_the_exact_pass(monkeypatch):
         n = sum(sigma)
         g = random_group(rng, n, 3)
         x = adjoint_act(g, AffineElement(canonical_rep(sigma, 0))).mat.scale(f)
-        assert normalform._point_chains(x, DEFAULT_WORKING_PREC) is None
+        assert normalform._point_chains(x) is None
         elem = AffineElement(x, gr(1))
         label = classify(elem)
         chains = jordan_chains(x)
@@ -791,7 +812,7 @@ def test_entry_vanishing_at_the_first_point_is_certified_at_the_second(monkeypat
     assert repr(point.p_mat) == repr(exact.p_mat)
     with monkeypatch.context() as patch:
         patch.setattr(normalform, "_POINTS", normalform._POINTS[:1])
-        assert normalform._point_chains(x, DEFAULT_WORKING_PREC) is None
+        assert normalform._point_chains(x) is None
 
 
 # -- powers and the basis check --------------------------------------------------------------
