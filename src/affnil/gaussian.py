@@ -11,6 +11,11 @@ triple that is already reduced, ``_raw`` (none).  Both write the three slots
 through the slot descriptors (``GaussianRational.a.__set__`` and so on),
 which costs about a third of three ``object.__setattr__`` calls; the public
 ``__setattr__`` still refuses every assignment, so values stay immutable.
+
+Roots.  One search serves every index n: the complex n-th roots of a
+Gaussian integer, counter-clockwise from the principal one, are seeded from
+its exact norm and floating phase, refined by integer Newton steps and
+verified exactly; the rule at ``GaussianRational.nth_root`` fixes the result.
 """
 
 from __future__ import annotations
@@ -24,11 +29,7 @@ _RatLike = Union[int, Fraction]
 
 
 def _floor_nth_root(m: int, n: int) -> int:
-    """floor(m ** (1/n)) for m >= 0 by integer Newton iteration."""
-    if m == 0:
-        return 0
-    if n == 1:
-        return m
+    """floor(m ** (1/n)) for m > 0 and n >= 2 by integer Newton iteration."""
     if n == 2:
         return math.isqrt(m)
     x = 1 << ((m.bit_length() + n - 1) // n)  # seed >= true root
@@ -40,53 +41,20 @@ def _floor_nth_root(m: int, n: int) -> int:
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
-    """Exact n-th root of a nonnegative integer, or None."""
-    if m < 0:
-        return None
+    """Exact n-th root of an integer m > 0, or None."""
     r = _floor_nth_root(m, n)
     return r if r**n == m else None
 
 
-def _gaussian_int_sqrt(wa: int, wb: int) -> Optional[Tuple[int, int]]:
-    """Exact square root in Z[i]: if g^2 = wa + wb*i, then
-
-    x^2 = (|w| + wa) / 2 and y^2 = (|w| - wa) / 2 with 2xy = wb,
-    everything decidable with integer square roots alone.
-    """
-    mag = _int_nth_root(wa * wa + wb * wb, 2)
-    if mag is None:
-        return None
-    half, other = mag + wa, mag - wa
-    if half % 2 or other % 2:
-        return None
-    x = math.isqrt(half // 2)
-    y = math.isqrt(other // 2)
-    if x * x != half // 2 or y * y != other // 2:
-        return None
-    for sx, sy in ((x, y), (x, -y)):
-        if sx * sx - sy * sy == wa and 2 * sx * sy == wb:
-            return sx, sy
-    return None
+def _phase(a: int, b: int) -> float:
+    """The argument of a + b*i in (-pi, pi], for integers of any size."""
+    shift = max(0, max(a.bit_length(), b.bit_length()) - 512)
+    return cmath.phase(complex(a >> shift, b >> shift))
 
 
 def _gaussian_int_nth_root(wa: int, wb: int, n: int) -> Optional[Tuple[int, int]]:
-    """Exact n-th root in Z[i]: halve even indices; for odd indices locate
-    candidates by floating phase on the exact norm circle and verify exactly."""
-    if wa == 0 and wb == 0:
-        return 0, 0
-    if n == 1:
-        return wa, wb
-    if n % 2 == 0:
-        half = _gaussian_int_sqrt(wa, wb)
-        if half is None:
-            return None
-        # both square roots +-g are candidates: one may admit further roots
-        # while the other does not (sqrt(a^8) = -a^4 dead-ends at sqrt(i a^2))
-        for sign in (1, -1):
-            root = _gaussian_int_nth_root(sign * half[0], sign * half[1], n // 2)
-            if root is not None:
-                return root
-        return None
+    """The n-th root in Z[i] of w = wa + wb*i != 0 that ``GaussianRational.nth_root``
+    returns, for n >= 2, or None if w has none."""
 
     def power(x: int, y: int, k: int) -> Tuple[int, int]:
         ga, gb = 1, 0
@@ -97,22 +65,21 @@ def _gaussian_int_nth_root(wa: int, wb: int, n: int) -> Optional[Tuple[int, int]
     norm_g = _int_nth_root(wa * wa + wb * wb, n)  # x^2 + y^2 exactly
     if norm_g is None:
         return None
-    shift = max(wa.bit_length(), wb.bit_length())
-    shift = max(0, shift - 512)
-    theta = cmath.phase(complex(wa >> shift, wb >> shift))
-    mag = math.isqrt(norm_g)
-    scale = 1 << 53
-    for j in range(n):
+    theta = _phase(wa, wb)
+    mag = math.isqrt(norm_g << 106)  # |g| in fixed point with 53 fraction bits
+    rounding = 1 << 105
+    # a root r gives the gcd(n, 4) roots r*u, u a unit with u^n = 1, spaced
+    # n / gcd(n, 4) complex roots apart: one of them is among the first seeds
+    units = ((1, 0), (-1, 0), (0, 1), (0, -1))[: math.gcd(n, 4)]
+    for j in range(n // len(units)):
         angle = (theta + 2 * math.pi * j) / n
-        x = (mag * int(math.cos(angle) * scale)) >> 53
-        y = (mag * int(math.sin(angle) * scale)) >> 53
+        x = (mag * round(math.cos(angle) * (1 << 53)) + rounding) >> 106
+        y = (mag * round(math.sin(angle) * (1 << 53)) + rounding) >> 106
         # integer Newton on g -> g - (g^n - w) / (n g^(n-1)); the float seed
         # is within relative 1e-15, so a handful of steps reach the root
         for _ in range(12):
             pa, pb = power(x, y, n - 1)
             gna, gnb = pa * x - pb * y, pa * y + pb * x
-            if gna == wa and gnb == wb:
-                return x, y
             den = n * (pa * pa + pb * pb)
             if den == 0:
                 break
@@ -124,16 +91,12 @@ def _gaussian_int_nth_root(wa: int, wb: int, n: int) -> Optional[Tuple[int, int]
             x -= step_x
             y -= step_y
         # the iteration lands within a unit box of any actual root
-        for cx in (x - 1, x, x + 1):
-            rest = norm_g - cx * cx
-            if rest < 0:
-                continue
-            ry = math.isqrt(rest)
-            if ry * ry != rest:
-                continue
-            for cy in (ry, -ry):
-                if abs(cy - y) <= 1 and power(cx, cy, n) == (wa, wb):
-                    return cx, cy
+        for cx, cy in ((x + dx, y + dy) for dx in (0, -1, 1) for dy in (0, -1, 1)):
+            if cx * cx + cy * cy == norm_g and power(cx, cy, n) == (wa, wb):
+                # of the roots (cx + cy*i)*u, take the fewest steps of 2*pi/n
+                # counter-clockwise of the principal
+                return min(((cx * ua - cy * ub, cx * ub + cy * ua) for ua, ub in units),
+                           key=lambda g: round((_phase(*g) - theta / n) * n / (2 * math.pi)) % n)
     return None
 
 
@@ -296,6 +259,12 @@ class GaussianRational:
         g^n = (a + b*i) * d^(n-1).  Since Z[i] is integrally closed, any root
         in Q(i) has this shape.  Candidates are located numerically and
         verified exactly.
+
+        The n-th roots in Q(i) are r*u for one root r and the units u with
+        u^n = 1.  The one returned is the first of them counter-clockwise from
+        the principal root (the complex root of argument arg(self)/n, with
+        arg in (-pi, pi]), counting that root itself: the principal root at
+        n = 2 and n = 4, e.g. sqrt(-4) = 2i, and the only root at odd n.
         """
         if n <= 0:
             raise ValueError("root index must be positive")

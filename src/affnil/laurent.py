@@ -151,7 +151,9 @@ class LaurentElement:
         return True if self.prec is None else None
 
     def is_one(self) -> bool:
-        return self.prec is None and self.coeffs == {0: GR_ONE}
+        c = self.coeffs.get(0)
+        return (self.prec is None and c is not None and len(self.coeffs) == 1
+                and c.a == 1 and c.b == 0 and c.d == 1)
 
     def order(self) -> int:
         """Valuation: the least exponent carrying a nonzero coefficient."""

@@ -361,25 +361,30 @@ class MatK:
 
         For exact matrices the vectors are exact and carry only the echelon
         pivots they need (see :func:`_dense_kernel`).  Truncated matrices
-        divide by each pivot at ``working_prec``.
+        multiply by each pivot's inverse at ``working_prec``, taken once per
+        call and only when there is a free column.
         """
         n = self.n
         if self.all_exact():
             return _dense_kernel(_dense_echelon(self.rows, n), n)
         ech = _echelon(self.rows, n)
         pivot_cols = [c for c, _ in ech]
+        free = [c for c in range(n) if c not in pivot_cols]
+        if not free:
+            return []
+        back = [(c, row, row[c].inv(working_prec)) for c, row in reversed(ech)]
         basis: List[Vector] = []
-        for f in (c for c in range(n) if c not in pivot_cols):
+        for f in free:
             v: List[LaurentElement] = [_L_ZERO] * n
             v[f] = _L_ONE
-            for c, row in reversed(ech):
+            for c, row, pivot_inv in back:
                 acc = _L_ZERO
                 for j in range(c + 1, n):
                     rj = row[j]
                     vj = v[j]
                     if (rj.coeffs or rj.prec is not None) and (vj.coeffs or vj.prec is not None):
                         acc = acc + rj * vj
-                v[c] = (-acc) * row[c].inv(working_prec)
+                v[c] = (-acc) * pivot_inv
             basis.append(normalize_vector(tuple(v)))
         return basis
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,17 +60,16 @@ def test_pow_matches_repeated_mul(a, k):
         (gr(0, 4), 2, None),  # sqrt(4i) = sqrt(2)(1+i), outside Q(i)
         (gr(2), 2, None),
         (gr(0, 1), 2, None),  # sqrt(i) needs the eighth roots of unity
+        (gr(0, 2), 2, gr(1, 1)),  # the principal root, not -1-i
+        (gr(1, 1) ** 6, 6, gr(1, 1)),  # first counter-clockwise, not -1-i
+        (gr(41, -38), 5, gr(1, 2)),
     ],
 )
 def test_nth_root_examples(value, n, expected):
-    got = value.nth_root(n)
-    if expected is None:
-        assert got is None
-    else:
-        assert got is not None and got**n == value
+    assert value.nth_root(n) == expected
 
 
-@given(gaussians, st.integers(min_value=1, max_value=4))
+@given(gaussians, st.integers(min_value=1, max_value=16))
 def test_nth_root_of_power_recovers_value(a, n):
     root = (a**n).nth_root(n)
     if a.is_zero:
@@ -95,6 +97,48 @@ def test_nth_root_of_unit_twisted_powers():
     a = gr(3, -2)
     value = (a**4) * gr(0, 1) ** 4
     assert value.nth_root(4) ** 4 == value
+
+
+def test_nth_root_finds_every_small_power():
+    # small roots sit close to the origin, where one lattice step is a large
+    # share of |root|: a seed that is off by one step misses, e.g. 1+2i for 41-38i
+    missed = []
+    for n in range(2, 41):
+        for a in range(-7, 8):
+            for b in range(-7, 8):
+                if a or b:
+                    w = gr(a, b) ** n
+                    r = w.nth_root(n)
+                    if r is None or r**n != w:
+                        missed.append((a, b, n))
+    assert missed == []
+
+
+def _first_counter_clockwise_root(a: GaussianRational, n: int) -> GaussianRational:
+    """Oracle: of the roots a*u of w = a^n (u a unit), the one the least angle
+    counter-clockwise from the principal argument arg(w)/n."""
+    w = a**n
+    principal = cmath.phase(complex(w.re, w.im)) / n
+
+    def turn(r: GaussianRational) -> float:
+        angle = (cmath.phase(complex(r.re, r.im)) - principal) % (2 * math.pi)
+        # distinct roots are >= 2*pi/n apart, so anything this close to a
+        # full turn is the principal root seen through rounding
+        return 0.0 if angle > 2 * math.pi - math.pi / n else angle
+
+    roots = [a * u for u in (gr(1), gr(0, 1), gr(-1), gr(0, -1)) if (a * u) ** n == w]
+    return min(roots, key=turn)
+
+
+def test_nth_root_returns_first_root_counter_clockwise_of_principal():
+    rng = random.Random(28)
+    for _ in range(400):
+        a = gr(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+               Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+        if a.is_zero:
+            continue
+        n = rng.randint(2, 16)
+        assert (a**n).nth_root(n) == _first_counter_clockwise_root(a, n), (a, n)
 
 
 def test_values_refuse_assignment():

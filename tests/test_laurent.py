@@ -392,6 +392,14 @@ def test_nth_root_at_high_precision(n):
     assert ((root**n) - s).is_zero_3v() is not False
 
 
+def test_nth_root_takes_odd_root_of_small_leading_coefficient():
+    # (1+2i)^5 = 41-38i: the root of the leading coefficient is in Q(i)
+    s = lp("(41-38i)*t^5 + t^6")
+    root = s.nth_root(5, 16)
+    assert root.order() == 1 and root.coeffs[1] == gr(1, 2)
+    assert ((root**5) - s).is_zero_3v() is not False
+
+
 def test_nth_root_errors():
     with pytest.raises(NoRoot):
         lp("t^3").nth_root(2)
