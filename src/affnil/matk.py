@@ -28,10 +28,14 @@ the unit row e_i (an exact 1 on the diagonal and exact zeros elsewhere,
 :func:`_non_unit_rows`).  With R those rows and S the unit rows, one
 simultaneous permutation makes A = [[B, C], [0, I]], so det A = det B and
 A⁻¹ = [[B⁻¹, −B⁻¹C], [0, I]]: the loop runs on the |R| rows of B, or of
-[B | −C | I] for the inverse.  A product of k root subgroup elements
-I + p·E_ij differs from I in at most k rows, so most rows of the groups that
-``adjoint_act`` inverts are unit rows.  The echelon and the dual-number pass
-take every row.
+[B | −C | I] for the inverse.  The inverse pass returns only those |R| rows,
+as their nonzero entries, and a unit row of A is the same row e_i of A⁻¹:
+one of the identity's rows, built once per n and shared
+(:func:`_identity_rows`).  Apart from finding the unit rows, an inverse
+costs what its |R| rows of length n cost, not n².  A product of k root subgroup
+elements I + p·E_ij differs from I in at most k rows, so most rows of the
+groups that ``adjoint_act`` inverts are unit rows.  The echelon and the
+dual-number pass take every row.
 
 A row update touches only what can change, by one rule for every entry x.
 With f the row's entry in the pivot column and y the pivot row's entry in
@@ -41,7 +45,7 @@ quotient when it is exact, and the Bareiss step when it is not.  Everywhere
 else it takes the Bareiss step with its division.  The matrices that
 ``adjoint_act`` inverts are sparse, so most of [A | I] is zero, and zero
 entries cost nothing but a comparison: no product, no conversion and no new
-element (:func:`_monomial_inverse` maps them to one shared exact zero).  The
+element (the eliminated rows list only their nonzero entries).  The
 Bareiss step takes its factors in the sparse form of
 :func:`zipoly.combine_sparse`, converted when first needed: the pivot and
 each pivot-row entry once per step, the row's entry f once per row, not
@@ -56,7 +60,10 @@ its known part B, each entry's stored coefficients taken as exact
 (:func:`_inverse_from_known_part`).  When B⁻¹ is exact, a valuation bound
 for A⁻¹ − B⁻¹ over every completion of A cuts each of its entries, by the
 first-order precision argument of Caruso, Roe & Vaccon (2014) applied
-t-adically (Sherman–Morrison when one entry is cut).  Otherwise, and for
+t-adically (Sherman–Morrison when one entry is cut).  Only the valuations
+of B⁻¹ that the bound reads are taken, and only the entries whose bound is
+finite are rebuilt, so the cost beyond the exact pass follows the number of
+cut entries.  Otherwise, and for
 the determinant, the rank and the kernel, truncated matrices run ordinary
 division-based elimination on Laurent elements with tracked precision: one
 Gauss–Jordan loop (:func:`_gauss_jordan`) gives the determinant and the
@@ -102,6 +109,7 @@ broken by the lowest row, which protects precision.  The exact loop and
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -163,9 +171,7 @@ class MatK:
 
     @classmethod
     def identity(cls, n: int) -> "MatK":
-        return cls(
-            [[_L_ONE if i == j else _L_ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls._raw(_identity_rows(n))
 
     @classmethod
     def diag(cls, entries: Sequence[LaurentElement]) -> "MatK":
@@ -261,10 +267,26 @@ class MatK:
         return tuple(r[0] for r in _products(self.rows, [(x,) for x in v]))
 
     def trace(self) -> LaurentElement:
-        acc = _L_ZERO
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        """The sum of the diagonal in one accumulation: its integer terms
+        over one common denominator, one gcd per coefficient, and the least
+        precision of the diagonal as the bound."""
+        diag = [row[i] for i, row in enumerate(self.rows)]
+        den = math.lcm(*{c.d for x in diag for c in x.coeffs.values()})
+        sums = {}  # exponent -> [re, im] over den
+        prec = None
+        for x in diag:
+            if x.prec is not None and (prec is None or x.prec < prec):
+                prec = x.prec
+            for e, c in x.coeffs.items():
+                m = den // c.d
+                cell = sums.get(e)
+                if cell is None:
+                    sums[e] = [c.a * m, c.b * m]
+                else:
+                    cell[0] += c.a * m
+                    cell[1] += c.b * m
+        return LaurentElement({e: GaussianRational._norm(a, b, den)
+                               for e, (a, b) in sums.items() if a or b}, prec)
 
     def d_dt(self) -> "MatK":
         return MatK._raw([tuple(e.d_dt() for e in r) for r in self.rows])
@@ -328,21 +350,30 @@ class MatK:
         """Inverse; exact entries whenever the input is exact with a monomial det.
 
         Exact input goes through one fraction-free Gauss–Jordan pass on
-        the rows of [A | I] whose A part is not exactly a unit row (see
-        :func:`_inv_dense`), which yields d·A⁻¹ and d = det A together; only
-        the final scaling by d⁻¹ can truncate.  A monomial d (det A is
-        usually 1) is divided out while the entries are converted back to
-        Laurent elements, at no Laurent product.  Truncated input first
-        takes the exact inverse of its known part, with each entry cut at a
-        valuation bound (:func:`_inverse_from_known_part`); where that does
-        not apply it uses division-based Gauss–Jordan at ``working_prec``.
-        Raises :class:`Singular` when the matrix is exactly singular.
+        the rows R of [A | I] whose A part is not exactly a unit row (see
+        :func:`_inv_dense`), which yields the rows of d·A⁻¹ in R and
+        d = det A together; only the final scaling by d⁻¹ can truncate.  A
+        monomial d (det A is usually 1) is divided out while the entries of
+        those rows are converted back to Laurent elements, at no Laurent
+        product, and every other row is the shared unit row
+        (:func:`_monomial_inverse`): the cost follows |R|·n.  Any other d
+        scales the whole of d·A⁻¹.  Truncated input first takes the exact
+        inverse of its known part, with each entry cut at a valuation bound
+        (:func:`_inverse_from_known_part`); where that does not apply it uses
+        division-based Gauss–Jordan at ``working_prec``.  Raises
+        :class:`Singular` when the matrix is exactly singular.
         """
         if self.all_exact():
-            d, shift, den, right = _inv_dense(self)
-            inverse = _monomial_inverse(d, right)
+            d, shift, den, rows = _inv_dense(self)
+            inverse = _monomial_inverse(d, self.n, rows)
             if inverse is not None:
                 return inverse
+            # d·A⁻¹ in full: d on the unit diagonal, and the rows of R
+            right = [[d if i == j else [] for j in range(self.n)] for i in range(self.n)]
+            for i, pairs in rows:
+                right[i][i] = []
+                for j, f in pairs:
+                    right[i][j] = f
             scaled = MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in right])
             return scaled.scale(zipoly.to_laurent(d, shift, den).inv(working_prec))
         inverse = _inverse_from_known_part(self)
@@ -927,12 +958,16 @@ def _dense_kernel(ech: List[Tuple[int, List[zipoly.Poly]]], width: int) -> List[
 def _non_unit_rows(rows: Sequence[Sequence[LaurentElement]]) -> List[int]:
     """The indices of the rows that are not exactly e_i, an exact 1 at i and
     exact zeros elsewhere: the rows that the exact determinant and inverse
-    eliminate."""
+    eliminate.  A row is left at the first entry that rules out e_i."""
     rest = []
     for i, row in enumerate(rows):
-        listed = [x for x in row if x.coeffs or x.prec is not None]
-        if len(listed) != 1 or listed[0] is not row[i] or not row[i].is_one():
+        if not row[i].is_one():
             rest.append(i)
+            continue
+        for j, x in enumerate(row):
+            if (x.coeffs or x.prec is not None) and j != i:
+                rest.append(i)
+                break
     return rest
 
 
@@ -956,20 +991,22 @@ def _inv_dense(mat: MatK):
     """Fraction-free Gauss–Jordan for exact A (Bareiss 1968), on the rows
     that are not exactly e_i.
 
-    Returns (d, shift, den, right) with d·A⁻¹ = t^shift·right/den and
-    det A = t^shift·d/den, where d and the entries of right are polynomials
-    of Z[i][t].  With R the other rows and S the unit rows, a simultaneous
-    permutation makes A = [[B, C], [0, I]], so A⁻¹ = [[B⁻¹, −B⁻¹C], [0, I]].
-    Row k of R enters as [B | −C | e_k], columns ordered R then S, scaled by
-    its denominator D and by t^(-s), with s its least exponent or 0 when
-    that is higher, so the whole pass stays in Z[i][t]; the rows of S enter
-    with D = 1 and s = 0.  Only [B | −C] goes through
+    Returns (d, shift, den, rows) with det A = t^shift·d/den and d·A⁻¹ =
+    t^shift·right/den, where d and the entries of right are polynomials of
+    Z[i][t].  With R the rows that are not exactly e_i and S the unit rows,
+    a simultaneous permutation makes A = [[B, C], [0, I]], so
+    A⁻¹ = [[B⁻¹, −B⁻¹C], [0, I]]: row i of right is d·e_i for i in S, and
+    `rows` lists the rows of R only, in order, as (i, the nonzero entries of
+    row i of right as (column, polynomial) pairs).  Row k of R enters as
+    [B | −C | e_k], columns ordered R then S, scaled by its denominator D
+    and by t^(-s), with s its least exponent or 0 when that is higher, so
+    the whole pass stays in Z[i][t].  Only [B | −C] goes through
     :func:`zipoly.from_row`; e_k is scaled directly.  Gauss–Jordan for |R|
     steps leaves [d·I | −d·B⁻¹C | d·B⁻¹], d the last pivot times the sign of
-    the row permutation, and d·A⁻¹ is assembled from it with d·I on S.  The
-    sign makes d the determinant of the scaled matrix whatever the pivot
-    order; :func:`_pick_short` prefers a monomial pivot, which makes the
-    next division a shift instead of a long division.
+    the row permutation.  The sign makes d the determinant of the scaled
+    matrix whatever the pivot order; :func:`_pick_short` prefers a monomial
+    pivot, which makes the next division a shift instead of a long division.
+    Apart from :func:`_non_unit_rows`, the cost follows |R|·n, not n².
     """
     n = mat.n
     rest = _non_unit_rows(mat.rows)
@@ -992,31 +1029,44 @@ def _inv_dense(mat: MatK):
         d = [(1, 0)]
     elif sign < 0:
         d = zipoly.neg(d)
-    right: List[List[zipoly.Poly]] = [[[] for _ in range(n)] for _ in range(n)]
-    for i in units:
-        right[i][i] = d
-    for i, row in zip(rest, rows):
-        out = right[i]
-        for j, f in zip(units + rest, row[r:]):
-            if f:
-                out[j] = f if sign > 0 else zipoly.neg(f)
-    return d, shift, den, right
+    columns = units + rest
+    return d, shift, den, [
+        (i, [(j, f if sign > 0 else zipoly.neg(f)) for j, f in zip(columns, row[r:]) if f])
+        for i, row in zip(rest, rows)]
 
 
-def _monomial_inverse(d: zipoly.Poly, right) -> Optional[MatK]:
-    """A⁻¹ from the (d, right) of :func:`_inv_dense` when d is a monomial,
-    exact and at no Laurent product; None otherwise."""
+@functools.lru_cache(maxsize=16)
+def _identity_rows(n: int) -> Tuple[Vector, ...]:
+    """The rows e_0 … e_(n−1), built once per n and shared: they are
+    immutable, so every unit row of an inverse is one of them."""
+    return tuple(tuple(_L_ONE if i == j else _L_ZERO for j in range(n)) for i in range(n))
+
+
+def _monomial_inverse(d: zipoly.Poly, n: int, rows) -> Optional[MatK]:
+    """A⁻¹ from the (d, rows) of :func:`_inv_dense` when d is a monomial,
+    exact and at no Laurent product; None otherwise.  It starts from the
+    shared rows of :func:`_identity_rows` and converts only the rows of R, so
+    a unit row of A is the same e_i in A⁻¹ and costs nothing: the cost
+    follows the nonzero entries of those rows."""
     if zipoly.terms(d) != 1:
         return None
     # d·A⁻¹ = t^shift·right/den and d = t^(shift+j)·(a+bi)/den, so
     # A⁻¹ = t^(−j)·right/(a+bi) = t^(−j)·right·(a−bi)/(a²+b²)
     j = zipoly.low(d)
     a, b = d[j]
-    if b:
-        right = [[zipoly.mul(e, [(a, -b)]) for e in r] for r in right]
     den = a * a + b * b if b else a
-    return MatK._raw([tuple(zipoly.to_laurent(e, -j, den) if e else _L_ZERO for e in r)
-                      for r in right])
+    out = list(_identity_rows(n))
+    for i, pairs in rows:
+        row = [_L_ZERO] * n
+        for col, f in pairs:
+            row[col] = zipoly.to_laurent(zipoly.mul(f, [(a, -b)]) if b else f, -j, den)
+        out[i] = tuple(row)
+    return MatK._raw(out)
+
+
+def _valuation(x: LaurentElement) -> float:
+    """The least exponent of an exact element; infinity for the exact zero."""
+    return min(x.coeffs) if x.coeffs else math.inf
 
 
 def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
@@ -1034,25 +1084,35 @@ def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
     weight m_il.  R_ij is returned cut there, or exact where no path leads
     on to column j.  None when B is singular, its d is not a monomial, or
     some m_il < 1: those inputs take :func:`_gauss_jordan`.
+
+    Only the valuations the bound needs are read: column k of R for each
+    cut row k, and row l for each cut column l.  Only the entries with a
+    finite bound are rebuilt; every other row of R is returned as it is.
     """
     n = mat.n
-    cuts = [(k, l, e.prec) for k, r in enumerate(mat.rows)
-            for l, e in enumerate(r) if e.prec is not None]
-    known = MatK([[LaurentElement._raw(e.coeffs) if e.prec is not None else e for e in r]
-                  for r in mat.rows])
+    cuts = []
+    known = []
+    for k, r in enumerate(mat.rows):
+        row_cuts = [(k, l, e.prec) for l, e in enumerate(r) if e.prec is not None]
+        if row_cuts:
+            cuts += row_cuts
+            r = tuple(LaurentElement._raw(e.coeffs) if e.prec is not None else e for e in r)
+        known.append(r)
     try:
-        d, _, _, right = _inv_dense(known)
+        d, _, _, rows = _inv_dense(MatK._raw(known))
     except Singular:
         return None
-    inverse = _monomial_inverse(d, right)
+    inverse = _monomial_inverse(d, n, rows)
     if inverse is None:
         return None
-    val = [[min(e.coeffs) if e.coeffs else math.inf for e in r] for r in inverse.rows]
+    exact = inverse.rows
     cols = sorted({l for _, l, _ in cuts})
     weight = [dict.fromkeys(cols, math.inf) for _ in range(n)]
     for k, l, cut in cuts:
-        for i in range(n):
-            weight[i][l] = min(weight[i][l], val[i][k] + cut)
+        for w, r in zip(weight, exact):
+            v = _valuation(r[k]) + cut
+            if v < w[l]:
+                w[l] = v
     if any(w < 1 for row in weight for w in row.values()):
         return None
     # min-plus closure over the truncated columns (Floyd–Warshall)
@@ -1061,14 +1121,23 @@ def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
             via = weight[i][c]
             for l in cols:
                 weight[i][l] = min(weight[i][l], via + weight[c][l])
-    out = []
-    for i, r in enumerate(inverse.rows):
-        out_row = []
-        for j, x in enumerate(r):
-            bound = min(weight[i][l] + val[l][j] for l in cols)
-            out_row.append(x if bound == math.inf else LaurentElement(x.coeffs, bound))
-        out.append(out_row)
-    return MatK(out)
+    # cut column l -> the valuations of the nonzero entries of row l of R
+    reach = {l: [(j, _valuation(x)) for j, x in enumerate(exact[l]) if x.coeffs] for l in cols}
+    out = list(exact)
+    for i, w in enumerate(weight):
+        bounds = {}
+        for l, via in w.items():
+            if via == math.inf:
+                continue
+            for j, v in reach[l]:
+                if via + v < bounds.get(j, math.inf):
+                    bounds[j] = via + v
+        if bounds:
+            row = list(exact[i])
+            for j, bound in bounds.items():
+                row[j] = LaurentElement(row[j].coeffs, bound)
+            out[i] = tuple(row)
+    return MatK._raw(out)
 
 
 # ---------------------------------------------------------------------------

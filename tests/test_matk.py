@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from affnil import (
     ZeroScale,
     gr,
 )
-from affnil.affine import adjoint_act, form_t
+from affnil.affine import GroupElement, adjoint_act, form_t
 from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil import matk, zipoly
 from affnil.errors import ExactDivisionError
@@ -83,6 +84,30 @@ def test_trace_and_scale_t():
     x = mat([["t", "1"], ["0", "t^-1"]])
     assert x.trace() == lp("t^-1 + t")
     assert x.scale_t(gr(2)) == mat([["2*t", "1"], ["0", "1/2*t^-1"]])
+
+
+def test_trace_is_the_chained_sum_of_the_diagonal():
+    # one accumulation over a common denominator gives what adding the
+    # diagonal entry by entry gives, coefficients and bound alike
+    assert mat([["1/2*t", "0", "0"], ["0", "-1/2*t + O(t^3)", "0"], ["0", "0", "1/3"]]
+               ).trace() == lp("1/3 + O(t^3)")
+    assert mat([["t^5", "1"], ["0", "1 + O(t^2)"]]).trace() == lp("1 + O(t^2)")
+    assert mat([["(1/2+i)", "0"], ["0", "(-1/2-i)"]]).trace() == lp("0")
+    assert MatK.identity(0).trace() == lp("0")
+    rng = random.Random("trace")
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        rows = [[random_laurent(rng) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.3:
+                rows[i][i] = rows[i][i].truncated(rng.randint(-3, 4))
+        if rng.random() < 0.5:
+            rows[-1][-1] = rows[-1][-1] - sum((rows[i][i] for i in range(n)), lp("0"))
+        m = MatK(rows)
+        chained = lp("0")
+        for i in range(n):
+            chained = chained + m.rows[i][i]
+        assert repr(m.trace()) == repr(chained) and m.trace() == chained, trial
 
 
 # -- determinant ----------------------------------------------------------------
@@ -469,7 +494,7 @@ def test_truncated_inverse_agrees_with_every_completion():
             # D = t^shift·d/den: x agrees with C⁻¹ below its bound b exactly
             # when D·x agrees with D·C⁻¹ below b + val D, the bound of D·x
             try:
-                d, shift, den, right = _inv_dense(_completion(rng, m))
+                d, shift, den, right = _dense_inverse(_completion(rng, m))
             except Singular:
                 continue
             det = zipoly.to_laurent(d, shift, den)
@@ -479,6 +504,94 @@ def test_truncated_inverse_agrees_with_every_completion():
                     assert agree_below(product, zipoly.to_laurent(y, shift, den),
                                         trunc_bound(product)), trial
     assert routed >= 50 and fell_back >= 50, (routed, fell_back)
+
+
+def _known_part_bound_oracle(mat: MatK):
+    """:func:`_inverse_from_known_part` by its bound rule in full: every
+    valuation of R = B⁻¹ read, every entry of A⁻¹ given its bound."""
+    n = mat.n
+    cuts = [(k, l, e.prec) for k, r in enumerate(mat.rows)
+            for l, e in enumerate(r) if e.prec is not None]
+    known = MatK([[LaurentElement(e.coeffs) for e in r] for r in mat.rows])
+    try:
+        inverse = known.inv()
+    except Singular:
+        return None
+    if not inverse.all_exact():  # d is not a monomial
+        return None
+    val = [[min(e.coeffs) if e.coeffs else math.inf for e in r] for r in inverse.rows]
+    cols = sorted({l for _, l, _ in cuts})
+    weight = [dict.fromkeys(cols, math.inf) for _ in range(n)]
+    for k, l, cut in cuts:
+        for i in range(n):
+            weight[i][l] = min(weight[i][l], val[i][k] + cut)
+    if any(w < 1 for row in weight for w in row.values()):
+        return None
+    for c in cols:
+        for i in range(n):
+            for l in cols:
+                weight[i][l] = min(weight[i][l], weight[i][c] + weight[c][l])
+    out = []
+    for i, r in enumerate(inverse.rows):
+        out_row = []
+        for j, x in enumerate(r):
+            bound = min(weight[i][l] + val[l][j] for l in cols)
+            out_row.append(x if bound == math.inf else LaurentElement(x.coeffs, bound))
+        out.append(out_row)
+    return MatK(out)
+
+
+def _unit_diagonal_cuts(rng: random.Random):
+    """Shear products with the diagonal 1 of a unit row cut to 1 + O(t^N),
+    sometimes with a second cut entry."""
+    for trial in range(60):
+        n = rng.randint(3, 8)
+        m = _shear_product(rng, n, rng.randint(1, min(3, n - 1)))
+        units = [i for i in range(n) if i not in _non_unit_rows(m.rows)]
+        rows = [list(r) for r in m.rows]
+        u = rng.choice(units)
+        rows[u][u] = lp(f"1 + O(t^{rng.choice([1, 2, 5, 20])})")
+        if trial % 2:
+            k, l = rng.randrange(n), rng.randrange(n)
+            x = rows[k][l]
+            rows[k][l] = x.truncated(max(x.coeffs, default=0) + rng.choice([1, 3, 8]))
+        yield trial, MatK(rows)
+
+
+def _act_style_truncated_groups():
+    """45 groups built as the act-wide benchmark builds its truncated ones:
+    a loop rotation composed with 1 to 5 random shears at n = 8, 10, 12, one
+    nonzero entry cut 32 above its top."""
+    sizes, rotations = (8, 10, 12), (gr(1), gr(2), gr(1, 1))
+    for idx in range(3, 180, 4):
+        n = sizes[idx % 3]
+        rng = random.Random(f"act-style:{idx}")
+        g = random_shear(rng, n)
+        for _ in range((idx // 3) % 5):
+            g = g.compose(random_shear(rng, n))
+        g = GroupElement.loop_rotation(n, rotations[(idx // 15) % 3]).compose(g)
+        rows = [list(r) for r in g.g.rows]
+        i, j = rng.choice([(i, j) for i in range(n) for j in range(n) if rows[i][j].coeffs])
+        rows[i][j] = rows[i][j].truncated(max(rows[i][j].coeffs) + 32)
+        yield idx, MatK(rows)
+
+
+@pytest.mark.parametrize("family", ["completion", "unit diagonal", "act-style"])
+def test_inverse_from_the_known_part_matches_the_full_bound_rule(family):
+    # the bound read at the cut rows' columns and cut columns' rows of R,
+    # with only the entries of finite bound rebuilt, is the rule in full
+    cases = {"completion": lambda: _cut_matrices(random.Random(41)),
+             "unit diagonal": lambda: _unit_diagonal_cuts(random.Random("unit-diagonal")),
+             "act-style": _act_style_truncated_groups}[family]
+    routed = 0
+    for trial, m in cases():
+        expected = _known_part_bound_oracle(m)
+        got = _inverse_from_known_part(m)
+        assert got == expected, trial
+        if got is not None:
+            assert repr(got) == repr(expected), trial
+            routed += 1
+    assert routed >= {"completion": 50, "unit diagonal": 50, "act-style": 45}[family]
 
 
 def test_inv_raises_singular_at_rank_n_minus_one():
@@ -891,9 +1004,22 @@ def _oracle_kernel(m: MatK):
     return basis
 
 
+def _dense_inverse(m: MatK):
+    """(d, shift, den, right) of :func:`_inv_dense`, with right expanded to
+    the n x n grid of polynomials of d·A⁻¹ = t^shift·right/den: the listed
+    rows of R, and d on the diagonal of every other row."""
+    d, shift, den, rows = _inv_dense(m)
+    right = [[d if i == j else [] for j in range(m.n)] for i in range(m.n)]
+    for i, pairs in rows:
+        right[i][i] = []
+        for j, f in pairs:
+            right[i][j] = f
+    return d, shift, den, right
+
+
 def _scaled_inverse(m: MatK):
     """(d, d·A⁻¹) as Laurent elements, from the pass of :func:`_inv_dense`."""
-    d, shift, den, right = _inv_dense(m)
+    d, shift, den, right = _dense_inverse(m)
     return (zipoly.to_laurent(d, shift, den),
             MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in right]))
 
@@ -1174,7 +1300,7 @@ def _sparse_groups(rng: random.Random, n: int):
 
 def _check_inverse(m: MatK, where):
     d, right, _ = _dense_loop_inverse(m)
-    got_d, _, _, got_right = _inv_dense(m)
+    got_d, _, _, got_right = _dense_inverse(m)
     assert (got_d, got_right) == (d, right), where
     inverse = m.inv()
     assert inverse.all_exact() and m * inverse == MatK.identity(m.n), where
@@ -1211,7 +1337,7 @@ def test_exact_loop_row_branches(monkeypatch):
     # becomes 2·x at columns 1 and 4.  The second quotient is 1, and row 2 of
     # d·A⁻¹ is d·e_2.
     m = MatK.diag([lp("2"), lp("1/2"), lp("1")]) * MatK.shear(3, 1, 0, lp("t"))
-    (d, _, _, right), counts = _counted(monkeypatch, _inv_dense, m)
+    (d, _, _, right), counts = _counted(monkeypatch, _dense_inverse, m)
     assert counts == {"combine": 1, "scale": 2, "inexact": 0}
     assert d == [(2, 0)]
     assert right == [[[(1, 0)], [], []], [[(0, 0), (-1, 0)], [(4, 0)], []], [[], [], [(2, 0)]]]
@@ -1219,7 +1345,7 @@ def test_exact_loop_row_branches(monkeypatch):
     # an inexact quotient: in [[2, 1], [1, 1]] the second pivot is 1 and prev
     # is 2, so row 0 runs the division loop at every nonzero column
     m = mat([["2", "1"], ["1", "1"]])
-    (d, _, _, right), counts = _counted(monkeypatch, _inv_dense, m)
+    (d, _, _, right), counts = _counted(monkeypatch, _dense_inverse, m)
     assert counts == {"combine": 4, "scale": 1, "inexact": 1}
     assert d == [(1, 0)] and right == [[[(1, 0)], [(-1, 0)]], [[(-1, 0)], [(2, 0)]]]
     _check_inverse(m, "inexact quotient")
@@ -1240,7 +1366,7 @@ def test_exact_inverse_combines_only_at_pivot_row_columns(monkeypatch):
     # the 6 others make 14.
     m = _shear_product(random.Random(12), 12, 8)
     d, right, dense_calls = _dense_loop_inverse(m)
-    (got_d, _, _, got_right), counts = _counted(monkeypatch, _inv_dense, m)
+    (got_d, _, _, got_right), counts = _counted(monkeypatch, _dense_inverse, m)
     assert (got_d, got_right) == (d, right)
     assert len(_non_unit_rows(m.rows)) == 6
     assert (counts["combine"], dense_calls) == (14, 67)
@@ -1291,10 +1417,48 @@ def test_unit_rows_at_every_position_match_the_oracles():
             _check_against_the_oracles(m, (n, sorted(units)))
     # r = 0: the identity is not eliminated at all
     for n in (1, 4):
-        assert _inv_dense(MatK.identity(n)) == (
+        assert _dense_inverse(MatK.identity(n)) == (
             [(1, 0)], 0, 1, [[[(1, 0)] if i == j else [] for j in range(n)] for i in range(n)])
         assert MatK.identity(n).inv() == MatK.identity(n)
         assert MatK.identity(n).det() == lp("1")
+
+
+def test_unit_rows_of_the_inverse_are_the_shared_identity_rows():
+    rng = random.Random("shared-rows")
+    for n in (6, 8, 12):
+        g = _shear_product(rng, n, 3)
+        units = [i for i in range(n) if i not in _non_unit_rows(g.rows)]
+        assert units
+        identity = MatK.identity(n).rows
+        inverse = g.inv()
+        assert all(inverse.rows[i] is identity[i] for i in units)
+        # a truncated entry in a row of R: the unit rows are not cut either
+        rows = [list(r) for r in g.rows]
+        k = _non_unit_rows(g.rows)[0]
+        l = next(j for j, x in enumerate(rows[k]) if x.coeffs and j != k)
+        rows[k][l] = rows[k][l].truncated(max(rows[k][l].coeffs) + 8)
+        cut = MatK(rows).inv()
+        assert all(cut.rows[i] is identity[i] for i in units)
+
+
+def test_exact_inverse_converts_only_the_rows_of_r(monkeypatch):
+    # n = 12, eight shears: 6 rows are exactly e_i, and only the nonzero
+    # entries of the other 6 rows of A⁻¹ go through to_laurent
+    m = _shear_product(random.Random(12), 12, 8)
+    rest = _non_unit_rows(m.rows)
+    converted = []
+    to_laurent = zipoly.to_laurent
+
+    def counted(f, *args):
+        converted.append(f)
+        return to_laurent(f, *args)
+
+    monkeypatch.setattr(zipoly, "to_laurent", counted)
+    inverse = m.inv()
+    monkeypatch.undo()
+    assert len(rest) == 6
+    assert len(converted) == sum(1 for i in rest for x in inverse.rows[i] if x.coeffs)
+    assert m * inverse == MatK.identity(12)
 
 
 def test_unit_rows_with_a_singular_or_non_monomial_block():
