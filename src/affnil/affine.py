@@ -75,15 +75,33 @@ class DetMode(enum.Enum):
     NTH_POWER_CERTIFIED = "nth-power-certified"
 
 
+def det_mode_of(det: LaurentElement, n: int) -> DetMode:
+    """The certificate that the determinant det of an n×n matrix carries.
+
+    EXACT_ONE when det - 1 is provably zero, NTH_POWER_CERTIFIED when the
+    valuation of det is a multiple of n (a truncated det that is 1 only up to
+    its truncation lands here), :class:`NotUnimodular` otherwise.  An
+    undetermined valuation raises :class:`PrecisionExhausted`.
+    """
+    if det.is_zero_3v() is True:
+        raise NotUnimodular("det is 0: the matrix is singular")
+    if (det - LaurentElement.one()).is_zero_3v() is True:
+        return DetMode.EXACT_ONE
+    if det.order() % n == 0:
+        return DetMode.NTH_POWER_CERTIFIED
+    raise NotUnimodular(f"det has valuation {det.order()}, not a multiple of {n}")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """(z, g) with z a loop rotation and g a matrix over K.
 
-    EXACT_ONE means det(g) = 1 (to precision).  NTH_POWER_CERTIFIED means the
+    EXACT_ONE means det(g) = 1 exactly.  NTH_POWER_CERTIFIED means the
     valuation of det(g) is a multiple of n, so det(g) = r^n for some r in K
     and g is an SL_n(K) element times the scalar r; that scalar acts trivially
     on trace-zero matrices and contributes nothing to the c-correction when
-    the derivation part vanishes.
+    the derivation part vanishes.  :meth:`checked` decides the mode by
+    :func:`det_mode_of`; built directly, the element trusts the mode given.
     """
 
     z: GaussianRational
@@ -118,18 +136,9 @@ class GroupElement:
         z: GaussianRational = GR_ONE,
         working_prec: int = DEFAULT_WORKING_PREC,
     ) -> "GroupElement":
-        """Classify the determinant and build a certified element."""
-        d = g.det(working_prec)
-        if d.is_zero_3v() is True:
-            raise NotUnimodular("det is 0: the matrix is singular")
-        one = LaurentElement.one()
-        if (d - one).is_zero_3v() is not False:
-            return cls(z, g, DetMode.EXACT_ONE)
-        if d.order() % g.n == 0:
-            return cls(z, g, DetMode.NTH_POWER_CERTIFIED)
-        raise NotUnimodular(
-            f"det has valuation {d.order()}, not a multiple of {g.n}"
-        )
+        """Classify the determinant (:func:`det_mode_of`) and build a
+        certified element."""
+        return cls(z, g, det_mode_of(g.det(working_prec), g.n))
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """Semidirect product compatible with Ad(z, g) = Ad d_z o Ad g:

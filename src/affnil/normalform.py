@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, NamedTuple, Optional, Tuple
 
-from .affine import DetMode, GroupElement
+from .affine import GroupElement, det_mode_of
 from .errors import (
     InvalidPartition,
     InvalidShift,
@@ -156,10 +156,17 @@ def canonical_rep(sigma: Tuple[int, ...], k: int) -> MatK:
     smallest = parts[-1]
     if not 0 <= k < smallest:
         raise InvalidShift(f"k = {k} outside [0, {smallest})")
-    blocks = [(size, (_L_ONE,) * (size - 1)) for size in parts]
-    if smallest > 1:
-        blocks[-1] = (smallest, (_L_ONE,) * (smallest - 2) + (LaurentElement.monomial(k),))
-    return QuasiJordanForm(tuple(blocks)).matrix()
+    return _ones_form(parts, -1, smallest - 2, k).matrix()
+
+
+def _ones_form(sigma: Tuple[int, ...], block: int, slot: int, exp: int) -> QuasiJordanForm:
+    """The form of sigma with superdiagonal ones, except t^exp at entry
+    ``slot`` of block ``block`` when that block has entries."""
+    blocks = [(size, (_L_ONE,) * (size - 1)) for size in sigma]
+    size, diag = blocks[block]
+    if size > 1:
+        blocks[block] = (size, diag[:slot] + (LaurentElement.monomial(exp),) + diag[slot + 1:])
+    return QuasiJordanForm(tuple(blocks))
 
 
 def read_quasi_jordan(x: MatK) -> Optional[QuasiJordanForm]:
@@ -173,34 +180,22 @@ def read_quasi_jordan(x: MatK) -> Optional[QuasiJordanForm]:
     n = x.n
     if n == 0:
         raise InvalidPartition("a 0x0 matrix has no quasi-Jordan form")
-    for i in range(n):
-        for j in range(n):
-            if j == i + 1:
-                continue
-            if x.rows[i][j].is_zero_3v() is not True:
-                return None
-    sizes: List[int] = []
-    diags: List[List[LaurentElement]] = []
-    current = 1
-    current_diag: List[LaurentElement] = []
+    if any(x.rows[i][j].is_zero_3v() is not True
+           for i in range(n) for j in range(n) if j != i + 1):
+        return None
+    diags: List[List[LaurentElement]] = [[]]  # a zero entry starts a block
     for i in range(n - 1):
         e = x.rows[i][i + 1]
         z = e.is_zero_3v()
         if z is None:
             return None
-        if z is False:
-            current += 1
-            current_diag.append(e)
+        if z:
+            diags.append([])
         else:
-            sizes.append(current)
-            diags.append(current_diag)
-            current = 1
-            current_diag = []
-    sizes.append(current)
-    diags.append(current_diag)
-    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
+            diags[-1].append(e)
+    if any(len(a) < len(b) for a, b in zip(diags, diags[1:])):
         return None
-    return QuasiJordanForm(tuple((s, tuple(d)) for s, d in zip(sizes, diags)))
+    return QuasiJordanForm(tuple((len(d) + 1, tuple(d)) for d in diags))
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +508,7 @@ def reduce_to_quasi_jordan(
     chains = jordan_chains(x, working_prec)
     det_p = chains.p_mat.det(working_prec)
     l = (-det_p.order()) % n
-    blocks = []
-    for idx, size in enumerate(chains.sigma):
-        if size == 1:
-            blocks.append((1, ()))
-            continue
-        diag = [_L_ONE] * (size - 1)
-        if idx == 0 and l > 0:
-            diag[0] = LaurentElement.monomial(-l)
-        blocks.append((size, tuple(diag)))
-    form = QuasiJordanForm(tuple(blocks))
-    return ReductionData(form, l, chains.p_mat, det_p)
+    return ReductionData(_ones_form(chains.sigma, 0, 0, -l), l, chains.p_mat, det_p)
 
 
 def jordan_transform(
@@ -540,8 +525,10 @@ def quasi_jordanize(
     """Conjugator h and quasi-Jordan form D with h.g x h.g^-1 = matrix of D.
 
     h.g = S T with T the Jordan transition matrix and S = diag(t^-l, 1, ...);
-    ord(det h.g) is a multiple of n by construction.  det_mode records whether
-    the determinant is exactly 1 or only n-th-power certified.
+    ord(det h.g) is a multiple of n by construction.  det h.g = 1 / (t^l det P)
+    for P = T^-1, so :func:`~affnil.affine.det_mode_of` of t^l det P gives the
+    mode: EXACT_ONE exactly when that product is provably 1, and the n-th-power
+    certificate otherwise (always, for a truncated det P).
     """
     data = reduce_to_quasi_jordan(x, working_prec)
     n = x.n
@@ -550,6 +537,4 @@ def quasi_jordanize(
     t_mat = data.p_mat.inv(working_prec)
     s_entries = [LaurentElement.monomial(-data.shift)] + [_L_ONE] * (n - 1)
     g = MatK.diag(s_entries) * t_mat
-    exact_one = data.det_p == LaurentElement.monomial(-data.shift)
-    mode = DetMode.EXACT_ONE if exact_one else DetMode.NTH_POWER_CERTIFIED
-    return GroupElement(GR_ONE, g, mode), data.form
+    return GroupElement(GR_ONE, g, det_mode_of(data.det_p.shift(data.shift), n)), data.form

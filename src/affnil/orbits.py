@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .affine import AffineElement, DetMode, GroupElement, killing_coef
+from .affine import AffineElement, GroupElement, det_mode_of, killing_coef
 from .errors import (
     NotConjugate,
     NotNilpotent,
@@ -149,12 +149,8 @@ def conjugator_quasi_jordan(
     rhs = dst.matrix() * g
     if (lhs - rhs).is_zero_3v() is False:
         raise AssertionError("conjugator construction failed")
-    det = _L_ONE
-    for e in entries:
-        det = det * e
-    exact_one = (det - _L_ONE).is_zero_3v()
-    mode = DetMode.EXACT_ONE if exact_one is True else DetMode.NTH_POWER_CERTIFIED
-    return GroupElement(GR_ONE, g, mode)
+    det = math.prod(entries, start=_L_ONE)
+    return GroupElement(GR_ONE, g, det_mode_of(det, len(entries)))
 
 
 def _bezout(sizes: Tuple[int, ...]) -> Tuple[int, List[int]]:

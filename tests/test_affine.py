@@ -21,6 +21,7 @@ from affnil import (
     is_nilpotent,
     killing_coef,
 )
+from affnil.affine import det_mode_of
 from affnil.selfcheck import (
     random_gaussian,
     random_group,
@@ -339,6 +340,32 @@ def test_checked_group_element_modes():
 
     with pytest.raises(NotUnimodular):
         GroupElement.checked(MatK.diag([lp("t"), lp("1")]))
+
+
+def test_det_mode_of_each_determinant():
+    assert det_mode_of(lp("1"), 3) is DetMode.EXACT_ONE
+    assert det_mode_of(lp("1 + O(t^5)"), 3) is DetMode.NTH_POWER_CERTIFIED
+    assert det_mode_of(lp("t^3"), 3) is DetMode.NTH_POWER_CERTIFIED
+    from affnil import NotUnimodular
+
+    for det in ("t", "0"):
+        with pytest.raises(NotUnimodular):
+            det_mode_of(lp(det), 3)
+
+
+def test_checked_det_one_up_to_truncation_is_only_certified():
+    """diag(1 + O(t^5), 1) admits the completion diag(1 + t^5, 1), whose SL_2
+    part moves a unit derivation part to 5/2·t^5 + ... at (1, 1); an exact-one
+    certificate would print an exact 0 there, so the element is refused."""
+    g = GroupElement.checked(MatK.diag([lp("1 + O(t^5)"), lp("1")]))
+    assert g.det_mode is DetMode.NTH_POWER_CERTIFIED
+    d = AffineElement(MatK.zero(2), d_coef=gr(1))
+    with pytest.raises(CertifiedDetWithDerivation):
+        adjoint_act(g, d)
+    root = lp("1 + t^5").nth_root(2)
+    sl2 = GroupElement(gr(1), MatK.diag([root, root.inv()]), DetMode.EXACT_ONE)
+    moved = adjoint_act(sl2, d).mat.rows[1][1]
+    assert moved.order() == 5 and moved.coeffs[5] == gr(5) / gr(2)
 
 
 def test_adjoint_is_bracket_automorphism_with_derivation_parts():

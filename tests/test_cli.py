@@ -95,6 +95,22 @@ def test_group_document_without_certificate_exits_2(tmp_path, capsys):
     assert "multiple" in capsys.readouterr().err
 
 
+def test_group_document_with_undetermined_determinant_exits_2(tmp_path, capsys):
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "t"], ["0", "0"]]})
+    group = write(tmp_path, "group.json", {"matrix": [["O(t^0)", "0"], ["0", "1"]]})
+    assert main(["act", group, elem]) == 2
+    assert "determinant undetermined" in capsys.readouterr().err
+
+
+def test_group_document_det_one_up_to_truncation_refuses_a_derivation_part(tmp_path, capsys):
+    """Its determinant is 1 only up to O(t^5), so it carries the n-th-power
+    certificate, which cannot move a derivation part."""
+    group = write(tmp_path, "group.json", {"z": "1", "matrix": [["1 + O(t^5)", "0"], ["0", "1"]]})
+    elem = write(tmp_path, "elem.json", {"n": 2, "matrix": [["0", "0"], ["0", "0"]], "d": "1"})
+    assert main(["act", group, elem]) == 2
+    assert "derivation part" in capsys.readouterr().err
+
+
 def test_malformed_matrix_shape_exits_2(tmp_path):
     path = write(tmp_path, "elem.json", {"n": 3, "matrix": [["0", "0"], ["0", "0"]]})
     assert main(["classify", path]) == 2

@@ -712,6 +712,10 @@ def test_kernel_of_zero_matrix_is_standard_basis():
     assert basis[0] == (lp("1"), lp("0"), lp("0"))
 
 
+def test_truncated_kernel_with_no_free_column_is_empty():
+    assert mat([["1 + O(t^5)"]]).kernel_basis() == []
+
+
 def _all_pivots_kernel(m: MatK):
     """Oracle: back-substitution from the product of every echelon pivot at
     the free coordinate, which makes every division exact."""

@@ -142,6 +142,7 @@ def test_read_quasi_jordan_rejects_non_forms():
     assert read_quasi_jordan(mat([["0", "1"], ["1", "0"]])) is None
     increasing = E(3, 1, 2) + E(3, 2, 2, "0")  # sizes (1, 2)
     assert read_quasi_jordan(E(3, 1, 2)) is None
+    assert read_quasi_jordan(mat([["0", "O(t^3)"], ["0", "0"]])) is None  # undetermined
 
 
 # -- rank profile ---------------------------------------------------------------------
