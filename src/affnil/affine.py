@@ -25,12 +25,19 @@ from .errors import (
 )
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, gr
 from .laurent import DEFAULT_WORKING_PREC, LaurentElement
-from .matk import MatK, trace_coeff
+from .matk import (
+    MatK,
+    _nonzero_entries,
+    _products,
+    _trace_coeff,
+    _trace_pairs,
+    trace_coeff,
+)
 
 
 def killing_coef(n: int) -> GaussianRational:
     """Killing-form normalization of sl_n: kappa(x, y) = 2n tr(xy)."""
-    return gr(2 * n)
+    return GaussianRational._raw(2 * n, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -242,6 +249,15 @@ def adjoint_act(
     it anyway.  :func:`trace_coeff` keeps the truncation bound of every entry
     product, so a truncated g gives the correction only where its full
     products would know it, and raises :class:`PrecisionExhausted` otherwise.
+
+    Cost.  g's entries that are not exactly zero are listed once per call
+    (``matk._nonzero_entries``), and that one listing serves the inverse
+    (whether g is exact, and which rows are unit rows), the left factor of
+    g y and the entry pairs of tr(g' y); nothing else reads all n^2 entries
+    of g, and the listing is dropped when the call returns.  Past that, the
+    act pays for g's nonzero entries and for the rows of g that are not unit
+    rows (see :mod:`affnil.matk`).  t -> z t is ``MatK.scale_t``, one
+    integer-pair product and one gcd per output coefficient.
     """
     if g.n != a.n:
         raise DimensionMismatch("group and algebra elements of different sizes")
@@ -251,10 +267,11 @@ def adjoint_act(
         raise CertifiedDetWithDerivation(
             "derivation part needs an exact det-1 conjugator"
         )
-    ginv = g.g.inv(working_prec)
+    listed = _nonzero_entries(g.g.rows)  # for this call only
+    ginv = g.g.inv(working_prec, _listed=listed)
     y = a.mat * ginv
-    mat = g.g * y
-    corr = kappa * trace_coeff(g.g, y, -1, derivative=True)
+    mat = MatK._raw(_products(g.g.rows, y.rows, listed=listed))
+    corr = kappa * _trace_coeff(_trace_pairs(listed, y.rows), -1, True)
     if not mu.is_zero:
         m = g.g.d_dt() * ginv
         mat = mat - m.shift(1).scale(mu)

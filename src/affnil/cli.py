@@ -189,7 +189,9 @@ def _sized_output(fn):
 
 @_sized_output
 def matrix_doc(mat: MatK) -> List[List[str]]:
-    return [[format_laurent(e) for e in row] for row in mat.rows]
+    # an exact zero, most entries of a sparse result, prints without a call
+    return [["0" if not e.coeffs and e.prec is None else format_laurent(e) for e in row]
+            for row in mat.rows]
 
 
 @_sized_output

@@ -52,16 +52,21 @@ def _phase(a: int, b: int) -> float:
     return cmath.phase(complex(a >> shift, b >> shift))
 
 
+def _pair_power(x: int, y: int, k: int) -> Tuple[int, int]:
+    """(x + y*i)^k for k >= 0 on integer pairs, by repeated squaring."""
+    ga, gb = 1, 0
+    while k:
+        if k & 1:
+            ga, gb = ga * x - gb * y, ga * y + gb * x
+        k >>= 1
+        if k:
+            x, y = x * x - y * y, 2 * x * y
+    return ga, gb
+
+
 def _gaussian_int_nth_root(wa: int, wb: int, n: int) -> Optional[Tuple[int, int]]:
     """The n-th root in Z[i] of w = wa + wb*i != 0 that ``GaussianRational.nth_root``
     returns, for n >= 2, or None if w has none."""
-
-    def power(x: int, y: int, k: int) -> Tuple[int, int]:
-        ga, gb = 1, 0
-        for _ in range(k):
-            ga, gb = ga * x - gb * y, ga * y + gb * x
-        return ga, gb
-
     norm_g = _int_nth_root(wa * wa + wb * wb, n)  # x^2 + y^2 exactly
     if norm_g is None:
         return None
@@ -78,7 +83,7 @@ def _gaussian_int_nth_root(wa: int, wb: int, n: int) -> Optional[Tuple[int, int]
         # integer Newton on g -> g - (g^n - w) / (n g^(n-1)); the float seed
         # is within relative 1e-15, so a handful of steps reach the root
         for _ in range(12):
-            pa, pb = power(x, y, n - 1)
+            pa, pb = _pair_power(x, y, n - 1)
             gna, gnb = pa * x - pb * y, pa * y + pb * x
             den = n * (pa * pa + pb * pb)
             if den == 0:
@@ -92,7 +97,7 @@ def _gaussian_int_nth_root(wa: int, wb: int, n: int) -> Optional[Tuple[int, int]
             y -= step_y
         # the iteration lands within a unit box of any actual root
         for cx, cy in ((x + dx, y + dy) for dx in (0, -1, 1) for dy in (0, -1, 1)):
-            if cx * cx + cy * cy == norm_g and power(cx, cy, n) == (wa, wb):
+            if cx * cx + cy * cy == norm_g and _pair_power(cx, cy, n) == (wa, wb):
                 # of the roots (cx + cy*i)*u, take the fewest steps of 2*pi/n
                 # counter-clockwise of the principal
                 return min(((cx * ua - cy * ub, cx * ub + cy * ua) for ua, ub in units),
@@ -243,6 +248,10 @@ class GaussianRational:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
+        # equal values hash equal: a real value hashes as the int or
+        # Fraction it equals (``__eq__`` coerces those)
+        if self.b == 0:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d))
 
     def __repr__(self):

@@ -31,8 +31,11 @@ A⁻¹ = [[B⁻¹, −B⁻¹C], [0, I]]: the loop runs on the |R| rows of B, or 
 [B | −C | I] for the inverse.  The inverse pass returns only those |R| rows,
 as their nonzero entries, and a unit row of A is the same row e_i of A⁻¹:
 one of the identity's rows, built once per n and shared
-(:func:`_identity_rows`).  Apart from finding the unit rows, an inverse
-costs what its |R| rows of length n cost, not n².  A product of k root subgroup
+(:func:`_identity_rows`).  The unit rows, and whether A is exact at all,
+are read off one listing of A's nonzero entries (:func:`_nonzero_entries`),
+and only the nonzero entries of the rows of R are converted
+(:func:`zipoly.from_entries`); past that listing, an inverse costs what its
+|R| rows of length n cost, not n².  A product of k root subgroup
 elements I + p·E_ij differs from I in at most k rows, so most rows of the
 groups that ``adjoint_act`` inverts are unit rows.  The echelon and the
 dual-number pass take every row.
@@ -41,7 +44,9 @@ A row update touches only what can change, by one rule for every entry x.
 With f the row's entry in the pivot column and y the pivot row's entry in
 x's column, where f = 0 or y = 0 the entry becomes (p·x − f·y) / prev =
 (p / prev)·x: nothing when x = 0 or the quotient is 1, one product with the
-quotient when it is exact, and the Bareiss step when it is not.  Everywhere
+quotient when it is exact (whether the quotient is a monomial, which makes
+that product a shift, is decided once per step: :func:`zipoly.multiplier`),
+and the Bareiss step when it is not.  Everywhere
 else it takes the Bareiss step with its division.  The matrices that
 ``adjoint_act`` inverts are sparse, so most of [A | I] is zero, and zero
 entries cost nothing but a comparison: no product, no conversion and no new
@@ -75,9 +80,12 @@ Products.  :meth:`MatK.__mul__`, :meth:`MatK.apply` (v as one column) and
 :meth:`MatK.commutator` (A·B − B·A, for the bracket) run one kernel,
 :func:`_products`, a row-wise sparse accumulation (Gustavson 1978) over
 integer terms.  Each left row is listed once by its entries that are not
-exactly zero, and so is each right row k that some nonzero a_ik reaches;
-nothing else of either factor is read.  Row i of the left factors goes on
-one common denominator and the right factors on another, each the lcm of
+exactly zero (:func:`_nonzero_entries`; a caller that holds that listing of
+A passes it in, as ``adjoint_act`` does for g, whose one listing also
+serves :meth:`MatK.inv` and :func:`trace_coeff`), and so is each right row
+k that some nonzero a_ik reaches; nothing else of either factor is read.
+Row i of the left factors goes on one common denominator and the right
+factors on another, each the lcm of
 the denominators other than 1 of the listed entries.  The listed right
 entries are converted to (exponent, re, im) integer terms once.  The
 products go into one dict of integer pairs per output entry, and each
@@ -92,10 +100,14 @@ of them, so every coefficient below it is an exact sum: the result equals
 the entrywise sum of Laurent products, coefficient for coefficient.  In a
 single product A·B, a row of A that is exactly e_k gives row k of B as it is,
 which is what the sum gives (each bound is b_kj's own precision), and a row
-of B that only such rows reach is not converted.  A dense product over
-Z[i][t] was 2.4× slower on small sparse operands, and a kernel that visits
-every (i, j, k) and converts all entries of both factors was slower than
-the entrywise loop; only the sparse form is faster on every workload.
+of B that only such rows reach is not converted.  Likewise a row k of B that
+is exactly e_j passes a_ik to column j as it is (its bound is a_ik's own
+precision), and it is added in, by one Laurent sum, where other pairs reach
+column j too; so x·g⁻¹ rebuilds only the entries that the rows of g⁻¹
+other than unit rows reach.  A dense product over Z[i][t] was 2.4× slower
+on small sparse operands, and a kernel that visits every (i, j, k) and
+converts all entries of both factors was slower than the entrywise loop;
+only the sparse form is faster on every workload.
 
 Pivoting rule.  Exact input: the entry with the fewest terms in the current
 column (:func:`_pick_short`), ties broken by least valuation and then by the
@@ -121,7 +133,7 @@ from .errors import (
     Singular,
     ZeroScale,
 )
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, _pair_power
 from .laurent import (
     DEFAULT_WORKING_PREC,
     LaurentElement,
@@ -296,21 +308,40 @@ class MatK:
         return MatK([[e.shift(k) for e in r] for r in self.rows])
 
     def scale_t(self, z) -> "MatK":
-        """The substitution t -> z*t in every entry; each power z^e is taken
-        once per matrix, not once per term.  An entry with no coefficients,
-        the exact zero or a bare O(t^N), is its own image and is returned
-        as it is, not rebuilt."""
+        """The substitution t -> z*t in every entry, on integer pairs.
+
+        Each power z^e is formed once per matrix, when first needed, as the
+        integers of (a + b·i)/d by repeated squaring on integer pairs, not
+        reduced, and each coefficient c·z^e is built from their products
+        with c's integers by one ``GaussianRational._norm``, which reduces
+        it: no ``GaussianRational`` product and no gcd but that one.  The
+        coefficient at t^0 is kept as it is.  An entry with no coefficients,
+        the exact zero or a bare O(t^N), is its own image and is returned as
+        it is, not rebuilt.
+        """
         z = GaussianRational(z) if not isinstance(z, GaussianRational) else z
         if z.is_zero:
             raise ZeroScale("t -> 0*t is not a field automorphism")
-        powers = {e: z**e for e in {e for r in self.rows for x in r for e in x.coeffs}}
-        return MatK._raw(
-            [
-                tuple(LaurentElement._raw({e: c * powers[e] for e, c in x.coeffs.items()}, x.prec)
-                      if x.coeffs else x for x in r)
-                for r in self.rows
-            ]
-        )
+        norm = GaussianRational._norm
+        z_inv = z.inverse()
+        powers = {}  # e -> (a, b, d) with z^e = (a + b·i)/d
+
+        def image(x: LaurentElement) -> LaurentElement:
+            coeffs = {}
+            for e, c in x.coeffs.items():
+                if not e:
+                    coeffs[e] = c
+                    continue
+                power = powers.get(e)
+                if power is None:
+                    w, k = (z, e) if e > 0 else (z_inv, -e)
+                    power = powers[e] = _pair_power(w.a, w.b, k) + (w.d**k,)
+                pa, pb, pd = power
+                ca, cb = c.a, c.b
+                coeffs[e] = norm(ca * pa - cb * pb, ca * pb + cb * pa, c.d * pd)
+            return LaurentElement._raw(coeffs, x.prec)
+
+        return MatK._raw([tuple(image(x) if x.coeffs else x for x in r) for r in self.rows])
 
     def is_zero_3v(self) -> Optional[bool]:
         undetermined = False
@@ -346,7 +377,7 @@ class MatK:
             return _det_bareiss(self)
         return _gauss_jordan(self, working_prec, inverse=False)
 
-    def inv(self, working_prec: int = DEFAULT_WORKING_PREC) -> "MatK":
+    def inv(self, working_prec: int = DEFAULT_WORKING_PREC, *, _listed=None) -> "MatK":
         """Inverse; exact entries whenever the input is exact with a monomial det.
 
         Exact input goes through one fraction-free Gauss–Jordan pass on
@@ -362,21 +393,29 @@ class MatK:
         (:func:`_inverse_from_known_part`); where that does not apply it uses
         division-based Gauss–Jordan at ``working_prec``.  Raises
         :class:`Singular` when the matrix is exactly singular.
+
+        Whether the matrix is exact, its unit rows and the rows the exact
+        pass converts are all read off one listing of its nonzero entries
+        (:func:`_nonzero_entries`).  ``_listed`` is internal, not part of
+        the interface: ``adjoint_act`` passes the listing it takes once per
+        call, which also serves its product g·y and its trace coefficient.
         """
-        if self.all_exact():
-            d, shift, den, rows = _inv_dense(self)
-            inverse = _monomial_inverse(d, self.n, rows)
+        listed = _nonzero_entries(self.rows) if _listed is None else _listed
+        n = self.n
+        if all(x.prec is None for row in listed for _, x in row):
+            d, shift, den, rows = _inv_dense(listed)
+            inverse = _monomial_inverse(d, n, rows)
             if inverse is not None:
                 return inverse
             # d·A⁻¹ in full: d on the unit diagonal, and the rows of R
-            right = [[d if i == j else [] for j in range(self.n)] for i in range(self.n)]
+            right = [[d if i == j else [] for j in range(n)] for i in range(n)]
             for i, pairs in rows:
                 right[i][i] = []
                 for j, f in pairs:
                     right[i][j] = f
             scaled = MatK([[zipoly.to_laurent(e, shift, den) for e in r] for r in right])
             return scaled.scale(zipoly.to_laurent(d, shift, den).inv(working_prec))
-        inverse = _inverse_from_known_part(self)
+        inverse = _inverse_from_known_part(listed)
         if inverse is None:
             inverse = _gauss_jordan(self, working_prec, inverse=True)
         if inverse is None:
@@ -420,6 +459,15 @@ class MatK:
         return basis
 
 
+def _nonzero_entries(rows: Sequence[Sequence[LaurentElement]]):
+    """Each row as the list of its entries that are not exactly zero, as
+    (column, entry) pairs: one listing of a matrix that the inverse, the
+    left factor of a product and a trace coefficient can share
+    (``adjoint_act`` takes it once per call and passes it to all three)."""
+    return [[(k, x) for k, x in enumerate(row) if x.coeffs or x.prec is not None]
+            for row in rows]
+
+
 def trace_coeff(a, b, e: int, derivative: bool = False) -> GaussianRational:
     """The coefficient of t^e in tr(a·b), or in tr(a′·b) with `derivative`,
     for matrices a and b; for Laurent elements, the same of a·b.
@@ -436,11 +484,20 @@ def trace_coeff(a, b, e: int, derivative: bool = False) -> GaussianRational:
     with `derivative`, would raise.
     """
     if isinstance(a, LaurentElement):
-        pairs = ((a, b),)
-    else:
-        a._check_dim(b)
-        pairs = ((x, b_row[i]) for i, a_row in enumerate(a.rows)
-                 for x, b_row in zip(a_row, b.rows) if x.coeffs or x.prec is not None)
+        return _trace_coeff(((a, b),), e, derivative)
+    a._check_dim(b)
+    return _trace_coeff(_trace_pairs(_nonzero_entries(a.rows), b.rows), e, derivative)
+
+
+def _trace_pairs(listed, b_rows):
+    """The entry pairs (a_ik, b_ki) of tr(a·b) at the nonzero entries of a,
+    given as `listed`, its :func:`_nonzero_entries`."""
+    return ((x, b_rows[k][i]) for i, row in enumerate(listed) for k, x in row)
+
+
+def _trace_coeff(pairs, e: int, derivative: bool) -> GaussianRational:
+    """:func:`trace_coeff` summed over the entry pairs (x, y) of the trace,
+    those with x exactly zero left out."""
     shift = 1 if derivative else 0  # a′ at t^(k−1) pairs with b at t^(e+1−k)
     bound = None
     sa = sb = 0
@@ -486,18 +543,22 @@ def trace_coeff(a, b, e: int, derivative: bool = False) -> GaussianRational:
     return GaussianRational._norm(sa, sb, sd)
 
 
-def _products(a, b, c=None, d=None) -> List[Tuple[LaurentElement, ...]]:
+def _products(a, b, c=None, d=None, listed=None) -> List[Tuple[LaurentElement, ...]]:
     """The rows of A·B, or of A·B − C·D: the product kernel (see the module
-    docstring).  A and C are n rows of length n, B and D n rows of length m.
+    docstring).  A and C are n rows of length n, B and D n rows of length m;
+    `listed`, when the caller holds it, is the :func:`_nonzero_entries` of A.
 
     Each row of A and C, and each row k of B and D that a nonzero a_ik or
     c_ik reaches, is listed once by its entries that are not exactly zero.
     In a single product A·B, a row of A whose only such entry is the exact 1
     at column k gives row k of B as it is, and row k is listed only when
-    another row of A reaches it.  Row i of A and C goes on one common denominator and B and D
-    together on another, each the lcm of the denominators other than 1 of
-    the entries listed, so every output coefficient is an integer pair over
-    one denominator, summed in a dict per output entry and normalised once.
+    another row of A reaches it; a row k of B whose only such entry is the
+    exact 1 at column j passes a_ik to column j as it is, added by a Laurent
+    sum to what the other pairs give there.  Row i of A and C goes on one
+    common denominator and B and D together on another, each the lcm of the
+    denominators other than 1 of the entries listed, so every output
+    coefficient is an integer pair over one denominator, summed in a dict per
+    output entry and normalised once.
     The listed right rows are converted to integer terms once, and each
     nonzero a_ik meets the entries of row k of B that are listed.  A pair
     keeps the truncation bound that ``LaurentElement.__mul__`` gives it (for
@@ -512,8 +573,7 @@ def _products(a, b, c=None, d=None) -> List[Tuple[LaurentElement, ...]]:
     lefts, rights = [], []
     copies = {}  # left row -> the right row it copies: e_k·B is row k of B
     for left, right, _ in pairs:
-        rows = [[(k, x) for k, x in enumerate(row) if x.coeffs or x.prec is not None]
-                for row in left]
+        rows = listed if left is a and listed is not None else _nonzero_entries(left)
         if c is None:
             copies = {i: row[0][0] for i, row in enumerate(rows)
                       if len(row) == 1 and row[0][1].is_one()}
@@ -521,25 +581,37 @@ def _products(a, b, c=None, d=None) -> List[Tuple[LaurentElement, ...]]:
         rights.append({
             k: [(j, y) for j, y in enumerate(right[k]) if y.coeffs or y.prec is not None]
             for k in {k for i, row in enumerate(rows) if i not in copies for k, _ in row}})
+    # right row -> the column it passes to: a_ik·e_j is a_ik at column j
+    passes = {} if c is not None else {
+        k: row[0][0] for k, row in rights[0].items() if len(row) == 1 and row[0][1].is_one()}
     right_den = math.lcm(*{q.d for reached in rights for row in reached.values()
                            for _, y in row for q in y.coeffs.values() if q.d != 1})
     converted = [
         {k: [(j, integer_terms(y.coeffs, right_den), y.prec, min(y.coeffs) if y.coeffs else y.prec)
              for j, y in row] for k, row in reached.items()}
         for reached in rights]
+    zero_row = (_L_ZERO,) * width
     out = []
     for i in range(len(a)):
         k = copies.get(i)
         if k is not None:
             out.append(tuple(b[k]))
             continue
+        if not any(rows[i] for rows in lefts):
+            out.append(zero_row)
+            continue
         left_den = math.lcm(*{q.d for rows in lefts for _, x in rows[i]
                               for q in x.coeffs.values() if q.d != 1})
         entries = {}  # output column -> [exponent -> [re, im], least pair bound]
+        passed = {}  # output column -> the a_ik passed to it as it is
         for (_, _, sign), rows, rows_done in zip(pairs, lefts, converted):
             for k, x in rows[i]:
                 row = rows_done[k]
                 if not row:
+                    continue
+                j = passes.get(k)
+                if j is not None and j not in passed:
+                    passed[j] = x
                     continue
                 xc, x_prec = x.coeffs, x.prec
                 x_terms = integer_terms(xc, sign * left_den)
@@ -562,6 +634,8 @@ def _products(a, b, c=None, d=None) -> List[Tuple[LaurentElement, ...]]:
             out_row[j] = LaurentElement._raw(
                 {e: GaussianRational._norm(re, im, den) for e, (re, im) in acc.items()
                  if (re or im) and (bound is None or e < bound)}, bound)
+        for j, x in passed.items():
+            out_row[j] = out_row[j] + x if j in entries else x
         out.append(tuple(out_row))
     return out
 
@@ -723,11 +797,14 @@ def _gauss_jordan(mat: MatK, working_prec: int, inverse: bool):
 class _Plain:
     """Ring operations on polynomials of Z[i][t].  The loop hands the pivot,
     the row's entry f and the pivot-row entry y to :meth:`combine` in their
-    :meth:`sparse` form, and the previous pivot in its :meth:`divisor` form."""
+    :meth:`sparse` form, the previous pivot in its :meth:`divisor` form, and
+    the step's quotient p / prev to :meth:`mul` in its :meth:`multiplier`
+    form."""
 
     zero: zipoly.Poly = []
     one: zipoly.Poly = [(1, 0)]
-    mul = staticmethod(zipoly.mul)
+    multiplier = staticmethod(zipoly.multiplier)
+    mul = staticmethod(zipoly.times)
     div = staticmethod(zipoly.exact_div)
     sparse = staticmethod(zipoly.sparse)
 
@@ -769,8 +846,14 @@ class _Dual:
         return x[0], zipoly.sparse(x[1])
 
     @staticmethod
-    def mul(x, y):
-        return zipoly.mul(x[0], y[0]), zipoly.combine([(1, x[0], y[1]), (1, x[1], y[0])])
+    def multiplier(x):
+        return zipoly.multiplier(x[0]), x[0], x[1]
+
+    @staticmethod
+    def mul(m, y):
+        """x·y for m the :meth:`multiplier` form of x."""
+        a, x0, x1 = m
+        return zipoly.times(a, y[0]), zipoly.combine([(1, x0, y[1]), (1, x1, y[0])])
 
     @staticmethod
     def div(x, y):
@@ -823,7 +906,9 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
     and a row with f = 0 and an exact quotient only multiplies its nonzero
     entries by it.  The Bareiss step takes p, f and y in the ring's
     :meth:`sparse` form and prev in its :meth:`divisor` form, each converted
-    once per step (f once per row, y once per column), when first needed.
+    once per step (f once per row, y once per column), when first needed;
+    the products with the quotient take it in the ring's :meth:`multiplier`
+    form, made once per step, so whether it is a monomial is tested once.
 
     Returns (pivot columns, sign of the row permutation, last pivot).
     """
@@ -852,6 +937,8 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
         except ExactDivisionError:
             scale = None
         unit = scale == ring.one
+        # the quotient made ready once per step: a monomial is a shift
+        by = None if scale is None or unit else ring.multiplier(scale)
         p_form = None
         ys = {}  # pivot-row column -> its entry in sparse form, once needed
         for i in range(0 if jordan else top + 1, len(rows)):
@@ -862,11 +949,11 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
             f_zero = f == zero
             if f_zero and unit:
                 continue
-            if f_zero and scale is not None:
+            if f_zero and by is not None:
                 # every nonzero entry becomes (p / prev)·x
                 for j in range(col + 1, width):
                     if row[j] != zero:
-                        row[j] = mul(scale, row[j])
+                        row[j] = mul(by, row[j])
                 continue
             if p_form is None:
                 p_form = sparse(p)
@@ -878,8 +965,8 @@ def _eliminate(rows, shifts, steps, ring, *, jordan=False):
                     # (p·x − f·y) / prev = (p / prev)·x
                     if x == zero or unit:
                         continue
-                    if scale is not None:
-                        row[j] = mul(scale, x)
+                    if by is not None:
+                        row[j] = mul(by, x)
                         continue
                 y_form = ys.get(j)
                 if y_form is None:
@@ -955,27 +1042,19 @@ def _dense_kernel(ech: List[Tuple[int, List[zipoly.Poly]]], width: int) -> List[
     return basis
 
 
-def _non_unit_rows(rows: Sequence[Sequence[LaurentElement]]) -> List[int]:
+def _non_unit_rows(listed) -> List[int]:
     """The indices of the rows that are not exactly e_i, an exact 1 at i and
-    exact zeros elsewhere: the rows that the exact determinant and inverse
-    eliminate.  A row is left at the first entry that rules out e_i."""
-    rest = []
-    for i, row in enumerate(rows):
-        if not row[i].is_one():
-            rest.append(i)
-            continue
-        for j, x in enumerate(row):
-            if (x.coeffs or x.prec is not None) and j != i:
-                rest.append(i)
-                break
-    return rest
+    exact zeros elsewhere, read off the :func:`_nonzero_entries` of the
+    matrix: the rows that the exact determinant and inverse eliminate."""
+    return [i for i, row in enumerate(listed)
+            if len(row) != 1 or row[0][0] != i or not row[0][1].is_one()]
 
 
 def _det_bareiss(mat: MatK) -> LaurentElement:
     """Fraction-free determinant of an exact matrix A.  With R the rows that
     are not exactly e_i, a simultaneous permutation makes A = [[B, C], [0, I]],
     B = A[R, R], so det A = det B, and only B is eliminated."""
-    rest = _non_unit_rows(mat.rows)
+    rest = _non_unit_rows(_nonzero_entries(mat.rows))
     r = len(rest)
     if r == 0:
         return _L_ONE
@@ -987,9 +1066,9 @@ def _det_bareiss(mat: MatK) -> LaurentElement:
     return zipoly.to_laurent(rows[-1][-1], shift, sign * math.prod(dens))
 
 
-def _inv_dense(mat: MatK):
+def _inv_dense(listed):
     """Fraction-free Gauss–Jordan for exact A (Bareiss 1968), on the rows
-    that are not exactly e_i.
+    that are not exactly e_i; A is given as its :func:`_nonzero_entries`.
 
     Returns (d, shift, den, rows) with det A = t^shift·d/den and d·A⁻¹ =
     t^shift·right/den, where d and the entries of right are polynomials of
@@ -1000,27 +1079,31 @@ def _inv_dense(mat: MatK):
     row i of right as (column, polynomial) pairs).  Row k of R enters as
     [B | −C | e_k], columns ordered R then S, scaled by its denominator D
     and by t^(-s), with s its least exponent or 0 when that is higher, so
-    the whole pass stays in Z[i][t].  Only [B | −C] goes through
-    :func:`zipoly.from_row`; e_k is scaled directly.  Gauss–Jordan for |R|
-    steps leaves [d·I | −d·B⁻¹C | d·B⁻¹], d the last pivot times the sign of
+    the whole pass stays in Z[i][t].  Only the nonzero entries of
+    [B | −C] go through :func:`zipoly.from_entries`; e_k is scaled
+    directly.  Gauss–Jordan for |R| steps leaves [d·I | −d·B⁻¹C | d·B⁻¹], d the last pivot times the sign of
     the row permutation.  The sign makes d the determinant of the scaled
     matrix whatever the pivot order; :func:`_pick_short` prefers a monomial
     pivot, which makes the next division a shift instead of a long division.
     Apart from :func:`_non_unit_rows`, the cost follows |R|·n, not n².
     """
-    n = mat.n
-    rest = _non_unit_rows(mat.rows)
+    n = len(listed)
+    rest = _non_unit_rows(listed)
     units = sorted(set(range(n)).difference(rest))
-    order = rest + units
     r = len(rest)
+    place = {j: k for k, j in enumerate(rest + units)}  # column -> its place
     dens, shifts, rows = [], [], []
     for k, i in enumerate(rest):
-        row_den, s, polys = zipoly.from_row([mat.rows[i][j] for j in order], 0)
+        entries = [(place[j], x) for j, x in listed[i]]
+        row_den, s, polys = zipoly.from_entries(entries, n, 0)
+        for j, _ in entries:
+            if j >= r:  # the −C part
+                polys[j] = zipoly.neg(polys[j])
         unit: List[zipoly.Poly] = [[] for _ in range(r)]
         unit[k] = [(0, 0)] * -s + [(row_den, 0)]
         dens.append(row_den)
         shifts.append(s)
-        rows.append(polys[:r] + [zipoly.neg(f) if f else f for f in polys[r:]] + unit)
+        rows.append(polys + unit)
     shift, den = sum(shifts), math.prod(dens)
     cols, sign, d = _eliminate(rows, shifts, r, _Plain, jordan=True)
     if len(cols) < r:
@@ -1069,9 +1152,10 @@ def _valuation(x: LaurentElement) -> float:
     return min(x.coeffs) if x.coeffs else math.inf
 
 
-def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
-    """A⁻¹ for truncated A from the exact inverse R of its known part B, each
-    entry cut at a valuation bound; None where the bound does not apply.
+def _inverse_from_known_part(listed) -> Optional[MatK]:
+    """A⁻¹ for truncated A, given as its :func:`_nonzero_entries`, from the
+    exact inverse R of its known part B, each entry cut at a valuation
+    bound; None where the bound does not apply.
 
     B holds each entry's stored coefficients, taken as exact, so A = B + Δ
     with val Δ_kl ≥ N_kl, the bound of each truncated entry (first-order
@@ -1089,17 +1173,18 @@ def _inverse_from_known_part(mat: MatK) -> Optional[MatK]:
     cut row k, and row l for each cut column l.  Only the entries with a
     finite bound are rebuilt; every other row of R is returned as it is.
     """
-    n = mat.n
+    n = len(listed)
     cuts = []
-    known = []
-    for k, r in enumerate(mat.rows):
-        row_cuts = [(k, l, e.prec) for l, e in enumerate(r) if e.prec is not None]
+    known = list(listed)
+    for k, row in enumerate(listed):
+        row_cuts = [(k, l, e.prec) for l, e in row if e.prec is not None]
         if row_cuts:
             cuts += row_cuts
-            r = tuple(LaurentElement._raw(e.coeffs) if e.prec is not None else e for e in r)
-        known.append(r)
+            # a bare O(t^N) has the exact zero as its known part
+            known[k] = [(l, LaurentElement._raw(e.coeffs) if e.prec is not None else e)
+                        for l, e in row if e.coeffs]
     try:
-        d, _, _, rows = _inv_dense(MatK._raw(known))
+        d, _, _, rows = _inv_dense(known)
     except Singular:
         return None
     inverse = _monomial_inverse(d, n, rows)

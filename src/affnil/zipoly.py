@@ -7,23 +7,26 @@ exponent origin, so an entry's valuation is its row's shift plus the index of
 its first nonzero pair (:func:`low`).
 
 :func:`from_row` brings a row of exact Laurent elements onto a common
-denominator D and exponent shift s, and :func:`to_laurent` turns a polynomial
-back into a Laurent element, dividing by D and shifting once.  In between,
-products and exact divisions touch integers only: no coefficient is reduced
-to lowest terms and no gcd is taken.  That is what makes the fraction-free
-elimination in :mod:`affnil.matk` cheap, compared with the same loop on
-:class:`LaurentElement`, whose every coefficient is a reduced fraction.
-The products are :func:`mul` (f·g; a monomial factor c·t^k makes it a shift
-of the other factor and one Gaussian-integer product per pair, which is what
-the elimination's scalings by a monomial quotient p / prev are; any other
-product is a :func:`combine` of one term) and :func:`combine` (a signed sum
-of any number of products in one accumulator: the Bareiss step p·x − f·y,
-the dual-number parts and back-substitution).  :func:`combine_sparse` is the
-same accumulator on factors already in :func:`sparse` form, plus an addend,
-so that the elimination converts the factors it reuses (the pivot and each
-pivot-row entry) once per step, not once per row.  :func:`to_laurent` returns
-one shared exact zero for the zero polynomial, so the zeros of a sparse
-result cost no new element.
+denominator D and exponent shift s (:func:`from_entries` does the same from
+the row's nonzero entries alone, and both skip exact zeros), and
+:func:`to_laurent` turns a polynomial back into a Laurent element, dividing
+by D and shifting once.  In between, products and exact divisions touch
+integers only: no coefficient is reduced to lowest terms and no gcd is taken.
+That is what makes the fraction-free elimination in :mod:`affnil.matk` cheap,
+compared with the same loop on :class:`LaurentElement`, whose every
+coefficient is a reduced fraction.  The products are :func:`mul` (f·g; a
+monomial factor c·t^k makes it a shift of the other factor and one
+Gaussian-integer product per pair; any other product is a :func:`combine` of
+one term), :func:`times` (the same product with the left factor made ready
+once by :func:`multiplier`, which is how the elimination scales many entries
+by one quotient p / prev, testing once per step whether it is a monomial) and
+:func:`combine` (a signed sum of any number of products in one accumulator:
+the Bareiss step p·x − f·y, the dual-number parts and back-substitution).
+:func:`combine_sparse` is the same accumulator on factors already in
+:func:`sparse` form, plus an addend, so that the elimination converts the
+factors it reuses (the pivot and each pivot-row entry) once per step, not
+once per row.  :func:`to_laurent` returns one shared exact zero for the zero
+polynomial, so the zeros of a sparse result cost no new element.
 
 Gcds are taken only outside the elimination loop.  :func:`row_content` is the
 content of a dense row: :func:`primitive` divides it out of the echelon rows
@@ -51,7 +54,7 @@ t^500000 − 1 pays for 500000 pairs.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DivisionByZero, ExactDivisionError
 from .gaussian import GaussianRational
@@ -67,13 +70,16 @@ P = 998244353  # prime, p = 1 mod 4
 I_MOD_P = pow(3, (P - 1) // 4, P)  # 3 generates F_p^*, so this squares to -1
 
 
-def _common_form(row: Sequence[LaurentElement]) -> Tuple[int, Optional[int]]:
+def _common_form(row: Iterable[LaurentElement]) -> Tuple[int, Optional[int]]:
     """(D, s): the least common denominator of the row and its least exponent
-    (None for a zero row)."""
+    (None for a zero row); exact zeros are skipped."""
     den = 1
     shift = None
     for e in row:
-        for exp, c in e.coeffs.items():
+        coeffs = e.coeffs
+        if not coeffs:
+            continue
+        for exp, c in coeffs.items():
             if c.d != 1:
                 den = den * c.d // math.gcd(den, c.d)
             if shift is None or exp < shift:
@@ -87,21 +93,29 @@ def from_row(
     """(D, s, polys) with polys = D·t^(-s)·row, D the least common denominator
     of the row and s its least exponent, or `most` when that is lower (1, 0
     and zeros for a zero row, or s = `most` when it is given)."""
-    den, shift = _common_form(row)
+    return from_entries([(k, e) for k, e in enumerate(row) if e.coeffs], len(row), most)
+
+
+def from_entries(
+    entries: Sequence[Tuple[int, LaurentElement]], width: int, most: Optional[int] = None
+) -> Tuple[int, int, List[Poly]]:
+    """:func:`from_row` of the row of length `width` whose entries that are
+    not exactly zero are the (index, element) pairs `entries`: every other
+    index holds the zero polynomial, and the cost beyond the `width` empty
+    lists follows the entries given, not the width."""
+    den, shift = _common_form(e for _, e in entries)
     if most is not None and (shift is None or most < shift):
         shift = most
+    polys: List[Poly] = [[] for _ in range(width)]
     if shift is None:
-        return 1, 0, [[] for _ in row]
-    polys = []
-    for e in row:
-        if not e.coeffs:
-            polys.append([])
-            continue
-        f = [_ZERO_PAIR] * (max(e.coeffs) - shift + 1)
-        for exp, c in e.coeffs.items():
+        return 1, 0, polys
+    for k, e in entries:
+        coeffs = e.coeffs
+        f = [_ZERO_PAIR] * (max(coeffs) - shift + 1)
+        for exp, c in coeffs.items():
             m = den // c.d
             f[exp - shift] = (c.a * m, c.b * m)
-        polys.append(f)
+        polys[k] = f
     return den, shift, polys
 
 
@@ -182,25 +196,45 @@ def _pack(re: List[int], im: List[int]) -> Poly:
     return list(zip(re, im))
 
 
+def multiplier(f: Poly):
+    """f made ready, once, to be the left factor of many products
+    (:func:`times`): a monomial c·t^k as the triple (k, re c, im c), any
+    other polynomial as its :func:`sparse` form."""
+    k = len(f) - 1
+    if k >= 0 and f.count(_ZERO_PAIR) == k:
+        # a monomial's one nonzero pair is its top one
+        return (k,) + f[k]
+    return sparse(f)
+
+
+def times(m, g: Poly) -> Poly:
+    """f·g for m the :func:`multiplier` of f: a shift of g and one
+    Gaussian-integer product per pair when f is a monomial, one
+    :func:`combine_sparse` term otherwise."""
+    if not g:
+        return []
+    if type(m) is not tuple:
+        return combine_sparse(((1, m, sparse(g)),))
+    k, c, d = m
+    if d:
+        out = [(a * c - b * d, a * d + b * c) for a, b in g]
+    else:
+        out = [(a * c, b * c) for a, b in g]
+    return [_ZERO_PAIR] * k + out if k else out
+
+
 def mul(f: Poly, g: Poly) -> Poly:
-    """f·g; a monomial factor c·t^k makes it a shift of the other factor and
-    one Gaussian-integer product per pair."""
+    """f·g; a monomial factor c·t^k, on either side, makes it a shift of the
+    other factor and one Gaussian-integer product per pair."""
     if not f or not g:
         return []
-    # a monomial's one nonzero pair is its top one
-    if f.count(_ZERO_PAIR) == len(f) - 1:
-        mono, other = f, g
-    elif g.count(_ZERO_PAIR) == len(g) - 1:
-        mono, other = g, f
-    else:
-        return combine(((1, f, g),))
-    k = len(mono) - 1
-    c, d = mono[k]
-    if d:
-        out = [(a * c - b * d, a * d + b * c) for a, b in other]
-    else:
-        out = [(a * c, b * c) for a, b in other]
-    return [_ZERO_PAIR] * k + out if k else out
+    m = multiplier(f)
+    if type(m) is tuple:
+        return times(m, g)
+    h = multiplier(g)
+    if type(h) is tuple:
+        return times(h, f)
+    return combine_sparse(((1, m, h),))
 
 
 def combine(triples: Sequence[Tuple[int, Poly, Poly]]) -> Poly:

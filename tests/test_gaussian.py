@@ -141,6 +141,35 @@ def test_nth_root_returns_first_root_counter_clockwise_of_principal():
         assert (a**n).nth_root(n) == _first_counter_clockwise_root(a, n), (a, n)
 
 
+@given(small_rat, gaussians, gaussians)
+def test_equal_values_hash_equal(q, a, b):
+    # a real value equals the int or Fraction it is, and hashes as it does
+    forms = [q, gr(q), GaussianRational._norm(3 * q.numerator, 0, 3 * q.denominator)]
+    if q.denominator == 1:
+        forms.append(int(q))
+    for x in forms:
+        for y in forms:
+            assert x == y and hash(x) == hash(y)
+    for x, y in ((a, b), (a, GaussianRational(a.re, a.im)), (a, a.re), (a, a.re.numerator)):
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_real_values_are_the_same_keys_as_ints_and_fractions():
+    assert len({gr(2), 2}) == 1
+    assert {gr(2): 1}.get(2) == 1
+    assert {gr(Fraction(1, 2)): 1}.get(Fraction(1, 2)) == 1
+    assert len({gr(1, 1), gr(1, 1), gr(1, -1), 1}) == 3
+
+
+@given(gaussians)
+def test_conjugate(z):
+    conj = z.conjugate()
+    assert (conj.re, conj.im) == (z.re, -z.im)
+    norm = z * conj
+    assert norm.im == 0 and norm.re == z.re**2 + z.im**2
+
+
 def test_values_refuse_assignment():
     for value in (gr(Fraction(1, 2), 3), GaussianRational._raw(1, 0, 1),
                   GaussianRational._norm(-2, 4, -6)):

@@ -29,9 +29,13 @@ from affnil.matk import (
     _inv_dense,
     _inverse_from_known_part,
     _non_unit_rows,
+    _nonzero_entries,
     _pick_pivot,
     _pick_short,
+    _products,
     _rank,
+    _trace_coeff,
+    _trace_pairs,
     det_and_adj_trace,
     normalize_vector,
     trace_coeff,
@@ -405,7 +409,7 @@ def test_truncated_inverse_from_the_known_part_examples():
     inverse = g.inv()
     assert inverse.rows[0] == (lp("1"), lp("0"), lp("0"))
     assert inverse.rows[1][2] == lp("-1 + O(t^6)")
-    assert _inverse_from_known_part(g) == inverse
+    assert _inverse_from_known_part(_nonzero_entries(g.rows)) == inverse
 
 
 @pytest.mark.parametrize("rows", [
@@ -419,19 +423,19 @@ def test_truncated_inverse_from_the_known_part_examples():
 ])
 def test_truncated_inverse_falls_back_to_the_division_loop(rows):
     g = mat(rows)
-    assert _inverse_from_known_part(g) is None
+    assert _inverse_from_known_part(_nonzero_entries(g.rows)) is None
     assert g.inv(24) == _gauss_jordan(g, 24, inverse=True)
 
 
 def test_truncated_inverse_with_a_singular_known_part_keeps_its_errors():
     g = mat([["1", "1"], ["1", "1 + O(t^3)"]])
-    assert _inverse_from_known_part(g) is None
+    assert _inverse_from_known_part(_nonzero_entries(g.rows)) is None
     with pytest.raises(PrecisionExhausted):
         _gauss_jordan(g, 24, inverse=True)
     with pytest.raises(PrecisionExhausted):
         g.inv(24)
     g = mat([["0", "1 + O(t^3)"], ["0", "1"]])
-    assert _inverse_from_known_part(g) is None
+    assert _inverse_from_known_part(_nonzero_entries(g.rows)) is None
     assert _gauss_jordan(g, 24, inverse=True) is None
     with pytest.raises(Singular):
         g.inv(24)
@@ -484,7 +488,7 @@ def test_truncated_inverse_agrees_with_every_completion():
             inverse = m.inv(24)
         except (PrecisionExhausted, Singular):
             continue
-        if _inverse_from_known_part(m) is None:
+        if _inverse_from_known_part(_nonzero_entries(m.rows)) is None:
             fell_back += 1
         else:
             routed += 1
@@ -547,7 +551,7 @@ def _unit_diagonal_cuts(rng: random.Random):
     for trial in range(60):
         n = rng.randint(3, 8)
         m = _shear_product(rng, n, rng.randint(1, min(3, n - 1)))
-        units = [i for i in range(n) if i not in _non_unit_rows(m.rows)]
+        units = [i for i in range(n) if i not in _non_unit_rows(_nonzero_entries(m.rows))]
         rows = [list(r) for r in m.rows]
         u = rng.choice(units)
         rows[u][u] = lp(f"1 + O(t^{rng.choice([1, 2, 5, 20])})")
@@ -586,7 +590,7 @@ def test_inverse_from_the_known_part_matches_the_full_bound_rule(family):
     routed = 0
     for trial, m in cases():
         expected = _known_part_bound_oracle(m)
-        got = _inverse_from_known_part(m)
+        got = _inverse_from_known_part(_nonzero_entries(m.rows))
         assert got == expected, trial
         if got is not None:
             assert repr(got) == repr(expected), trial
@@ -1012,7 +1016,7 @@ def _dense_inverse(m: MatK):
     """(d, shift, den, right) of :func:`_inv_dense`, with right expanded to
     the n x n grid of polynomials of d·A⁻¹ = t^shift·right/den: the listed
     rows of R, and d on the diagonal of every other row."""
-    d, shift, den, rows = _inv_dense(m)
+    d, shift, den, rows = _inv_dense(_nonzero_entries(m.rows))
     right = [[d if i == j else [] for j in range(m.n)] for i in range(m.n)]
     for i, pairs in rows:
         right[i][i] = []
@@ -1372,7 +1376,7 @@ def test_exact_inverse_combines_only_at_pivot_row_columns(monkeypatch):
     d, right, dense_calls = _dense_loop_inverse(m)
     (got_d, _, _, got_right), counts = _counted(monkeypatch, _dense_inverse, m)
     assert (got_d, got_right) == (d, right)
-    assert len(_non_unit_rows(m.rows)) == 6
+    assert len(_non_unit_rows(_nonzero_entries(m.rows))) == 6
     assert (counts["combine"], dense_calls) == (14, 67)
 
 
@@ -1391,7 +1395,7 @@ def _check_against_the_oracles(m: MatK, where):
     except Singular:
         assert not det.coeffs, where
         with pytest.raises(Singular):
-            _inv_dense(m)
+            _inv_dense(_nonzero_entries(m.rows))
         with pytest.raises(Singular):
             m.inv()
         return
@@ -1417,7 +1421,8 @@ def test_unit_rows_at_every_position_match_the_oracles():
         for mask in range(1 << n):
             units = {i for i in range(n) if mask >> i & 1}
             m = _with_unit_rows(rng, n, units)
-            assert _non_unit_rows(m.rows) == [i for i in range(n) if i not in units]
+            assert _non_unit_rows(_nonzero_entries(m.rows)) == [
+                i for i in range(n) if i not in units]
             _check_against_the_oracles(m, (n, sorted(units)))
     # r = 0: the identity is not eliminated at all
     for n in (1, 4):
@@ -1431,14 +1436,14 @@ def test_unit_rows_of_the_inverse_are_the_shared_identity_rows():
     rng = random.Random("shared-rows")
     for n in (6, 8, 12):
         g = _shear_product(rng, n, 3)
-        units = [i for i in range(n) if i not in _non_unit_rows(g.rows)]
+        units = [i for i in range(n) if i not in _non_unit_rows(_nonzero_entries(g.rows))]
         assert units
         identity = MatK.identity(n).rows
         inverse = g.inv()
         assert all(inverse.rows[i] is identity[i] for i in units)
         # a truncated entry in a row of R: the unit rows are not cut either
         rows = [list(r) for r in g.rows]
-        k = _non_unit_rows(g.rows)[0]
+        k = _non_unit_rows(_nonzero_entries(g.rows))[0]
         l = next(j for j, x in enumerate(rows[k]) if x.coeffs and j != k)
         rows[k][l] = rows[k][l].truncated(max(rows[k][l].coeffs) + 8)
         cut = MatK(rows).inv()
@@ -1449,7 +1454,7 @@ def test_exact_inverse_converts_only_the_rows_of_r(monkeypatch):
     # n = 12, eight shears: 6 rows are exactly e_i, and only the nonzero
     # entries of the other 6 rows of A⁻¹ go through to_laurent
     m = _shear_product(random.Random(12), 12, 8)
-    rest = _non_unit_rows(m.rows)
+    rest = _non_unit_rows(_nonzero_entries(m.rows))
     converted = []
     to_laurent = zipoly.to_laurent
 
@@ -1485,7 +1490,8 @@ def test_unit_rows_with_a_singular_or_non_monomial_block():
             _check_against_the_oracles(low, (n, "singular B"))
         # det B not a monomial: MatK.inv truncates at the final scaling
         shear = _shear_product(rng, n, 4)
-        m = _scale_row(shear, rng.choice(_non_unit_rows(shear.rows)), lp("1 + t"))
+        shear_rest = _non_unit_rows(_nonzero_entries(shear.rows))
+        m = _scale_row(shear, rng.choice(shear_rest), lp("1 + t"))
         assert len(m.det().coeffs) > 1
         assert not m.inv().all_exact()
         _check_against_the_oracles(m, (n, "non-monomial det"))
@@ -1498,14 +1504,14 @@ def test_rows_near_e_i_are_eliminated():
     doubled = mat([["1/2", "0", "0", "0"], base[1], ["0", "0", "2", "0"], base[3]])
     swapped = mat([base[0], base[1], ["0", "0", "0", "1"], ["0", "0", "1", "0"]])
     for m, rest in ((doubled, [0, 1, 2, 3]), (swapped, [1, 2, 3])):
-        assert _non_unit_rows(m.rows) == rest
+        assert _non_unit_rows(_nonzero_entries(m.rows)) == rest
         _check_against_the_oracles(m, rest)
     # e_2 with diagonal 1 + O(t^9), and e_2 with an O(t^5) entry: truncated
     for entry, text in ((2, "1 + O(t^9)"), (0, "O(t^5)")):
         rows = [list(r) for r in mat(base).rows]
         rows[2][entry] = lp(text)
         m = MatK(rows)
-        assert _non_unit_rows(m.rows) == [1, 2, 3]
+        assert _non_unit_rows(_nonzero_entries(m.rows)) == [1, 2, 3]
         assert m.det(24) == _det_division(m, 24)
         assert _at_least_as_precise(m.inv(24), _gauss_jordan(m, 24, inverse=True))
 
@@ -1651,6 +1657,24 @@ def test_scale_t_matches_the_entrywise_substitution():
         m.scale_t(gr(0))
 
 
+# exact, truncated, bare O(t^N) and exact zero entries over a wider exponent range
+_scale_t_entries = st.builds(
+    lambda items, prec: LaurentElement(dict(items), prec),
+    st.lists(st.tuples(st.integers(-9, 9), _small_gr), max_size=3),
+    st.one_of(st.none(), st.none(), st.integers(-9, 10)),
+)
+
+
+@given(st.lists(_scale_t_entries, min_size=9, max_size=9),
+       st.sampled_from([gr(2), gr(Fraction(1, 2)), gr(1, 1), gr(0, -1),
+                        gr(Fraction(3, 5), Fraction(4, 5))]))
+def test_scale_t_is_the_substitution_per_coefficient(entries, z):
+    m = MatK([entries[3 * i:3 * i + 3] for i in range(3)])
+    # c·z^e in GaussianRational arithmetic, coefficient by coefficient
+    expected = [[({e: c * z**e for e, c in x.coeffs.items()}, x.prec) for x in r] for r in m.rows]
+    assert _entry_data(m.scale_t(z).rows) == expected
+
+
 @pytest.mark.parametrize("d", ["1", "-1", "2*t^3", "(1+i)*t^-2", "(-3i)", "1 + t"])
 def test_exact_inverse_divides_by_its_determinant(d):
     rng = random.Random(32)
@@ -1784,6 +1808,61 @@ def test_product_kernel_copies_unit_rows(monkeypatch):
     assert (MatK.identity(4) * b).rows == b.rows and converted == []
     a.commutator(b)
     assert converted
+
+
+def test_product_kernel_passes_left_entries_through_unit_rows():
+    # rows 0, 1 and 3 of b are e_2, e_2 and e_0, row 2 is not a unit row: an
+    # a_ik that meets e_j is entry (i, j) as it is where nothing else reaches
+    # column j, and is summed in where row 2, or a second e_j, reaches it too
+    rng = random.Random(43)
+    for trial in range(200):
+        a = MatK([[_kernel_entry(rng) for _ in range(4)] for _ in range(4)])
+        one, zero = lp("1"), lp("0")
+        b = MatK([[zero, zero, one, zero], [zero, zero, one, zero],
+                  [_kernel_entry(rng) for _ in range(4)], [one, zero, zero, zero]])
+        product = a * b
+        assert _entry_data(product.rows) == _entry_data(_entrywise_product(a.rows, b.rows)), trial
+        for row, out in zip(a.rows, product.rows):
+            # column 0 takes a_i3 alone when row 2 of b is zero at column 0
+            if not (b.rows[2][0].coeffs or b.rows[2][0].prec is not None) or not (
+                    row[2].coeffs or row[2].prec is not None):
+                if row[3].coeffs or row[3].prec is not None:
+                    assert out[0] is row[3]
+    x = MatK([[_kernel_entry(rng) for _ in range(5)] for _ in range(5)])
+    assert all(p is q for r, s in zip((x * MatK.identity(5)).rows, x.rows) for p, q in zip(r, s)
+               if q.coeffs or q.prec is not None)
+
+
+@given(_matrix_pairs, st.integers(-5, 5))
+def test_a_caller_supplied_listing_changes_nothing(pair, e):
+    a, b = pair
+    listed = _nonzero_entries(a.rows)
+    assert _entry_data(_products(a.rows, b.rows, listed=listed)) == _entry_data(
+        _products(a.rows, b.rows))
+    for derivative in (False, True):
+        assert _value_or_raise(lambda: _trace_coeff(_trace_pairs(listed, b.rows), e, derivative)) \
+            == _value_or_raise(lambda: trace_coeff(a, b, e, derivative))
+
+
+def test_a_caller_supplied_listing_changes_nothing_on_sparse_groups():
+    # shear products, exact and with one entry cut, against a sparse element
+    rng = random.Random(44)
+    for trial in range(40):
+        n = 3 + trial % 5
+        g = _shear_product(rng, n, rng.randint(1, 4))
+        if trial % 2:
+            rows = [list(r) for r in g.rows]
+            i, j = rng.choice([(i, j) for i in range(n) for j in range(n) if rows[i][j].coeffs])
+            rows[i][j] = rows[i][j].truncated(max(rows[i][j].coeffs) + 8)
+            g = MatK(rows)
+        y = MatK([[_kernel_entry(rng) if rng.random() < 0.3 else lp("0") for _ in range(n)]
+                  for _ in range(n)])
+        listed = _nonzero_entries(g.rows)
+        assert g.inv(24, _listed=listed) == g.inv(24), trial
+        assert _entry_data(_products(g.rows, y.rows, listed=listed)) == _entry_data((g * y).rows)
+        for e in (-2, -1, 0):
+            assert _value_or_raise(lambda: _trace_coeff(_trace_pairs(listed, y.rows), e, True)) \
+                == _value_or_raise(lambda: trace_coeff(g, y, e, derivative=True))
 
 
 # three n x n operands, n = 1..5, of the entries drawn for trace_coeff above

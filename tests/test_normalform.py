@@ -470,6 +470,19 @@ def test_kernel_end_rule_answers_every_truncated_input_the_classical_rule_answer
     assert kernel_ends >= 76
 
 
+@pytest.mark.parametrize("seed,case", [("lt-150-b", 41), ("lt-150-c", 77), ("lt-150-d", 121)])
+def test_chains_that_do_not_span_the_space_raise(seed, case):
+    # n = 4 cases of the 150 lower-truncated matrices (n = 3..6): the chains
+    # chosen on the cut x fall short of a basis, so classify refuses it, while
+    # the uncut x classifies.  ROADMAP item 10 (symbolic tails for the cut
+    # entries) is expected to turn these refusals into answers.
+    exact, cut, level = next(itertools.islice(lower_truncated_cases(seed, 150, 3, 4), case, None))
+    assert cut.n == 4
+    with pytest.raises(PrecisionExhausted, match="chain construction did not span the space"):
+        classify(AffineElement(cut, level))
+    assert classify(AffineElement(exact, level)).partition == (3, 1)
+
+
 def test_an_undetermined_kernel_end_keeps_nothing_and_the_search_goes_on():
     # sigma = (3, 2), case 138 of the 150 lower-truncated matrices seeded
     # "lt-150-c" (n = 3..6): the kernel end of the first candidate of height
