@@ -17,7 +17,8 @@ polynomials, or dual numbers a + s·b with s² = 0) and serves four paths:
 * :func:`det_and_adj_trace`, the same pass over dual numbers;
 * the row echelon form behind :meth:`MatK.rank` and :meth:`MatK.kernel_basis`
   (:func:`_dense_echelon`), whose rows enter primitive (content 1 and least
-  exponent 0, as :func:`normalize_vector`);
+  exponent 0, as :func:`normalize_vector`); :meth:`MatK.echelon` returns it,
+  so a caller that needs both the rank and the kernel eliminates once;
 * :meth:`MatK.inv` (:func:`_inv_dense`): Gauss–Jordan on [A | I], which
   yields d·A⁻¹ and d = det A together; only the final scaling by d⁻¹ can
   truncate, when d is not a monomial.  Only A is converted; the I half is
@@ -278,6 +279,12 @@ class MatK:
             raise DimensionMismatch("vector length mismatch")
         return tuple(r[0] for r in _products(self.rows, [(x,) for x in v]))
 
+    def apply_left(self, v: Vector) -> Vector:
+        """v·A, v taken as one row."""
+        if len(v) != self.n:
+            raise DimensionMismatch("vector length mismatch")
+        return _products([v], self.rows)[0]
+
     def trace(self) -> LaurentElement:
         """The sum of the diagonal in one accumulation: its integer terms
         over one common denominator, one gcd per coefficient, and the least
@@ -422,22 +429,32 @@ class MatK:
             raise Singular("matrix is exactly singular")
         return inverse
 
+    def echelon(self) -> list:
+        """The row echelon form that :meth:`rank` and :meth:`kernel_basis`
+        read, (pivot column, row) in column order: over Z[i][t] for an exact
+        matrix (:func:`_dense_echelon`), over K otherwise (:func:`_echelon`).
+        Raises when a pivot decision is undetermined."""
+        return _row_echelon(self.rows, self.n)
+
     def rank(self) -> int:
         """Rank over K; raises when a pivot decision is undetermined."""
         return _rank(self.rows, self.n)
 
-    def kernel_basis(self, working_prec: int = DEFAULT_WORKING_PREC) -> List[Vector]:
+    def kernel_basis(self, working_prec: int = DEFAULT_WORKING_PREC,
+                     echelon: Optional[list] = None) -> List[Vector]:
         """Basis of the right kernel, one vector per free column.
 
         For exact matrices the vectors are exact and carry only the echelon
         pivots they need (see :func:`_dense_kernel`).  Truncated matrices
         multiply by each pivot's inverse at ``working_prec``, taken once per
-        call and only when there is a free column.
+        call and only when there is a free column.  A caller that already
+        holds this matrix's :meth:`echelon` (for its rank) passes it as
+        ``echelon``, and the matrix is not eliminated again.
         """
         n = self.n
+        ech = self.echelon() if echelon is None else echelon
         if self.all_exact():
-            return _dense_kernel(_dense_echelon(self.rows, n), n)
-        ech = _echelon(self.rows, n)
+            return _dense_kernel(ech, n)
         pivot_cols = [c for c, _ in ech]
         free = [c for c in range(n) if c not in pivot_cols]
         if not free:
@@ -731,12 +748,18 @@ def _echelon(
     return result
 
 
+def _row_echelon(rows: Sequence[Sequence[LaurentElement]], width: int) -> list:
+    """Row echelon of rows of length width: :func:`_dense_echelon` when they
+    are exact, :func:`_echelon` otherwise."""
+    if all(e.prec is None for r in rows for e in r):
+        return _dense_echelon(rows, width)
+    return _echelon(rows, width)
+
+
 def _rank(rows: Sequence[Sequence[LaurentElement]], width: int) -> int:
     """Rank over K of rows of length width; raises when a pivot decision is
     undetermined."""
-    if all(e.prec is None for r in rows for e in r):
-        return len(_dense_echelon(rows, width))
-    return len(_echelon(rows, width))
+    return len(_row_echelon(rows, width))
 
 
 def _gauss_jordan(mat: MatK, working_prec: int, inverse: bool):

@@ -31,15 +31,23 @@ ranks of the powers of x at the point give the partition sigma, so only the
 heights that are parts of sigma need an exact power and an exact kernel, and
 the tallest needs neither.  A candidate top of height h is kept when its
 kernel end, x^(h-1) times it at the point, is independent of the kernel ends
-kept before it.  A degenerate point can only mis-steer the choice, so the
+kept before it.  The candidates of the tallest part m, the identity basis,
+are tried by the span of their kernel ends, the columns of x^(m-1)
+(:func:`_span_order`): every entry of a kept end enters det P once per
+vector of its chain, so a short end keeps det P, and with it the dual pass
+of ``classify``, small.  The order only decides which of the valid tops are
+kept.  A degenerate point can only mis-steer the choice, so the
 chains are kept only under a certificate: the heights sum to n, which makes
 the chain vectors a basis at the point (so det P != 0), and x P = P J holds
-exactly, which together prove that x is nilpotent of type sigma.  Otherwise
-the next point is tried.  When no point certifies, and for truncated input,
-the pass over K reads sigma off the ranks of the powers of x over K, takes
-kernels at the same heights and keeps the tops by the same rule
+exactly, which together prove that x is nilpotent of type sigma, whatever
+tops were kept; so neither the order nor the point reaches the label.
+Otherwise the next point is tried.  When no point certifies, and for
+truncated input, the pass over K reads sigma off the ranks of the powers
+of x over K, takes kernels at the same heights off the same echelon forms
+(one per power), and keeps the tops by the same rule
 (:func:`_choose_tops`), each answer a rank over K from the echelon form of
-:mod:`affnil.matk`; an undetermined one keeps none.
+:mod:`affnil.matk`; an undetermined one keeps none.  It orders the tallest
+candidates of exact x as the point does, and those of truncated x by index.
 """
 
 from __future__ import annotations
@@ -298,7 +306,7 @@ class _ModEchelon:
         return True
 
 
-def _choose_tops(ranks: List[int], kernel, ends, kept):
+def _choose_tops(ranks: List[int], kernel, ends, kept, tallest):
     """(sigma, candidates, tops) for :func:`_chain_basis`, from the ranks of
     x^0, ..., x^(m-1), where x^m = 0: sigma is read off them.  The
     candidates of height h are ``kernel(h)``, a basis of ker x^h, at a part
@@ -306,28 +314,60 @@ def _choose_tops(ranks: List[int], kernel, ends, kept):
     ``ends(h, vectors)`` yields the kernel end x^(h-1)·v of each candidate v
     of height h, and a candidate is a top when ``kept.add`` finds its end
     independent of the ends kept before it; an undetermined answer
-    (:class:`PrecisionExhausted`) keeps nothing.  tops lists (height h,
-    index), tallest first, each part h searched until it has sigma.count(h)
-    tops.
+    (:class:`PrecisionExhausted`) keeps nothing.  Each part h is searched
+    until it has c = sigma.count(h) tops: a kernel basis in index order, and
+    the identity basis in the order of the indices ``tallest(c)`` lists
+    (see :func:`_span_order`), which may leave out candidates that cannot
+    be kept.  tops lists (height h, index), tallest first, and by index
+    within a height, so the order in which a part was searched does not
+    reach P.
     """
     m = len(ranks)
     sigma = _partition_from_ranks(ranks + [0])
     candidates: List[List[Vector]] = [[] for _ in range(m)]
     tops = []
     for h in sorted(set(sigma), reverse=True):
-        candidates[h - 1] = kernel(h) if h < m else list(MatK.identity(ranks[0]).rows)
         wanted = sigma.count(h)
-        for idx, end in enumerate(ends(h, candidates[h - 1])):
+        if h < m:
+            candidates[h - 1] = kernel(h)
+            order = range(len(candidates[h - 1]))
+        else:
+            candidates[h - 1] = list(MatK.identity(ranks[0]).rows)
+            order = tallest(wanted)
+        found = []
+        for idx, end in zip(order, ends(h, [candidates[h - 1][i] for i in order])):
             try:
                 keep = kept.add(end)
             except PrecisionExhausted:
                 keep = False
             if keep:
-                tops.append((h, idx))
-                wanted -= 1
-                if not wanted:
+                found.append(idx)
+                if len(found) == wanted:
                     break
+        tops.extend((h, idx) for idx in sorted(found))
     return sigma, candidates, tops
+
+
+def _span_order(ends: List[Vector]) -> List[int]:
+    """The indices of the nonzero vectors of ``ends`` by their span, ties by
+    index; the span of a vector is its highest minus its lowest exponent
+    over its nonzero entries.
+
+    The ends are the kernel ends x^(m-1)·e_i of the identity candidates at
+    the nilpotency index m, the columns of x^(m-1), and every entry of such
+    an end enters det P m times, once per vector of its chain.  Trying the
+    shortest ends first keeps det P, and with it the dual pass of
+    ``classify``, small; a zero end is never a top.  When the tallest part
+    occurs once, x^(m-1) = u·w^T has rank one, column i is w_i·u, and a row
+    r with u_r != 0 is u_r·w^T; spans add under products, so the entries
+    of that row, each taken as a vector of one entry, give the same order.
+    """
+    spans = []
+    for i, v in enumerate(ends):
+        exponents = [e for el in v for e in el.coeffs]
+        if exponents:
+            spans.append((max(exponents) - min(exponents), i))
+    return [i for _, i in sorted(spans)]
 
 
 def _point_chains(x: MatK) -> Optional[ChainData]:
@@ -335,27 +375,43 @@ def _point_chains(x: MatK) -> Optional[ChainData]:
 
     The tops at each point t0 of ``_POINTS`` come from :func:`_tops_at_point`;
     exact powers and kernels are computed once, for the first point that
-    needs them.  A choice at a point can only be wrong where the point is
-    degenerate, so the chains are kept only when every part of sigma has its
-    tops, which makes the chain vectors a basis at the point, and
-    _chain_basis finds x P = P J.  The chain vectors at the point are the
-    values of nonzero K-multiples of the columns of P, so det P != 0, and
-    then P^-1 x P = J proves that x is nilpotent of type sigma, whatever
-    happened at the point.  Otherwise the next point is tried; None means
-    that none certifies.
+    needs them.  The identity candidates at the nilpotency index m go by
+    the span of their kernel ends, the columns of x^(m-1)
+    (:func:`_span_order`): read off x^(m-1) when the kernels have formed
+    it, else, when the tallest part occurs once, off one row r of x^(m-1)
+    that is nonzero at the point (m - 1 row applications of x, no
+    product), else off x^(m-1) formed for it.  A choice at a point can only
+    be wrong where the point is degenerate, so the chains are kept only
+    when every part of sigma has its tops, which makes the chain vectors a
+    basis at the point, and _chain_basis finds x P = P J.  The chain
+    vectors at the point are the values of nonzero K-multiples of the
+    columns of P, so det P != 0, and then P^-1 x P = J proves that x is
+    nilpotent of type sigma, whatever happened at the point.  Otherwise the
+    next point is tried; None means that none certifies.
     """
     powers = [x]  # exact x^1, x^2, ...
     kernels = {}  # height -> kernel_basis of the exact power
 
+    def power(h: int) -> MatK:
+        while len(powers) < h:
+            powers.append(powers[-1] * x)
+        return powers[h - 1]
+
     def kernel(h: int) -> List[Vector]:
         if h not in kernels:
-            while len(powers) < h:
-                powers.append(powers[-1] * x)
-            kernels[h] = powers[h - 1].kernel_basis()
+            kernels[h] = power(h).kernel_basis()
         return kernels[h]
 
+    def tallest(m: int, c: int, r: int) -> List[int]:
+        if len(powers) < m - 1 and c == 1:
+            row = x.rows[r]
+            for _ in range(m - 2):
+                row = x.apply_left(row)
+            return _span_order([(e,) for e in row])
+        return _span_order(list(zip(*power(m - 1).rows)))
+
     for t0 in _POINTS:
-        sigma, candidates, tops = _tops_at_point(x, t0, kernel)
+        sigma, candidates, tops = _tops_at_point(x, t0, kernel, tallest)
         if len(tops) == len(sigma):
             p_mat = _chain_basis(x, candidates, tops)
             if p_mat is not None:
@@ -363,7 +419,7 @@ def _point_chains(x: MatK) -> Optional[ChainData]:
     return None
 
 
-def _tops_at_point(x: MatK, t0: int, kernel):
+def _tops_at_point(x: MatK, t0: int, kernel, tallest):
     """(sigma, candidates, tops) of :func:`_choose_tops`, with the ranks and
     the kernel ends taken at the point t0.
 
@@ -381,17 +437,30 @@ def _tops_at_point(x: MatK, t0: int, kernel):
     independent are independent: apply x^k to a relation among them, k the
     largest distance to a kernel end in it, and a relation among kernel ends
     is left.
+
+    At the nilpotency index m, with c parts m, only the identity candidates
+    whose kernel end, a column of x(t0)^(m-1), is nonzero can be tops.  When
+    there are at most c of them, all are tried in index order, and the order
+    does not matter.  Otherwise ``tallest(m, c, r)`` gives the order (see
+    :func:`_point_chains`), r the first row of x(t0)^(m-1) that is nonzero.
     """
     n = x.n
     flat = zipoly.values_mod_p([e for row in x.rows for e in row], t0)
     columns = [flat[k::n] for k in range(n)]  # of x(t0), then of its powers
+    last = [[int(i == k) for i in range(n)] for k in range(n)]  # of x(t0)^(m-1)
     apply = partial(_apply_mod_p, columns)
     ranks = [n]
     while any(any(col) for col in columns):
         if len(ranks) == n:
             raise NotNilpotent(f"{n}-th power does not vanish")
         ranks.append(sum(map(_ModEchelon().add, columns)))  # the column rank
-        columns = [apply(col) for col in columns]
+        last, columns = columns, [apply(col) for col in columns]
+
+    def tallest_order(c: int) -> List[int]:
+        nonzero = [i for i, col in enumerate(last) if any(col)]
+        if len(nonzero) <= c:
+            return nonzero
+        return tallest(len(ranks), c, next(i for i in range(n) if any(col[i] for col in last)))
 
     def kernel_ends(h: int, vectors: List[Vector]):
         for v in vectors:
@@ -400,7 +469,7 @@ def _tops_at_point(x: MatK, t0: int, kernel):
                 end = apply(end)
             yield end
 
-    return _choose_tops(ranks, kernel, kernel_ends, _ModEchelon())
+    return _choose_tops(ranks, kernel, kernel_ends, _ModEchelon(), tallest_order)
 
 
 def _apply_mod_p(columns: List[List[int]], v: List[int]) -> List[int]:
@@ -428,20 +497,28 @@ def jordan_chains(x: MatK, working_prec: int = DEFAULT_WORKING_PREC) -> ChainDat
     from a point, and only the heights that carry a chain top below the
     nilpotency index get an exact power and kernel.  When no point
     certifies, and for truncated x, sigma is read off the ranks of the
-    powers over K, kernels are taken at the same heights, and each answer
-    is a rank over K (:class:`_Echelon`).  Both passes choose the same tops
-    when the first point is not degenerate.
+    powers over K, kernels are taken at the same heights off the same
+    echelon forms (:meth:`MatK.echelon`, one elimination per power), and
+    each answer is a rank over K (:class:`_Echelon`).  The candidates at
+    the nilpotency index m go by the span of their kernel ends, the columns
+    of x^(m-1) (:func:`_span_order`), for exact x, and by index for
+    truncated x, whose ends are not known exactly.  Both passes choose the
+    same tops, and so give the same P, when the first point is not
+    degenerate.
     """
     n = x.n
-    if x.all_exact():
+    exact = x.all_exact()
+    if exact:
         chains = _point_chains(x)
         if chains is not None:
             return chains
     powers = nilpotent_powers(x)
+    echelons = [power.echelon() for power in powers[1:-1]]
     sigma, candidates, tops = _choose_tops(
-        [n] + [power.rank() for power in powers[1:-1]],
-        lambda h: powers[h].kernel_basis(working_prec),
-        lambda h, vectors: (powers[h - 1].apply(v) for v in vectors), _Echelon(n))
+        [n] + [len(ech) for ech in echelons],
+        lambda h: powers[h].kernel_basis(working_prec, echelons[h - 1]),
+        lambda h, vectors: (powers[h - 1].apply(v) for v in vectors), _Echelon(n),
+        lambda c: _span_order(list(zip(*powers[-2].rows))) if exact else range(n))
     if len(tops) != len(sigma):
         raise PrecisionExhausted("chain construction did not span the space")
     p_mat = _chain_basis(x, candidates, tops)

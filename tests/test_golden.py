@@ -8,10 +8,12 @@ conjugates x = Ad g(D_{σ,j}) + level·c, n = 2…7, it covers the label of x,
 det x and the kernel basis of x, and det g and g⁻¹ (x is nilpotent, so it
 has no inverse).
 
-ROADMAP items 4 and 5 change the Jordan basis P on purpose, so they may
-change this digest.  Such a change gives the mathematical reason in
+A change to the choice of the Jordan basis P (the chain tops) may change
+this digest on purpose.  Such a change gives the mathematical reason in
 CHANGES.md and records the new digest here.  To see which output moved,
-diff the lines of :func:`_golden_lines` of the two trees.
+diff the lines of :func:`_golden_lines` of the two trees.  The labels are
+invariants, whatever P is chosen, so a second digest covers the label
+lines alone and must not move with P.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from affnil.selfcheck import random_orbit_case, random_shear
 
 from conftest import stress_case
 
-GOLDEN_SHA256 = "0a0ef236612f4b7d80023355972dac642a97abd9192b1ac365944e2ca64d0cc2"
+GOLDEN_SHA256 = "074ab3d9cb7f94c18c8254ea63c11537fadc967d318cab9d9976bec3c9aa60e3"
+LABELS_SHA256 = "803a3bdf70c10ab94b877b8b5a60924822ffed5f2ab4443bbc63661dee4e0082"
 
 
 def _golden_lines():
@@ -53,6 +56,14 @@ def _golden_lines():
 def test_exact_outputs_match_the_golden_digest():
     digest = hashlib.sha256("\n".join(_golden_lines()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def test_labels_match_the_golden_label_digest():
+    # the case names and the classify lines of _golden_lines only
+    labels = [line for line in _golden_lines()
+              if line.startswith(("stress:", "conjugate:", "OrbitLabel("))]
+    assert len(labels) == 2 * (8 + 72)
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == LABELS_SHA256
 
 
 # The printed results of adjoint_act on cases shaped like the act-wide

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -33,7 +34,7 @@ from affnil import (
     rank_profile_partition,
     read_quasi_jordan,
 )
-from affnil import normalform, zipoly
+from affnil import matk, normalform, zipoly
 from affnil.laurent import DEFAULT_WORKING_PREC
 from affnil.matk import normalize_vector
 from affnil.normalform import jordan_chains, nilpotent_powers
@@ -337,12 +338,15 @@ def _exact_pass_tops(x):
     return seen[0]
 
 
-def _classical_tops(kernels, apply, echelon):
+def _classical_tops(kernels, apply, echelon, tallest=None):
     """Oracle: the classical rule.  (height j, index in kernels[j - 1]) of
     each chain top, tallest first, where a top at height j is a vector of
     kernels[j - 1], a basis of ker x^j, independent of kernels[j - 2], which
     spans ker x^(j-1), together with the once-applied images of all taller
-    chains; ``echelon()`` is a fresh independence test at every height."""
+    chains; ``echelon()`` is a fresh independence test at every height.
+    The candidates are tried in index order, except at the nilpotency index
+    when ``tallest`` lists the order, and the tops of one height are listed
+    by index."""
     chains = []  # [height, index, image of the top under x^(height - j)]
     for j in range(len(kernels), 0, -1):
         ech = echelon()
@@ -351,9 +355,11 @@ def _classical_tops(kernels, apply, echelon):
                 ech.add(v)
         for ch in chains:
             ech.add(ch[2])
-        for idx, v in enumerate(kernels[j - 1]):
-            if ech.add(v):
-                chains.append([j, idx, v])
+        order = range(len(kernels[j - 1]))
+        if j == len(kernels) and tallest is not None:
+            order = tallest
+        found = [idx for idx in order if ech.add(kernels[j - 1][idx])]
+        chains += [[j, idx, kernels[j - 1][idx]] for idx in sorted(found)]
         if j > 1:
             for ch in chains:
                 ch[2] = apply(ch[2])
@@ -370,6 +376,19 @@ def _classical_chains(x, working_prec=DEFAULT_WORKING_PREC):
     if sum(sigma) != x.n:
         raise PrecisionExhausted("chain construction did not span the space")
     return normalform.ChainData(normalform._chain_basis(x, kernels, tops), sigma)
+
+
+def _by_kernel_end_span(x):
+    """Oracle: the indices i with x^(m-1)·e_i != 0, m the nilpotency index,
+    by the highest minus the lowest exponent over the entries of that
+    column, ties by index."""
+    last = nilpotent_powers(x)[-2]
+    spans = []
+    for i in range(x.n):
+        exponents = [e for row in last.rows for e in row[i].coeffs]
+        if exponents:
+            spans.append((max(exponents) - min(exponents), i))
+    return [i for _, i in sorted(spans)]
 
 
 class _LaurentEchelon:
@@ -417,7 +436,8 @@ def test_exact_pass_matches_the_laurent_echelon():
             cases.append(adjoint_act(g, elem).mat)
     for x in cases:
         tops = _exact_pass_tops(x)[1]
-        assert tops == _classical_tops(_kernels(x), x.apply, lambda: _LaurentEchelon(x.n))
+        tallest = _by_kernel_end_span(x) if x.all_exact() else None
+        assert tops == _classical_tops(_kernels(x), x.apply, lambda: _LaurentEchelon(x.n), tallest)
     assert _exact_pass_tops(truncated)[1] == [(2, 0)]
 
 
@@ -528,16 +548,117 @@ def test_modular_pass_matches_exact_pass_on_random_conjugates():
         for j in range(4):
             sigma, _, _, moved = stress_case(8, shears, j)
             cases.append((sigma, moved.mat))
-    rng = random.Random("point-vs-exact")
-    for n in range(2, 9):
-        for _ in range(18):
-            sigma, _, _, elem, g = random_orbit_case(rng, n)
-            cases.append((sigma, adjoint_act(g, elem).mat))
+    cases += list(_point_vs_exact_conjugates())
     for sigma, x in cases:
         point, exact = _point_and_exact(x)
         assert point is not None
         assert point.sigma == exact.sigma == sigma
         assert repr(point.p_mat) == repr(exact.p_mat)
+
+
+# -- the tallest chain tops by the span of their kernel ends --------------------------------
+
+
+def test_tallest_top_has_the_shortest_kernel_end():
+    # stress:8:20:3, sigma = (8): x^7 = u·w^T has rank one, so the kernel end
+    # of e_i is w_i·u and w_i enters det P eight times.  The ends of e_2 and
+    # e_7 have the least span, 5, against 6 for e_0, which index order took
+    # (det P then spanned 8 degrees); the tie goes to e_2, and det P is a
+    # monomial
+    x = stress_case(8, 20, 3)[3].mat
+    last = nilpotent_powers(x)[-2]
+    spans = {}
+    for i in range(x.n):
+        exponents = [e for row in last.rows for e in row[i].coeffs]
+        if exponents:
+            spans[i] = max(exponents) - min(exponents)
+    assert (spans[0], spans[2], spans[7], min(spans.values())) == (6, 5, 5, 5)
+    chains = jordan_chains(x)
+    assert chains.sigma == (8,)
+    top = chains.p_mat.rows
+    assert [i for i in range(x.n) if top[i][x.n - 1].coeffs] == [2]
+    assert len(chains.p_mat.det().coeffs) == 1
+    assert _exact_pass_tops(x)[1] == [(8, 2)]
+
+
+def _point_vs_exact_conjugates():
+    """(sigma, x) for the 126 seeded conjugates x of canonical
+    representatives, n = 2..8, of the point-vs-exact test."""
+    rng = random.Random("point-vs-exact")
+    for n in range(2, 9):
+        for _ in range(18):
+            sigma, _, _, elem, g = random_orbit_case(rng, n)
+            yield sigma, adjoint_act(g, elem).mat
+
+
+def test_one_row_orders_the_tallest_tops_as_the_columns_do():
+    # where the tallest part occurs once, x^(m-1) = u·w^T: every row r with
+    # u_r != 0 is u_r·w^T, and spans add under products, so each such row,
+    # read entry by entry, orders the identity candidates as the columns of
+    # x^(m-1) do, ties included
+    single = 0
+    for sigma, x in _point_vs_exact_conjugates():
+        if sigma.count(sigma[0]) != 1:
+            continue
+        single += 1
+        last = nilpotent_powers(x)[-2]
+        by_columns = normalform._span_order(list(zip(*last.rows)))
+        assert by_columns == _by_kernel_end_span(x)
+        rows = [row for row in last.rows if any(e.coeffs for e in row)]
+        assert rows
+        for row in rows:
+            assert normalform._span_order([(e,) for e in row]) == by_columns
+    assert single == 79
+
+
+def test_single_tallest_part_orders_by_one_row(monkeypatch):
+    # stress:8:20:3, sigma = (8): the tallest part occurs once and no kernel
+    # has formed x^7, so its candidates are ordered by one row of x^7, row r
+    # of x with x applied on the left six more times, and no power is formed
+    # (test_single_block_takes_no_kernel_and_one_product counts the products)
+    x = stress_case(8, 20, 3)[3].mat
+    calls = []
+    apply_left = MatK.apply_left
+
+    def counted(m, v):
+        calls.append(m is x)
+        return apply_left(m, v)
+
+    monkeypatch.setattr(MatK, "apply_left", counted)
+    assert normalform._point_chains(x).sigma == (8,)
+    assert calls == [True] * 6
+
+
+# The labels and Jordan bases P of the cut lower-triangular matrices of
+# ``lower_truncated_cases`` that keep a truncated entry ("lower-truncated",
+# 50 cases, and "lt-150-a".."d", 150 each, n = 3..6), or the refusal; the
+# matrices the cut left exact are left out, as they take the point path.
+# Truncated input tries the tallest candidates in index order and takes its
+# ranks and kernels off one echelon per power, so this was recorded before
+# either and must not move.
+TRUNCATED_SHA256 = "db0c13942469d43fa4ecff94640b48c390d2def26f46ab9e60bfe05052f35387"
+
+
+def _truncated_lines():
+    families = [("lower-truncated", lower_truncated_cases("lower-truncated", 50))]
+    families += [(seed, lower_truncated_cases(seed, 150, 3, 4))
+                 for seed in ("lt-150-a", "lt-150-b", "lt-150-c", "lt-150-d")]
+    for seed, cases in families:
+        for i, (_, cut, level) in enumerate(cases):
+            if cut.all_exact():
+                continue
+            yield f"{seed}:{i}"
+            try:
+                yield repr(classify(AffineElement(cut, level)))
+                yield repr(jordan_chains(cut).p_mat)
+            except PrecisionExhausted as exc:
+                yield f"PrecisionExhausted: {exc}"
+
+
+def test_truncated_input_keeps_its_labels_and_jordan_bases():
+    lines = list(_truncated_lines())
+    assert sum(line.startswith("PrecisionExhausted") for line in lines) == 76
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRUNCATED_SHA256
 
 
 def _count_kernels_and_products(monkeypatch):
@@ -622,6 +743,43 @@ def test_pass_over_k_takes_kernels_only_at_the_parts_of_sigma(monkeypatch):
     assert heights == [3, 1]
 
 
+def test_pass_over_k_eliminates_each_power_once(monkeypatch):
+    # the rank of each power x, ..., x^(m-1) and its kernel, where sigma has
+    # a part, are read off one echelon: sigma = (5, 3, 1) eliminates x^1..x^4
+    # once each (the kernels at 3 and 1 took two more eliminations before),
+    # and so does every cut lower-triangular matrix that is answered
+    rng = random.Random("top-heights")
+    x = adjoint_act(random_group(rng, 9, 4), AffineElement(canonical_rep((5, 3, 1), 0))).mat
+    cases = [x] + [cut for _, cut, _ in lower_truncated_cases("lower-truncated", 50)
+                   if not cut.all_exact()]
+    seen = []
+    row_echelon, powers_of = matk._row_echelon, normalform.nilpotent_powers
+
+    def spy_echelon(rows, width):
+        seen.append(rows)
+        return row_echelon(rows, width)
+
+    def spy_powers(x):
+        seen.append(powers_of(x))
+        return seen[-1]
+
+    _without_point_path(monkeypatch)
+    monkeypatch.setattr(matk, "_row_echelon", spy_echelon)
+    monkeypatch.setattr(normalform, "nilpotent_powers", spy_powers)
+    answered = 0
+    for y in cases:
+        seen.clear()
+        try:
+            jordan_chains(y)
+        except PrecisionExhausted:
+            continue
+        answered += 1
+        powers = seen[0]
+        eliminated = [rows for rows in seen[1:] if any(rows is p.rows for p in powers)]
+        assert [p.rows for p in powers[1:-1]] == eliminated
+    assert answered == 32
+
+
 def test_exact_kernels_only_at_heights_that_carry_a_top(monkeypatch):
     # sigma = (5, 3, 1): x^3 and x take one kernel each, x^2 and x^4 none,
     # x^2, x^3 cost one product each besides the check at the kernel ends,
@@ -700,7 +858,8 @@ def test_tops_with_independent_kernel_ends_have_independent_chains():
     for x in cases:
         kernels = _kernels(x)
         for t0 in normalform._POINTS:
-            _, candidates, tops = normalform._tops_at_point(x, t0, lambda h: kernels[h - 1])
+            _, candidates, tops = normalform._tops_at_point(
+                x, t0, lambda h: kernels[h - 1], lambda m, c, r: _by_kernel_end_span(x))
             heights = sum(height for height, _ in tops)
             assert _chain_rank_at_point(x, t0, candidates, tops) == heights
             short += heights < x.n
@@ -719,7 +878,7 @@ def test_kernel_end_echelon_rejects_a_dependent_top():
     assert ends.add(x_e0)
     assert not ends.add(zipoly.values_mod_p(v1, t1))
     assert ends.add(zipoly.values_mod_p(v2, t1))
-    _, _, tops = normalform._tops_at_point(x, t1, lambda h: [v1, v2])
+    _, _, tops = normalform._tops_at_point(x, t1, lambda h: [v1, v2], lambda m, c, r: [0, 1, 2])
     assert tops == [(2, 0), (1, 1)]
 
 
